@@ -32,6 +32,7 @@ from .gates import (
 from .linalg import (
     CompositeSpace,
     DensityMatrix,
+    ProductState,
     SpectralDecomposition,
     UnitaryGate,
     as_single_subsystem,

@@ -164,8 +164,31 @@ def tensor_states(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(CompositeSpace(a.space.dims + b.space.dims), tensor(a.mat, b.mat))
 
 
+@dataclass(frozen=True)
+class ProductState:
+    """Product state ``a (x) b`` kept as its two factors.
+
+    ``space`` is the space of ``tensor_states(a, b)``; the product matrix
+    itself is never formed here, so quantities that only need the factors
+    (the device's ``Tr(W rho)``, populations) stay O(d^2) or O(d^4) instead
+    of touching a d^2 x d^2 matrix.
+    """
+
+    a: DensityMatrix
+    b: DensityMatrix
+
+    @property
+    def space(self) -> CompositeSpace:
+        return CompositeSpace(self.a.space.dims + self.b.space.dims)
+
+
 def as_single_subsystem(rho: DensityMatrix) -> DensityMatrix:
-    """Forget internal tensor structure: same matrix on a one-subsystem space."""
+    """Forget internal tensor structure: same matrix on a one-subsystem space.
+
+    A state that already has one subsystem is returned as it is.
+    """
+    if rho.space.n_subsystems == 1:
+        return rho
     return DensityMatrix(CompositeSpace((rho.space.dim,)), rho.mat)
 
 

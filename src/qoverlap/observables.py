@@ -18,12 +18,12 @@ import numpy as np
 from . import gates, protocol
 from .linalg import (
     DensityMatrix,
+    ProductState,
     as_single_subsystem,
     partial_trace,
     partial_transpose,
-    tensor_states,
 )
-from .protocol import IDEAL, DeviceMode, ProtocolRun
+from .protocol import IDEAL, DeviceInput, DeviceMode, ProtocolRun
 
 # Exact-mode witness verdict threshold; shot-noise runs use 3 standard errors.
 WITNESS_EXACT_THRESHOLD = 1e-9
@@ -76,7 +76,7 @@ def _report(name, device, oracle, settings, std_error=None, verdict=None) -> Obs
     )
 
 
-def _measure_visibility(rho_joint: DensityMatrix, settings: MeasurementSettings):
+def _measure_visibility(rho_joint: DeviceInput, settings: MeasurementSettings):
     """Run one sweep; returns (value, std_error, detail)."""
     run = protocol.sweep_visibility(rho_joint, settings.phase_count, settings.mode)
     if settings.shots is None:
@@ -154,8 +154,8 @@ def overlap(
     """Overlap Tr(rho_a rho_b), measured as the visibility of the device fringe."""
     if rho_a.space.dim != rho_b.space.dim:
         raise ValueError("overlap requires states of equal dimension")
-    joint = tensor_states(as_single_subsystem(rho_a), as_single_subsystem(rho_b))
-    value, se, detail = _measure_visibility(joint, settings)
+    pair = ProductState(as_single_subsystem(rho_a), as_single_subsystem(rho_b))
+    value, se, detail = _measure_visibility(pair, settings)
     report = _report("overlap", value, overlap_direct(rho_a, rho_b), settings, se)
     return _maybe_detail(report, detail, return_detail)
 
@@ -173,9 +173,9 @@ def fidelity_with_pure(
         raise ValueError("pure state must be normalized to within 1e-8")
     if psi.size != rho.space.dim:
         raise ValueError("pure state dimension does not match the density matrix")
-    rho_b = DensityMatrix(as_single_subsystem(rho).space, np.outer(psi, psi.conj()))
-    joint = tensor_states(as_single_subsystem(rho), rho_b)
-    value, se, detail = _measure_visibility(joint, settings)
+    single = as_single_subsystem(rho)
+    rho_b = DensityMatrix(single.space, np.outer(psi, psi.conj()))
+    value, se, detail = _measure_visibility(ProductState(single, rho_b), settings)
     oracle = float((psi.conj() @ rho.mat @ psi).real)
     report = _report("fidelity", value, oracle, settings, se)
     return _maybe_detail(report, detail, return_detail)
@@ -194,8 +194,7 @@ def purity(
     away.
     """
     single = as_single_subsystem(rho)
-    joint = tensor_states(single, single)
-    value, se, detail = _measure_visibility(joint, settings)
+    value, se, detail = _measure_visibility(ProductState(single, single), settings)
     report = _report("purity", value, purity_direct(rho), settings, se)
     return _maybe_detail(report, detail, return_detail)
 

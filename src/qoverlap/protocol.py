@@ -13,9 +13,7 @@ acting on the modes alone,
     M_up(psi) = (exp(i psi) W - I) / 2,
     M_dn(psi) = (exp(i psi) W + I) / 2,
 
-which is how the engine evaluates the circuit: probabilities and
-post-measurement states come from these operators, so the only heavy work is
-applying W to the input state once per run.  A test cross-checks this
+which is how the engine evaluates the circuit.  A test cross-checks this
 factored evaluation against literal full-space matrix conjugation.
 
 Consequences used throughout (W unitary, rho Hermitian, Tr rho = 1):
@@ -26,6 +24,20 @@ Consequences used throughout (W unitary, rho Hermitian, Tr rho = 1):
 * The unconditional post-state (ancilla traced out) is (rho + W rho W^dag)/2,
   independent of psi.
 
+Cost model.  The device input is either a dense joint ``DensityMatrix`` or a
+:class:`~qoverlap.linalg.ProductState` ``a (x) b`` kept as its factors; the
+input's type picks the path.  Fringes, visibility, calibration and delta need
+only the number c = Tr(W rho), computed once per run and never with a
+d^2 x d^2 matrix product: O(d^2) for the ideal device on a product
+(Tr(a b)), O(d^4) otherwise (one pass over W or over rho).  Compiling a
+non-ideal W is separate and costs d^2 x d^2 matrix work.  The unconditional
+post-state is the only d^2 x d^2 output of a sweep; it is built on first
+read of :attr:`ProtocolRun.post_state_unconditional` (O(d^4) for the ideal
+device, O(d^6) for a compiled W).  :func:`run_device` returns the
+conditional post-states as well and therefore always works with dense
+d^2 x d^2 matrices.  The ion layout turns a product input into a dense joint
+on entry.
+
 Detector convention: with the asymmetric ancilla rotation used here, the
 "dn" detector carries the (1 + cos)-type fringe for positive overlap; only
 convention-free quantities (visibility, calibrated probability difference)
@@ -35,19 +47,30 @@ are exposed by the high-level pipelines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from . import gates
-from .linalg import CompositeSpace, DensityMatrix, as_single_subsystem, dag, tensor, tensor_states
+from .linalg import (
+    CompositeSpace,
+    DensityMatrix,
+    ProductState,
+    as_single_subsystem,
+    dag,
+    tensor,
+    tensor_states,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dynamics import HamiltonianSpec
 
 # Conditioning probabilities below this are reported as undefined outcomes.
 MIN_CONDITION_PROB = 1e-12
+
+# What the device accepts: a dense joint state, or a product kept as factors.
+DeviceInput = DensityMatrix | ProductState
 
 
 @dataclass(frozen=True)
@@ -92,14 +115,26 @@ class PhaseResult:
 
 @dataclass(frozen=True)
 class ProtocolRun:
-    """Phase sweep summary: fringes, extracted visibility, calibrated delta."""
+    """Phase sweep summary: fringes, extracted visibility, calibrated delta.
+
+    ``post_state_unconditional`` is a d^2 x d^2 state that most pipelines
+    never read, so a sweep stores how to build it and builds it on first
+    read; later reads return the same object.
+    """
 
     phases: np.ndarray
     p_up: np.ndarray
     p_down: np.ndarray
     visibility: float
     delta: float
-    post_state_unconditional: DensityMatrix
+    _post_state: DensityMatrix | Callable[[], DensityMatrix] = field(repr=False, compare=False)
+
+    @property
+    def post_state_unconditional(self) -> DensityMatrix:
+        if not isinstance(self._post_state, DensityMatrix):
+            # Replacing the callable also drops what it holds (the input, W).
+            object.__setattr__(self, "_post_state", self._post_state())
+        return self._post_state
 
 
 _SWAP = object()  # sentinel: ideal flip, applied by index reshuffling
@@ -114,18 +149,22 @@ def _require_mode_pair(space: CompositeSpace) -> int:
     return d0
 
 
-def _swap_left(mat: np.ndarray, d: int) -> np.ndarray:
-    """flip @ mat on a (d*d, d*d) matrix, by permuting row factors."""
-    return np.ascontiguousarray(
-        mat.reshape(d, d, d * d).transpose(1, 0, 2).reshape(d * d, d * d)
-    )
+def _dense_mat(rho: DeviceInput) -> np.ndarray:
+    """The d^2 x d^2 matrix of the input, unvalidated for a product."""
+    if isinstance(rho, ProductState):
+        return tensor(rho.a.mat, rho.b.mat)
+    return rho.mat
 
 
-def _swap_both(mat: np.ndarray, d: int) -> np.ndarray:
-    """flip @ mat @ flip, permuting row and column factors."""
-    return np.ascontiguousarray(
-        mat.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
-    )
+def _flip(mat: np.ndarray, d: int, both: bool = False) -> np.ndarray:
+    """flip @ mat, or flip @ mat @ flip with ``both``, as a fresh array.
+
+    Permutes the tensor factors of rows (and columns) instead of multiplying.
+    """
+    out = np.empty(mat.shape, dtype=mat.dtype)
+    axes = (1, 0, 3, 2) if both else (1, 0, 2, 3)
+    out.reshape(d, d, d, d)[...] = mat.reshape(d, d, d, d).transpose(axes)
+    return out
 
 
 def _mode_swap_operator(mode: DeviceMode, space: CompositeSpace):
@@ -163,71 +202,80 @@ def _is_ion_mode(mode: DeviceMode) -> bool:
     return mode.kind == "hamiltonian" and mode.hamiltonian.kind == "ion_qnd"
 
 
+def _fringe_coefficient(rho: DeviceInput, w, d: int) -> complex:
+    """Tr(W rho), without any d^2 x d^2 matrix product."""
+    if isinstance(rho, ProductState):
+        a, b = rho.a.mat, rho.b.mat
+        if w is None:
+            return complex(np.trace(a) * np.trace(b))
+        if w is _SWAP:
+            return complex(np.sum(a * b.T))  # Tr(flip (a x b)) = Tr(a b)
+        # Tr(W (a x b)) = sum W[(i,j),(k,l)] a[k,i] b[l,j]: contract b, then a.
+        w_b = np.tensordot(w.reshape(d, d, d, d), b, axes=([1, 3], [1, 0]))
+        return complex(np.sum(w_b * a.T))
+    if w is None:
+        return complex(np.trace(rho.mat))
+    if w is _SWAP:
+        return complex(np.einsum("ijji", rho.mat.reshape(d, d, d, d)))
+    return complex(np.sum(w * rho.mat.T))
+
+
+def _post_state(rho: DeviceInput, w, d: int) -> DensityMatrix:
+    """Unconditional post-state (rho + W rho W^dag)/2, made exactly Hermitian.
+
+    Built from the input and W alone, updating fresh arrays in place.
+    """
+    mat = _dense_mat(rho)
+    mixed = _flip(mat, d, both=True) if w is _SWAP else (w @ mat) @ dag(w)
+    mixed += mat
+    mixed += dag(mixed)
+    mixed *= 0.25
+    return DensityMatrix(rho.space, mixed)
+
+
 class _DeviceKernel:
-    """Factored evaluation of one device run around a fixed W (see module doc)."""
+    """Factored evaluation of one device run around a fixed W (see module doc).
 
-    def __init__(self, rho_modes: DensityMatrix, w):
-        self.rho = rho_modes
-        self.d = _require_mode_pair(rho_modes.space)
+    ``w`` is ``_SWAP`` (ideal flip), a dense (d^2, d^2) unitary, or None for
+    the interferometer without the controlled step; None serves calibration
+    and supports :meth:`probabilities` only.
+    """
+
+    def __init__(self, rho: DeviceInput, w):
+        self.rho = rho
+        self.d = _require_mode_pair(rho.space)
         self.w = w
-        self._w_rho = None
-        self._w_rho_w = None
-
-    def w_rho(self) -> np.ndarray:
-        if self._w_rho is None:
-            if self.w is None:
-                self._w_rho = self.rho.mat
-            elif self.w is _SWAP:
-                self._w_rho = _swap_left(self.rho.mat, self.d)
-            else:
-                self._w_rho = self.w @ self.rho.mat
-        return self._w_rho
-
-    def w_rho_w(self) -> np.ndarray:
-        if self._w_rho_w is None:
-            if self.w is None:
-                self._w_rho_w = self.rho.mat
-            elif self.w is _SWAP:
-                self._w_rho_w = _swap_both(self.rho.mat, self.d)
-            else:
-                self._w_rho_w = self.w_rho() @ dag(self.w)
-        return self._w_rho_w
-
-    def fringe_coefficient(self) -> complex:
-        """Tr(W rho); real whenever W is Hermitian."""
-        return complex(np.trace(self.w_rho()))
+        self.c = _fringe_coefficient(rho, w, self.d)
 
     def probabilities(self, psi: float) -> tuple[float, float]:
-        if self.w is None or self.w is _SWAP:
-            t_wrw = 1.0
-        else:
-            t_wrw = float(np.sum(self.w_rho() * self.w.conj()).real)
-        cross = (np.exp(1j * psi) * self.fringe_coefficient()).real
-        p_up = 0.25 * (t_wrw + 1.0 - 2.0 * cross)
-        p_dn = 0.25 * (t_wrw + 1.0 + 2.0 * cross)
-        return max(p_up, 0.0), max(p_dn, 0.0)
+        # Tr(W rho W^dag) = 1 because W is unitary.
+        cross = (np.exp(1j * psi) * self.c).real
+        return max(0.5 * (1.0 - cross), 0.0), max(0.5 * (1.0 + cross), 0.0)
 
     def post_unconditional(self) -> DensityMatrix:
-        unc = 0.5 * (self.rho.mat + self.w_rho_w())
-        return DensityMatrix(self.rho.space, 0.5 * (unc + dag(unc)))
+        return _post_state(self.rho, self.w, self.d)
 
     def phase_result(self, psi: float) -> PhaseResult:
-        rho = self.rho.mat
-        wr = self.w_rho()
-        wrw = self.w_rho_w()
-        phase = np.exp(1j * psi)
-        cross = phase * wr
-        cross = cross + dag(cross)
+        rho = _dense_mat(self.rho)
+        if self.w is _SWAP:
+            wr, wrw = _flip(rho, self.d), _flip(rho, self.d, both=True)
+        else:
+            wr = self.w @ rho
+            wrw = wr @ dag(self.w)
+        cross = np.exp(1j * psi) * wr
+        cross += dag(cross)
         num_up = 0.25 * (wrw + rho - cross)
         num_dn = 0.25 * (wrw + rho + cross)
         p_up = float(np.trace(num_up).real)
         p_dn = float(np.trace(num_dn).real)
 
-        def _conditional(num: np.ndarray, p: float) -> DensityMatrix | None:
-            if p <= MIN_CONDITION_PROB:
-                return None
-            m = num / p
+        def _hermitian(m: np.ndarray) -> DensityMatrix:
             return DensityMatrix(self.rho.space, 0.5 * (m + dag(m)))
+
+        def _conditional(num: np.ndarray, p: float) -> DensityMatrix | None:
+            # Normalized by its own trace, so the state's trace is 1 even
+            # when p is tiny and known only to a large relative error.
+            return _hermitian(num / p) if p > MIN_CONDITION_PROB else None
 
         return PhaseResult(
             psi=float(psi),
@@ -235,7 +283,7 @@ class _DeviceKernel:
             p_down=max(p_dn, 0.0),
             post_up=_conditional(num_up, p_up),
             post_down=_conditional(num_dn, p_dn),
-            post_unconditional=self.post_unconditional(),
+            post_unconditional=_hermitian(num_up + num_dn),
         )
 
 
@@ -264,9 +312,10 @@ def _uniform_phases(phase_count: int) -> np.ndarray:
     return 2.0 * math.pi * np.arange(phase_count) / phase_count
 
 
-def run_device(rho_joint: DensityMatrix, psi: float, mode: DeviceMode = IDEAL) -> PhaseResult:
+def run_device(rho_joint: DeviceInput, psi: float, mode: DeviceMode = IDEAL) -> PhaseResult:
     """Run the device once at ancilla phase ``psi``.
 
+    ``rho_joint`` is a dense two-mode state or a :class:`ProductState`.
     Returns detector probabilities, the conditional post-states (None when
     the outcome probability is below 1e-12), and the unconditional
     post-state of the modes.
@@ -274,12 +323,14 @@ def run_device(rho_joint: DensityMatrix, psi: float, mode: DeviceMode = IDEAL) -
     if _is_ion_mode(mode):
         from . import dynamics
 
+        if isinstance(rho_joint, ProductState):
+            rho_joint = tensor_states(rho_joint.a, rho_joint.b)
         return dynamics.ion_protocol_run(rho_joint, psi, mode.hamiltonian)
     kernel = _DeviceKernel(rho_joint, _mode_swap_operator(mode, rho_joint.space))
     return kernel.phase_result(psi)
 
 
-def calibrate_phase(rho_joint: DensityMatrix, mode: DeviceMode = IDEAL, phase_count: int = 8) -> float:
+def calibrate_phase(rho_joint: DeviceInput, mode: DeviceMode = IDEAL, phase_count: int = 8) -> float:
     """Phase at which the no-controlled-swap interferometer gives p_up = 1.
 
     Runs the device with the controlled step replaced by the identity (the
@@ -298,24 +349,28 @@ def calibrate_phase(rho_joint: DensityMatrix, mode: DeviceMode = IDEAL, phase_co
 
 
 def sweep_visibility(
-    rho_joint: DensityMatrix, phase_count: int = 8, mode: DeviceMode = IDEAL
+    rho_joint: DeviceInput, phase_count: int = 8, mode: DeviceMode = IDEAL
 ) -> ProtocolRun:
     """Sweep a uniform phase grid and extract visibility and delta.
 
-    The visibility is the magnitude of the first-harmonic Fourier
+    ``rho_joint`` is a dense two-mode state or a :class:`ProductState`.  The
+    visibility is the magnitude of the first-harmonic Fourier
     coefficient of the p_down fringe, which reproduces the contrast
     (p_max - p_min)/(p_max + p_min) exactly for noiseless cosine fringes on
     any uniform grid of at least 3 phases.  ``delta`` is p_up - p_down at
     the calibrated phase, and the unconditional post-state is taken from the
-    calibrated-phase run (it is phase independent).
+    calibrated-phase run (it is phase independent) and built on first read.
     """
     phases = _uniform_phases(phase_count)
     psi_star = calibrate_phase(rho_joint, mode, phase_count)
     if _is_ion_mode(mode):
-        results = [run_device(rho_joint, psi, mode) for psi in phases]
+        joint = rho_joint
+        if isinstance(joint, ProductState):  # built once, not once per phase
+            joint = tensor_states(joint.a, joint.b)
+        results = [run_device(joint, psi, mode) for psi in phases]
         p_up = np.array([r.p_up for r in results])
         p_dn = np.array([r.p_down for r in results])
-        star = run_device(rho_joint, psi_star, mode)
+        star = run_device(joint, psi_star, mode)
         delta = star.p_up - star.p_down
         post = star.post_unconditional
     else:
@@ -325,19 +380,12 @@ def sweep_visibility(
         p_dn = np.array([p[1] for p in pairs])
         star_up, star_dn = kernel.probabilities(psi_star)
         delta = star_up - star_dn
-        post = kernel.post_unconditional()
+        post = kernel.post_unconditional  # the kernel holds the input, W and c only
     visibility = abs(fourier_coefficient(p_dn, phases))
-    return ProtocolRun(
-        phases=phases,
-        p_up=p_up,
-        p_down=p_dn,
-        visibility=float(visibility),
-        delta=float(delta),
-        post_state_unconditional=post,
-    )
+    return ProtocolRun(phases, p_up, p_dn, float(visibility), float(delta), post)
 
 
-def witness_delta(rho_joint: DensityMatrix, mode: DeviceMode = IDEAL) -> float:
+def witness_delta(rho_joint: DeviceInput, mode: DeviceMode = IDEAL) -> float:
     """Calibrated probability difference p_up - p_down.
 
     Negative values certify entanglement of the two-mode input; for a
@@ -409,11 +457,11 @@ def repeat_measurement_check(
 ) -> tuple[float, float]:
     """Visibility before and after one measurement pass.
 
-    The first sweep runs on ``rho_a (x) rho_b``; the second runs on the
-    unconditional post-state of the first.  The measurement is nondemolition
-    for the overlap, so both values agree in ideal mode.
+    The first sweep runs on the product ``rho_a (x) rho_b``; the second runs
+    on the (dense) unconditional post-state of the first.  The measurement is
+    nondemolition for the overlap, so both values agree in ideal mode.
     """
-    joint = tensor_states(as_single_subsystem(rho_a), as_single_subsystem(rho_b))
-    first = sweep_visibility(joint, mode=mode)
+    pair = ProductState(as_single_subsystem(rho_a), as_single_subsystem(rho_b))
+    first = sweep_visibility(pair, mode=mode)
     second = sweep_visibility(first.post_state_unconditional, mode=mode)
     return first.visibility, second.visibility

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qoverlap import (
+    EXACT,
+    PHYSICAL,
     CompositeSpace,
     DensityMatrix,
     MeasurementSettings,
@@ -30,7 +33,7 @@ from qoverlap.observables import (
     purity_direct,
     witness_oracle,
 )
-from conftest import random_joint_state
+from conftest import embed_mode_state, random_joint_state
 
 SHOT_SETTINGS = MeasurementSettings(shots=20_000, seed=3)
 
@@ -233,3 +236,43 @@ def test_shot_noise_determinism():
     r1 = overlap(fock(0, 3), fock(0, 3), SHOT_SETTINGS)
     r2 = overlap(fock(0, 3), fock(0, 3), SHOT_SETTINGS)
     assert r1 == r2
+
+
+@pytest.mark.parametrize(
+    "settings, big, small, safe_levels",
+    [(EXACT, 64, 32, None), (MeasurementSettings(mode=PHYSICAL), 8, 8, 4)],
+    ids=["ideal", "physical"],
+)
+def test_product_pipelines_build_no_joint_density_matrix(monkeypatch, settings, big, small, safe_levels):
+    # The physical device is exact only on the lowest (cutoff + 1) // 2 levels of each mode.
+    rho_big = embed_mode_state(thermal(1.0, safe_levels or big), big)
+    rho_small = embed_mode_state(thermal(0.5, safe_levels or small), small)
+    partner = embed_mode_state(coherent(0.3, safe_levels or small), small)
+    dims = []
+    original = DensityMatrix.__post_init__
+
+    def recording(self):
+        dims.append(self.space.dim)
+        original(self)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", recording)
+    for cutoff, run in (
+        (big, lambda: purity(rho_big, settings)),
+        (small, lambda: overlap(rho_small, partner, settings)),
+        (small, lambda: fidelity_with_pure(rho_small, fock_ket(1, small), settings)),
+    ):
+        dims.clear()
+        assert run().abs_error < 1e-9
+        assert max(dims, default=0) <= cutoff
+
+
+def test_cutoff_64_purity_stays_small_in_memory():
+    rho = thermal(1.0, 64)
+    tracemalloc.start()
+    try:
+        report = purity(rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(report.device_value - 1.0 / 3.0) < 1e-6
+    assert peak < 8 * 2**20  # the dense 4096 x 4096 joint alone is 256 MiB

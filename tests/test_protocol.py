@@ -1,19 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qoverlap import (
     IDEAL,
     PHYSICAL,
     DensityMatrix,
+    ProductState,
     bell_singlet,
     calibrate_phase,
     classical_correlated,
     controlled_swap_ideal,
+    dispersive_cps,
     estimate_visibility,
     flip_operator,
     fock,
     ginibre_mixed,
     hadamard,
+    hamiltonian_mode,
+    linear_coupling,
     phase_shift,
     repeat_measurement_check,
     run_device,
@@ -94,6 +100,24 @@ def test_conditional_post_states_undefined_at_zero_probability():
     assert r.post_up is None
     assert r.post_down is not None
     r.post_down.validate()
+
+
+@pytest.mark.parametrize("as_product", [False, True])
+def test_conditional_post_states_valid_at_tiny_probability(as_product):
+    # p_up ~ psi^2 / 4 = 2.5e-11: above the conditioning floor, yet the
+    # closed form (1 - cos psi) / 2 loses ~1e-6 of it to cancellation.
+    a, b = fock(0, 3), fock(0, 3)
+    joint = ProductState(a, b) if as_product else tensor_states(a, b)
+    r = run_device(joint, 1e-5)
+    assert 1e-12 < r.p_up < 1e-10
+    assert abs(np.trace(r.post_up.mat) - 1.0) < 1e-10
+    r.post_up.validate()
+    r.post_down.validate()
+
+
+def test_witness_delta_nearly_antisymmetric_werner():
+    p = 1.0 - 1e-8  # one outcome has probability 0.75 * (1 - p)
+    assert witness_delta(werner(p)) == pytest.approx(-p + 0.5 * (1.0 - p), abs=1e-12)
 
 
 def test_sweep_visibility_equals_overlap_for_product_inputs():
@@ -330,3 +354,46 @@ def test_witness_delta_separable_mixtures_stay_nonnegative(rng):
             mat += weights[t] * tensor(a.mat, b.mat)
         rho = DensityMatrix(CompositeSpace((d, d)), mat)
         assert witness_delta(rho) >= -1e-9
+
+
+PRODUCT_MODES = {
+    "ideal": lambda d: IDEAL,
+    "physical": lambda d: PHYSICAL,
+    "hamiltonian:linear_coupling": lambda d: hamiltonian_mode(linear_coupling(1.0, d)),
+    "hamiltonian:dispersive_cps": lambda d: hamiltonian_mode(dispersive_cps(1.0, d)),
+}
+
+
+@pytest.mark.parametrize("label", list(PRODUCT_MODES))
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.integers(2, 6),
+    seeds=st.tuples(st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1)),
+    ranks=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    phase_count=st.integers(3, 9),
+    psi=st.floats(0.0, 2 * np.pi),
+)
+def test_product_input_matches_dense_joint(label, d, seeds, ranks, phase_count, psi):
+    # Full-rank Ginibre factors populate every Fock level, including the
+    # sectors above total photon number d - 1 where composed gates leak.
+    a = ginibre_mixed(d, min(ranks[0], d), seeds[0])
+    b = ginibre_mixed(d, min(ranks[1], d), seeds[1])
+    mode = PRODUCT_MODES[label](d)
+    by_factors = sweep_visibility(ProductState(a, b), phase_count, mode)
+    dense = sweep_visibility(tensor_states(a, b), phase_count, mode)
+    assert np.abs(by_factors.p_up - dense.p_up).max() < 1e-12
+    assert np.abs(by_factors.p_down - dense.p_down).max() < 1e-12
+    assert abs(by_factors.visibility - dense.visibility) < 1e-12
+    assert abs(by_factors.delta - dense.delta) < 1e-12
+    post_diff = by_factors.post_state_unconditional.mat - dense.post_state_unconditional.mat
+    assert np.abs(post_diff).max() < 1e-12
+
+    one_factored = run_device(ProductState(a, b), psi, mode)
+    one_dense = run_device(tensor_states(a, b), psi, mode)
+    assert abs(one_factored.p_up - one_dense.p_up) < 1e-12
+    for name in ("post_up", "post_down", "post_unconditional"):
+        x, y = getattr(one_factored, name), getattr(one_dense, name)
+        assert (x is None) == (y is None)
+        if x is not None:
+            assert np.abs(x.mat - y.mat).max() < 1e-12
+

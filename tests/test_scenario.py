@@ -158,12 +158,32 @@ def test_write_csv_sidecar(tmp_path):
     assert summary["device_value"] == rec.device_value
 
 
-def test_unsafe_support_warns_in_physical_mode():
-    text = make(device_mode="physical", cutoff=4,
-                state_a={"kind": "coherent", "alpha": 2.0},
-                state_b={"kind": "coherent", "alpha": 2.0})
+def unsafe_doc(task, device_mode):
+    """Coherent inputs with alpha 2 at cutoff 4: most population is above the safe sector."""
+    hot = {"kind": "coherent", "alpha": 2.0}
+    single = task in ("purity", "linear_entropy")
+    return make(task=task, device_mode=device_mode, cutoff=4, state_a=hot,
+                state_b=None if single else hot)
+
+
+UNSAFE_TASKS = ("overlap", "fidelity", "purity", "linear_entropy", "hs_distance", "repeat_check")
+
+
+@pytest.mark.parametrize("task", UNSAFE_TASKS)
+def test_unsafe_support_warns_in_physical_mode(task):
     with pytest.warns(UserWarning, match="above total photon number"):
-        run_scenario(parse_scenario(text))
+        run_scenario(parse_scenario(unsafe_doc(task, "physical")))
+
+
+@pytest.mark.parametrize("task", UNSAFE_TASKS + ("witness",))
+def test_unsafe_support_never_warns_in_ideal_mode(task, recwarn):
+    if task == "witness":  # |1,1> carries total photon number 2 > cutoff - 1
+        text = make(task="witness", cutoff=2, state_a=None, state_b=None,
+                    state_joint={"kind": "werner", "p": 0.5})
+    else:
+        text = unsafe_doc(task, "ideal")
+    run_scenario(parse_scenario(text))
+    assert not [w for w in recwarn if "photon" in str(w.message)]
 
 
 def test_safe_support_does_not_warn_in_physical_mode(recwarn):
