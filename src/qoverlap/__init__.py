@@ -11,7 +11,6 @@ from .dynamics import (
     build_hamiltonian,
     cavity_dispersive_rate,
     dispersive_cps,
-    ion_protocol_run,
     ion_qnd,
     linear_coupling,
     realize_gate,

@@ -14,7 +14,8 @@ the dimensionless coupling*time product matters):
   branch phases exp(-/+ i pi n / 2).  Following it with a pi/2-per-photon
   phase on the same mode turns the pair exactly into a controlled phase
   shift whose active ancilla state is |->; the modified protocol therefore
-  prepares and reads the ancilla in the |+/-> basis.
+  prepares and reads the ancilla in the |+/-> basis.  The device runs it
+  as a pair of branch unitaries (see :mod:`qoverlap.protocol`).
 """
 
 from __future__ import annotations
@@ -25,16 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates
-from .linalg import (
-    CompositeSpace,
-    DensityMatrix,
-    UnitaryGate,
-    _partial_trace_mat,
-    dag,
-    exp_unitary,
-    tensor,
-)
-from .protocol import MIN_CONDITION_PROB, PhaseResult
+from .linalg import CompositeSpace, UnitaryGate, dag, exp_unitary, tensor
 
 _KINDS = ("linear_coupling", "dispersive_cps", "ion_qnd")
 
@@ -136,92 +128,3 @@ def controlled_phase_branch(spec: HamiltonianSpec, atol: float = 1e-12) -> np.nd
     if np.abs(g[d:, d:] - np.eye(d)).max() > atol:
         raise ValueError("realized gate acts nontrivially on the passive branch")
     return np.ascontiguousarray(g[:d, :d])
-
-
-def _plus_minus_vectors() -> tuple[np.ndarray, np.ndarray]:
-    plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
-    minus = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2)
-    return plus, minus
-
-
-def ion_protocol_run(rho_joint: DensityMatrix, psi: float, spec: HamiltonianSpec) -> PhaseResult:
-    """Run the trapped-ion variant of the device at one ancilla phase.
-
-    Layout differences from the generic device, all forced by the
-    interaction being diagonal in the sigma_x eigenbasis:
-
-    * the ancilla is prepared and measured in the |+/-> basis, with |->
-      playing the role the |up> state plays in the generic device (it is the
-      branch on which the compiled gate acts);
-    * the ancilla rotation and phase gate are the generic ones conjugated
-      into that basis;
-    * the controlled step is the compiled ion gate followed by a
-      pi/2-per-photon phase on the driven (x) mode, which together equal a
-      controlled phase shift on that mode;
-    * because the driven mode is mode 0, the two mode couplers are applied
-      in the opposite order (inverse coupler first), which is the
-      orientation that closes the interferometer exactly for a mode-0 target.
-
-    Probabilities are reported in the generic labels: p_up is the |->
-    detector, p_down the |+> detector.  On states supported in the safe
-    sector (total photon number <= cutoff-1) the outputs match the ideal
-    device exactly.
-    """
-    if spec.kind != "ion_qnd":
-        raise ValueError("ion_protocol_run requires an ion_qnd Hamiltonian spec")
-    dims = rho_joint.space.dims
-    if len(dims) != 2 or dims[0] != dims[1]:
-        raise ValueError(f"device input must live on two equal modes, got {dims}")
-    d = dims[0]
-    if spec.cutoff != d:
-        raise ValueError(f"Hamiltonian cutoff {spec.cutoff} does not match mode cutoff {d}")
-
-    plus, minus = _plus_minus_vectors()
-    p_plus = np.outer(plus, plus.conj())
-    p_minus = np.outer(minus, minus.conj())
-
-    # Generic ancilla gates conjugated into the |+/-> dictionary (|-> <-> up).
-    basis_map = np.column_stack([minus, plus])  # maps (up, dn) -> (-, +)
-    rot = basis_map @ gates.hadamard().mat @ dag(basis_map)
-    phase_gate = basis_map @ gates.phase_shift(psi).mat @ dag(basis_map)
-
-    ident_modes = np.eye(d * d)
-    coupler = gates.beamsplitter(d).mat
-    ion_gate_full = tensor(realize_gate(spec).mat, np.eye(d))
-    phase_fix = tensor(np.eye(2), tensor(gates.number_phase(math.pi / 2, d).mat, np.eye(d)))
-
-    u_total = (
-        tensor(rot, ident_modes)
-        @ tensor(np.eye(2), coupler)
-        @ phase_fix
-        @ ion_gate_full
-        @ tensor(np.eye(2), dag(coupler))
-        @ tensor(phase_gate, ident_modes)
-        @ tensor(rot, ident_modes)
-    )
-
-    rho_total = tensor(p_minus, rho_joint.mat)
-    out = u_total @ rho_total @ dag(u_total)
-
-    full_dims = (2, d, d)
-    proj_active = tensor(p_minus, ident_modes)
-    proj_passive = tensor(p_plus, ident_modes)
-    p_up = float(np.trace(proj_active @ out).real)
-    p_dn = float(np.trace(proj_passive @ out).real)
-
-    def _conditional(proj: np.ndarray, p: float) -> DensityMatrix | None:
-        if p <= MIN_CONDITION_PROB:
-            return None
-        m = _partial_trace_mat(proj @ out @ proj, full_dims, (1, 2)) / p
-        return DensityMatrix(rho_joint.space, 0.5 * (m + dag(m)))
-
-    unc = _partial_trace_mat(out, full_dims, (1, 2))
-    post_unc = DensityMatrix(rho_joint.space, 0.5 * (unc + dag(unc)))
-    return PhaseResult(
-        psi=float(psi),
-        p_up=max(p_up, 0.0),
-        p_down=max(p_dn, 0.0),
-        post_up=_conditional(proj_active, p_up),
-        post_down=_conditional(proj_passive, p_dn),
-        post_unconditional=post_unc,
-    )

@@ -1,42 +1,54 @@
 """End-to-end execution of the ancilla-interferometric overlap measurement.
 
 The device prepares the ancilla in |up>, applies the ancilla rotation, the
-phase gate with phase psi, a controlled mode swap (ideal, gate-composed, or
+phase gate with phase psi, a controlled step (ideal, gate-composed, or
 Hamiltonian-compiled), a final ancilla rotation, and reads out the ancilla.
 
-Every supported controlled step has the exact form ``P_up (x) W + P_dn (x) I``
-with a mode-only unitary W (W is the exact flip for the ideal device and the
-coupler/phase/coupler sandwich otherwise).  Commuting the ancilla gates
-through that structure collapses the whole sequence into two Kraus operators
-acting on the modes alone,
+Every supported controlled step has the exact form
+``P_up (x) W_up + P_dn (x) W_dn`` with mode-only unitaries.  W_dn is the
+identity for every mode but the trapped-ion layout (W_up is the exact flip
+for the ideal device and the coupler/phase/coupler sandwich otherwise).
+Commuting the ancilla gates through that structure collapses the whole
+sequence into two Kraus operators acting on the modes alone,
 
-    M_up(psi) = (exp(i psi) W - I) / 2,
-    M_dn(psi) = (exp(i psi) W + I) / 2,
+    M_up(psi) = (exp(i psi) W_up - W_dn) / 2,
+    M_dn(psi) = (exp(i psi) W_up + W_dn) / 2,
 
-which is how the engine evaluates the circuit.  A test cross-checks this
+which is how the engine evaluates the circuit.  Tests cross-check this
 factored evaluation against literal full-space matrix conjugation.
 
-Consequences used throughout (W unitary, rho Hermitian, Tr rho = 1):
+The ``ion_qnd`` interaction is diagonal in the ancilla's sigma_x basis, so
+its layout prepares and reads the ancilla in the |+/-> basis with |->
+playing the role of |up>.  Its branches are the compiled gate's |-> and |+>
+blocks G_-, G_+, each followed by a pi/2-per-photon phase F on the driven
+mode 0, between the couplers taken the other way round:
+W_up = B (F G_-) (x) I B^dag and W_dn = B (F G_+) (x) I B^dag.  At the
+default interaction time F G_+ is the identity; at other times it is not.
 
-* p_dn(psi) = (1 + Re[exp(i psi) Tr(W rho)]) / 2 and p_up + p_dn = 1.
-* For the ideal W = flip, Tr(W rho) is real, the fringe is a pure cosine and
-  its contrast (visibility) is |Tr(rho W)|.
-* The unconditional post-state (ancilla traced out) is (rho + W rho W^dag)/2,
-  independent of psi.
+Consequences used throughout (W_up, W_dn unitary, rho Hermitian, Tr rho = 1),
+with c = Tr(W_dn^dag W_up rho):
+
+* p_dn(psi) = (1 + Re[exp(i psi) c]) / 2 and p_up + p_dn = 1.
+* The fringe's contrast (visibility) is |c|; for the ideal W_up = flip, c is
+  real and equals the flip expectation.
+* Without the controlled step p_up = (1 - cos psi) / 2 for every state and
+  mode, so the calibrated phase is pi and the calibrated probability
+  difference p_up - p_dn is Re c.
+* The unconditional post-state (ancilla traced out) is
+  (W_up rho W_up^dag + W_dn rho W_dn^dag)/2, independent of psi.
 
 Cost model.  The device input is either a dense joint ``DensityMatrix`` or a
 :class:`~qoverlap.linalg.ProductState` ``a (x) b`` kept as its factors; the
-input's type picks the path.  Fringes, visibility, calibration and delta need
-only the number c = Tr(W rho), computed once per run and never with a
-d^2 x d^2 matrix product: O(d^2) for the ideal device on a product
-(Tr(a b)), O(d^4) otherwise (one pass over W or over rho).  Compiling a
-non-ideal W is separate and costs d^2 x d^2 matrix work.  The unconditional
+input's type picks the path.  Fringes, visibility and delta need only the
+number c, computed once per run and never with a d^2 x d^2 matrix product
+on the input: O(d^2) for the ideal device on a product (Tr(a b)), O(d^4)
+otherwise (one pass over W_dn^dag W_up or over rho).  Compiling a non-ideal
+branch pair is separate and costs d^2 x d^2 matrix work.  The unconditional
 post-state is the only d^2 x d^2 output of a sweep; it is built on first
 read of :attr:`ProtocolRun.post_state_unconditional` (O(d^4) for the ideal
 device, O(d^6) for a compiled W).  :func:`run_device` returns the
 conditional post-states as well and therefore always works with dense
-d^2 x d^2 matrices.  The ion layout turns a product input into a dense joint
-on entry.
+d^2 x d^2 matrices.
 
 Detector convention: with the asymmetric ancilla rotation used here, the
 "dn" detector carries the (1 + cos)-type fringe for positive overlap; only
@@ -48,11 +60,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
-from . import gates
+from . import dynamics, gates
+from .dynamics import HamiltonianSpec
 from .linalg import (
     CompositeSpace,
     DensityMatrix,
@@ -60,11 +73,7 @@ from .linalg import (
     as_single_subsystem,
     dag,
     tensor,
-    tensor_states,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .dynamics import HamiltonianSpec
 
 # Conditioning probabilities below this are reported as undefined outcomes.
 MIN_CONDITION_PROB = 1e-12
@@ -84,7 +93,7 @@ class DeviceMode:
     """
 
     kind: str
-    hamiltonian: "HamiltonianSpec | None" = None
+    hamiltonian: HamiltonianSpec | None = None
 
     def __post_init__(self):
         if self.kind not in ("ideal", "physical", "hamiltonian"):
@@ -97,7 +106,7 @@ IDEAL = DeviceMode("ideal")
 PHYSICAL = DeviceMode("physical")
 
 
-def hamiltonian_mode(spec: "HamiltonianSpec") -> DeviceMode:
+def hamiltonian_mode(spec: HamiltonianSpec) -> DeviceMode:
     return DeviceMode("hamiltonian", spec)
 
 
@@ -138,6 +147,7 @@ class ProtocolRun:
 
 
 _SWAP = object()  # sentinel: ideal flip, applied by index reshuffling
+# A branch unitary is _SWAP, a dense (d^2, d^2) matrix, or None for the identity.
 
 
 def _require_mode_pair(space: CompositeSpace) -> int:
@@ -156,116 +166,122 @@ def _dense_mat(rho: DeviceInput) -> np.ndarray:
     return rho.mat
 
 
-def _flip(mat: np.ndarray, d: int, both: bool = False) -> np.ndarray:
-    """flip @ mat, or flip @ mat @ flip with ``both``, as a fresh array.
+def _flip(mat: np.ndarray, d: int, rows: bool = True, cols: bool = False) -> np.ndarray:
+    """flip @ mat, mat @ flip or flip @ mat @ flip, as a fresh array.
 
-    Permutes the tensor factors of rows (and columns) instead of multiplying.
+    Permutes the tensor factors of rows and/or columns instead of multiplying.
     """
     out = np.empty(mat.shape, dtype=mat.dtype)
-    axes = (1, 0, 3, 2) if both else (1, 0, 2, 3)
+    axes = (1, 0) if rows else (0, 1)
+    axes += (3, 2) if cols else (2, 3)
     out.reshape(d, d, d, d)[...] = mat.reshape(d, d, d, d).transpose(axes)
     return out
 
 
-def _mode_swap_operator(mode: DeviceMode, space: CompositeSpace):
-    """Resolve the mode-side unitary W of the controlled step.
+def _left(w, mat: np.ndarray, d: int) -> np.ndarray:
+    """w @ mat for a branch unitary w (the identity returns ``mat`` itself)."""
+    if w is None:
+        return mat
+    return _flip(mat, d) if w is _SWAP else w @ mat
 
-    Returns the sentinel ``_SWAP`` for the ideal device, otherwise a dense
-    (d^2, d^2) matrix.  The controlled phase always targets mode 1 (module
-    docstring of :mod:`qoverlap.gates`).
+
+def _right_dag(mat: np.ndarray, w, d: int) -> np.ndarray:
+    """mat @ w^dag for a branch unitary w (the identity returns ``mat`` itself)."""
+    if w is None:
+        return mat
+    return _flip(mat, d, rows=False, cols=True) if w is _SWAP else mat @ dag(w)
+
+
+def _conj(w, mat: np.ndarray, d: int) -> np.ndarray:
+    """w @ mat @ w^dag for a branch unitary w (the identity returns ``mat`` itself)."""
+    if w is _SWAP:
+        return _flip(mat, d, cols=True)
+    return _right_dag(_left(w, mat, d), w, d)
+
+
+def _mode_swap_operator(mode: DeviceMode, d: int):
+    """Resolve the branch unitaries (W_up, W_dn) of the controlled step.
+
+    W_up is the sentinel ``_SWAP`` for the ideal device, otherwise a dense
+    (d^2, d^2) matrix; W_dn is None (the identity) except for ``ion_qnd``.
+    The controlled phase targets mode 1 (module docstring of
+    :mod:`qoverlap.gates`), the ion interaction mode 0.
     """
-    d = _require_mode_pair(space)
     if mode.kind == "ideal":
-        return _SWAP
+        return _SWAP, None
     parity_on_1 = tensor(np.eye(d), gates.number_phase(math.pi, d).mat)
     if mode.kind == "physical":
         b = gates.beamsplitter(d).mat
-        return dag(b) @ parity_on_1 @ b
-    # Hamiltonian-compiled gates; import deferred to avoid a cycle at import
-    # time (dynamics imports this module for the result types).
-    from . import dynamics
-
+        return dag(b) @ parity_on_1 @ b, None
     spec = mode.hamiltonian
     if spec.cutoff != d:
         raise ValueError(f"Hamiltonian cutoff {spec.cutoff} does not match mode cutoff {d}")
     if spec.kind == "linear_coupling":
         b = dynamics.realize_gate(spec).mat
-        return dag(b) @ parity_on_1 @ b
+        return dag(b) @ parity_on_1 @ b, None
     if spec.kind == "dispersive_cps":
         phase = tensor(np.eye(d), dynamics.controlled_phase_branch(spec))
         b = gates.beamsplitter(d).mat
-        return dag(b) @ phase @ b
+        return dag(b) @ phase @ b, None
+    if spec.kind == "ion_qnd":
+        g = dynamics.realize_gate(spec).mat.reshape(2, d, 2, d)
+        fix = gates.number_phase(math.pi / 2, d).mat
+        b = gates.beamsplitter(d).mat
+
+        def branch(sign: float) -> np.ndarray:
+            # <s|G|s> for |s> = (|up> + sign |dn>)/sqrt(2), then F, between couplers
+            g_s = 0.5 * (g[0, :, 0] + g[1, :, 1] + sign * (g[0, :, 1] + g[1, :, 0]))
+            return b @ tensor(fix @ g_s, np.eye(d)) @ dag(b)
+
+        return branch(-1.0), branch(1.0)
     raise ValueError(f"device mode does not support Hamiltonian kind {spec.kind!r}")
 
 
-def _is_ion_mode(mode: DeviceMode) -> bool:
-    return mode.kind == "hamiltonian" and mode.hamiltonian.kind == "ion_qnd"
-
-
 def _fringe_coefficient(rho: DeviceInput, w, d: int) -> complex:
-    """Tr(W rho), without any d^2 x d^2 matrix product."""
+    """Tr(W rho) for W = _SWAP or dense, without any d^2 x d^2 matrix product."""
     if isinstance(rho, ProductState):
         a, b = rho.a.mat, rho.b.mat
-        if w is None:
-            return complex(np.trace(a) * np.trace(b))
         if w is _SWAP:
             return complex(np.sum(a * b.T))  # Tr(flip (a x b)) = Tr(a b)
         # Tr(W (a x b)) = sum W[(i,j),(k,l)] a[k,i] b[l,j]: contract b, then a.
         w_b = np.tensordot(w.reshape(d, d, d, d), b, axes=([1, 3], [1, 0]))
         return complex(np.sum(w_b * a.T))
-    if w is None:
-        return complex(np.trace(rho.mat))
     if w is _SWAP:
         return complex(np.einsum("ijji", rho.mat.reshape(d, d, d, d)))
     return complex(np.sum(w * rho.mat.T))
 
 
-def _post_state(rho: DeviceInput, w, d: int) -> DensityMatrix:
-    """Unconditional post-state (rho + W rho W^dag)/2, made exactly Hermitian.
-
-    Built from the input and W alone, updating fresh arrays in place.
-    """
-    mat = _dense_mat(rho)
-    mixed = _flip(mat, d, both=True) if w is _SWAP else (w @ mat) @ dag(w)
-    mixed += mat
-    mixed += dag(mixed)
-    mixed *= 0.25
-    return DensityMatrix(rho.space, mixed)
-
-
 class _DeviceKernel:
-    """Factored evaluation of one device run around a fixed W (see module doc).
+    """Factored evaluation of one device run around fixed branches (see module doc)."""
 
-    ``w`` is ``_SWAP`` (ideal flip), a dense (d^2, d^2) unitary, or None for
-    the interferometer without the controlled step; None serves calibration
-    and supports :meth:`probabilities` only.
-    """
-
-    def __init__(self, rho: DeviceInput, w):
+    def __init__(self, rho: DeviceInput, mode: DeviceMode):
         self.rho = rho
         self.d = _require_mode_pair(rho.space)
-        self.w = w
-        self.c = _fringe_coefficient(rho, w, self.d)
-
-    def probabilities(self, psi: float) -> tuple[float, float]:
-        # Tr(W rho W^dag) = 1 because W is unitary.
-        cross = (np.exp(1j * psi) * self.c).real
-        return max(0.5 * (1.0 - cross), 0.0), max(0.5 * (1.0 + cross), 0.0)
+        self.w_up, self.w_dn = _mode_swap_operator(mode, self.d)
+        relative = self.w_up if self.w_dn is None else dag(self.w_dn) @ self.w_up
+        self.c = _fringe_coefficient(rho, relative, self.d)
 
     def post_unconditional(self) -> DensityMatrix:
-        return _post_state(self.rho, self.w, self.d)
+        """(W_up rho W_up^dag + W_dn rho W_dn^dag)/2, made exactly Hermitian.
+
+        Built from the input and the branches alone, updating fresh arrays in place.
+        """
+        mat, d = _dense_mat(self.rho), self.d
+        mixed = _conj(self.w_up, mat, d)  # fresh: W_up is never the identity
+        mixed += _conj(self.w_dn, mat, d)
+        mixed += dag(mixed)
+        mixed *= 0.25
+        return DensityMatrix(self.rho.space, mixed)
 
     def phase_result(self, psi: float) -> PhaseResult:
-        rho = _dense_mat(self.rho)
-        if self.w is _SWAP:
-            wr, wrw = _flip(rho, self.d), _flip(rho, self.d, both=True)
-        else:
-            wr = self.w @ rho
-            wrw = wr @ dag(self.w)
-        cross = np.exp(1j * psi) * wr
+        rho, d = _dense_mat(self.rho), self.d
+        w_rho = _left(self.w_up, rho, d)
+        up = _right_dag(w_rho, self.w_up, d)
+        dn = _conj(self.w_dn, rho, d)
+        cross = np.exp(1j * psi) * _right_dag(w_rho, self.w_dn, d)
         cross += dag(cross)
-        num_up = 0.25 * (wrw + rho - cross)
-        num_dn = 0.25 * (wrw + rho + cross)
+        num_up = 0.25 * (up + dn - cross)
+        num_dn = 0.25 * (up + dn + cross)
         p_up = float(np.trace(num_up).real)
         p_dn = float(np.trace(num_dn).real)
 
@@ -320,32 +336,21 @@ def run_device(rho_joint: DeviceInput, psi: float, mode: DeviceMode = IDEAL) -> 
     the outcome probability is below 1e-12), and the unconditional
     post-state of the modes.
     """
-    if _is_ion_mode(mode):
-        from . import dynamics
-
-        if isinstance(rho_joint, ProductState):
-            rho_joint = tensor_states(rho_joint.a, rho_joint.b)
-        return dynamics.ion_protocol_run(rho_joint, psi, mode.hamiltonian)
-    kernel = _DeviceKernel(rho_joint, _mode_swap_operator(mode, rho_joint.space))
-    return kernel.phase_result(psi)
+    return _DeviceKernel(rho_joint, mode).phase_result(psi)
 
 
 def calibrate_phase(rho_joint: DeviceInput, mode: DeviceMode = IDEAL, phase_count: int = 8) -> float:
     """Phase at which the no-controlled-swap interferometer gives p_up = 1.
 
-    Runs the device with the controlled step replaced by the identity (the
-    two couplers cancel exactly), sweeps the grid, and returns the exact
-    maximizer of the resulting pure cosine fringe, obtained as minus the
-    argument of its first-harmonic Fourier coefficient.  The fringe depends
-    only on the ancilla gates, so the result is state independent; the same
-    holds for the rotated-basis ion layout, whose no-gate fringe is the same
-    cosine.
+    With the controlled step replaced by the identity (the two couplers
+    cancel exactly) the fringe is p_up = (1 - cos psi)/2 for every state and
+    every mode, the rotated-basis ion layout included, so the maximizer is
+    pi on any grid.  The input must still live on two equal modes and the
+    grid must have at least 3 phases.
     """
-    phases = _uniform_phases(phase_count)
-    kernel = _DeviceKernel(rho_joint, None)
-    p_up = np.array([kernel.probabilities(psi)[0] for psi in phases])
-    coeff = fourier_coefficient(p_up, phases)
-    return float((-np.angle(coeff)) % (2.0 * math.pi))
+    _uniform_phases(phase_count)
+    _require_mode_pair(rho_joint.space)
+    return math.pi
 
 
 def sweep_visibility(
@@ -354,47 +359,30 @@ def sweep_visibility(
     """Sweep a uniform phase grid and extract visibility and delta.
 
     ``rho_joint`` is a dense two-mode state or a :class:`ProductState`.  The
-    visibility is the magnitude of the first-harmonic Fourier
-    coefficient of the p_down fringe, which reproduces the contrast
-    (p_max - p_min)/(p_max + p_min) exactly for noiseless cosine fringes on
+    fringes are the closed form (1 -/+ Re[exp(i psi) c])/2 on the grid.  The
+    visibility is |c|, the first-harmonic Fourier coefficient of the p_down
+    fringe, which equals the contrast (p_max - p_min)/(p_max + p_min) on
     any uniform grid of at least 3 phases.  ``delta`` is p_up - p_down at
-    the calibrated phase, and the unconditional post-state is taken from the
-    calibrated-phase run (it is phase independent) and built on first read.
+    the calibrated phase pi, i.e. Re c.  The unconditional post-state is
+    phase independent and built on first read.
     """
     phases = _uniform_phases(phase_count)
-    psi_star = calibrate_phase(rho_joint, mode, phase_count)
-    if _is_ion_mode(mode):
-        joint = rho_joint
-        if isinstance(joint, ProductState):  # built once, not once per phase
-            joint = tensor_states(joint.a, joint.b)
-        results = [run_device(joint, psi, mode) for psi in phases]
-        p_up = np.array([r.p_up for r in results])
-        p_dn = np.array([r.p_down for r in results])
-        star = run_device(joint, psi_star, mode)
-        delta = star.p_up - star.p_down
-        post = star.post_unconditional
-    else:
-        kernel = _DeviceKernel(rho_joint, _mode_swap_operator(mode, rho_joint.space))
-        pairs = [kernel.probabilities(psi) for psi in phases]
-        p_up = np.array([p[0] for p in pairs])
-        p_dn = np.array([p[1] for p in pairs])
-        star_up, star_dn = kernel.probabilities(psi_star)
-        delta = star_up - star_dn
-        post = kernel.post_unconditional  # the kernel holds the input, W and c only
-    visibility = abs(fourier_coefficient(p_dn, phases))
-    return ProtocolRun(phases, p_up, p_dn, float(visibility), float(delta), post)
+    kernel = _DeviceKernel(rho_joint, mode)
+    cross = (np.exp(1j * phases) * kernel.c).real
+    p_up = np.maximum(0.5 * (1.0 - cross), 0.0)
+    p_dn = np.maximum(0.5 * (1.0 + cross), 0.0)
+    # the kernel holds the input, the branches and c only
+    return ProtocolRun(phases, p_up, p_dn, abs(kernel.c), kernel.c.real, kernel.post_unconditional)
 
 
 def witness_delta(rho_joint: DeviceInput, mode: DeviceMode = IDEAL) -> float:
-    """Calibrated probability difference p_up - p_down.
+    """Calibrated probability difference p_up - p_down, which is Re c.
 
     Negative values certify entanglement of the two-mode input; for a
     product input this equals the overlap of the factors and is never
     negative.
     """
-    psi_star = calibrate_phase(rho_joint, mode)
-    result = run_device(rho_joint, psi_star, mode)
-    return result.p_up - result.p_down
+    return _DeviceKernel(rho_joint, mode).c.real
 
 
 def sample_shots(run: ProtocolRun, shots_per_phase: int, seed: int) -> np.ndarray:

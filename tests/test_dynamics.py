@@ -12,7 +12,6 @@ from qoverlap import (
     fock,
     ginibre_mixed,
     hamiltonian_mode,
-    ion_protocol_run,
     ion_qnd,
     linear_coupling,
     number_phase,
@@ -25,7 +24,7 @@ from qoverlap import (
 )
 from qoverlap.dynamics import controlled_phase_branch
 from qoverlap.observables import overlap_direct
-from conftest import embed_mode_state
+from conftest import embed_mode_state, embed_on_modes
 
 
 def safe_pair(d_small, cutoff, seed_a, seed_b):
@@ -33,13 +32,6 @@ def safe_pair(d_small, cutoff, seed_a, seed_b):
     a = embed_mode_state(ginibre_mixed(d_small, d_small, seed_a), cutoff)
     b = embed_mode_state(ginibre_mixed(d_small, d_small, seed_b), cutoff)
     return a, b, tensor_states(a, b)
-
-
-def embed_on_modes(gate_2d: np.ndarray, d: int) -> np.ndarray:
-    """Lift an (ancilla, mode) gate to (ancilla, mode0, mode1) acting on mode 1."""
-    g = gate_2d.reshape(2, d, 2, d)
-    full = np.einsum("anbm,ij->ainbjm", g, np.eye(d))
-    return full.reshape(2 * d * d, 2 * d * d)
 
 
 def test_linear_coupling_annihilates_vacuum():
@@ -157,10 +149,10 @@ def test_ion_identical_pure_inputs_give_unit_visibility():
 
 def test_ion_orthogonal_fock_inputs_give_flat_fringe():
     cutoff = 6
-    spec = ion_qnd(1.0, cutoff)
+    mode = hamiltonian_mode(ion_qnd(1.0, cutoff))
     joint = tensor_states(fock(0, cutoff), fock(1, cutoff))
     for psi in np.linspace(0, 2 * np.pi, 5):
-        r = ion_protocol_run(joint, float(psi), spec)
+        r = run_device(joint, float(psi), mode)
         assert abs(r.p_up - 0.5) < 1e-9
         assert abs(r.p_down - 0.5) < 1e-9
 
@@ -174,9 +166,9 @@ def test_ion_random_pair_matches_overlap_oracle():
 
 def test_ion_probabilities_match_ideal_device_per_phase():
     _, _, joint = safe_pair(2, 5, 810, 811)
-    spec = ion_qnd(1.0, 5)
+    mode = hamiltonian_mode(ion_qnd(1.0, 5))
     for psi in (0.0, 1.1, np.pi, 5.0):
-        r_ion = ion_protocol_run(joint, psi, spec)
+        r_ion = run_device(joint, psi, mode)
         r_ideal = run_device(joint, psi, IDEAL)
         assert abs(r_ion.p_up - r_ideal.p_up) < 1e-9
         assert abs(r_ion.p_down - r_ideal.p_down) < 1e-9
@@ -186,9 +178,7 @@ def test_ion_probabilities_match_ideal_device_per_phase():
 def test_ion_spec_validation():
     joint = tensor_states(fock(0, 4), fock(0, 4))
     with pytest.raises(ValueError):
-        ion_protocol_run(joint, 0.0, dispersive_cps(1.0, 4))
-    with pytest.raises(ValueError):
-        ion_protocol_run(joint, 0.0, ion_qnd(1.0, 5))
+        run_device(joint, 0.0, hamiltonian_mode(ion_qnd(1.0, 5)))
 
 
 def test_all_hamiltonian_realizations_match_ideal_visibility():

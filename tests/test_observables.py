@@ -16,7 +16,9 @@ from qoverlap import (
     fock,
     fock_ket,
     ginibre_mixed,
+    hamiltonian_mode,
     hs_distance,
+    ion_qnd,
     linear_entropy,
     overlap,
     povm_expectation,
@@ -240,11 +242,15 @@ def test_shot_noise_determinism():
 
 @pytest.mark.parametrize(
     "settings, big, small, safe_levels",
-    [(EXACT, 64, 32, None), (MeasurementSettings(mode=PHYSICAL), 8, 8, 4)],
-    ids=["ideal", "physical"],
+    [
+        (EXACT, 64, 32, None),
+        (MeasurementSettings(mode=PHYSICAL), 8, 8, 4),
+        (MeasurementSettings(mode=hamiltonian_mode(ion_qnd(1.0, 8))), 8, 8, 4),
+    ],
+    ids=["ideal", "physical", "ion"],
 )
 def test_product_pipelines_build_no_joint_density_matrix(monkeypatch, settings, big, small, safe_levels):
-    # The physical device is exact only on the lowest (cutoff + 1) // 2 levels of each mode.
+    # The composed devices are exact only on the lowest (cutoff + 1) // 2 levels of each mode.
     rho_big = embed_mode_state(thermal(1.0, safe_levels or big), big)
     rho_small = embed_mode_state(thermal(0.5, safe_levels or small), small)
     partner = embed_mode_state(coherent(0.3, safe_levels or small), small)

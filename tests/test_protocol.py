@@ -11,16 +11,14 @@ from qoverlap import (
     bell_singlet,
     calibrate_phase,
     classical_correlated,
-    controlled_swap_ideal,
     dispersive_cps,
     estimate_visibility,
     flip_operator,
     fock,
     ginibre_mixed,
-    hadamard,
     hamiltonian_mode,
+    ion_qnd,
     linear_coupling,
-    phase_shift,
     repeat_measurement_check,
     run_device,
     sample_shots,
@@ -32,7 +30,7 @@ from qoverlap import (
     witness_delta,
 )
 from qoverlap.observables import flip_expectation, overlap_direct, purity_direct
-from conftest import random_joint_state
+from conftest import literal_device_run, random_joint_state
 
 
 def product_input(d, seed_a, seed_b, rank_a=None, rank_b=None):
@@ -57,32 +55,42 @@ def test_orthogonal_pair_fringe_is_flat():
         assert abs(r.p_down - 0.5) < 1e-12
 
 
-def test_factored_engine_matches_literal_gate_sequence(rng):
-    # conjugate the full-space unitary H.X.PS.H explicitly and compare
-    d = 3
-    _, _, joint = product_input(d, 31, 32)
-    ident = np.eye(d * d)
-    x_gate = controlled_swap_ideal(d).mat
-    for psi in (0.0, 0.9, np.pi, 4.4):
-        u = (
-            tensor(hadamard().mat, ident)
-            @ x_gate
-            @ tensor(phase_shift(psi).mat, ident)
-            @ tensor(hadamard().mat, ident)
-        )
-        rho_tot = tensor(np.diag([1.0, 0.0]).astype(complex), joint.mat)
-        out = u @ rho_tot @ u.conj().T
-        blocks = out.reshape(2, d * d, 2, d * d)
-        p_up_lit = float(np.trace(blocks[0, :, 0, :]).real)
-        p_dn_lit = float(np.trace(blocks[1, :, 1, :]).real)
-        unc_lit = blocks[0, :, 0, :] + blocks[1, :, 1, :]
+ORACLE_MODES = {
+    "ideal": lambda d: IDEAL,
+    "physical": lambda d: PHYSICAL,
+    "linear_coupling": lambda d: hamiltonian_mode(linear_coupling(1.0, d)),
+    "dispersive_cps": lambda d: hamiltonian_mode(dispersive_cps(1.0, d)),
+    "ion_qnd": lambda d: hamiltonian_mode(ion_qnd(1.0, d)),
+    "ion_qnd_0.83t": lambda d: hamiltonian_mode(ion_qnd(1.0, d, interaction_time=0.83 * np.pi / 2)),
+}
 
-        r = run_device(joint, psi)
-        assert abs(r.p_up - p_up_lit) < 1e-12
-        assert abs(r.p_down - p_dn_lit) < 1e-12
-        assert np.abs(r.post_unconditional.mat - unc_lit).max() < 1e-12
-        if r.post_up is not None:
-            assert np.abs(r.post_up.mat - blocks[0, :, 0, :] / p_up_lit).max() < 1e-11
+
+@pytest.mark.parametrize("label", list(ORACLE_MODES))
+def test_factored_engine_matches_literal_gate_sequence(label):
+    # Full-support inputs populate the sectors above total photon number
+    # d - 1, where composed and compiled gates leak; the match must hold there too.
+    for d in (2, 3, 4):
+        mode = ORACLE_MODES[label](d)
+        a, b, product = product_input(d, 31 + d, 32 + d)
+        for rho in (product, ProductState(a, b), random_joint_state(d, 33 + d)):
+            for psi in (0.0, 0.9, np.pi, 4.4):
+                lit = literal_device_run(rho, psi, mode)
+                r = run_device(rho, psi, mode)
+                assert abs(r.p_up - lit.p_up) < 1e-12
+                assert abs(r.p_down - lit.p_down) < 1e-12
+                for name in ("post_up", "post_down", "post_unconditional"):
+                    got, want = getattr(r, name), getattr(lit, name)
+                    assert (got is None) == (want is None)
+                    if got is not None:
+                        assert np.abs(got.mat - want).max() < 1e-12
+            # the closed-form sweep and witness, read off the literal circuit
+            run = sweep_visibility(rho, 5, mode)
+            lits = [literal_device_run(rho, psi, mode) for psi in run.phases]
+            assert np.abs(run.p_up - [lit.p_up for lit in lits]).max() < 1e-12
+            assert np.abs(run.p_down - [lit.p_down for lit in lits]).max() < 1e-12
+            star = literal_device_run(rho, calibrate_phase(rho, mode), mode)
+            assert abs(witness_delta(rho, mode) - (star.p_up - star.p_down)) < 1e-12
+            assert abs(run.delta - (star.p_up - star.p_down)) < 1e-12
 
 
 def test_unconditional_post_state_mixes_the_inputs():
@@ -176,16 +184,13 @@ def test_device_rejects_mismatched_cutoffs():
 def test_calibration_closes_the_empty_interferometer():
     for seed in (0, 1):
         _, _, joint = product_input(3, 10 + seed, 20 + seed)
-        psi_star = calibrate_phase(joint)
-        kernel_run = run_device(joint, psi_star, IDEAL)
-        # without the controlled gate p_up would be 1; with it, p_up = (1+delta)/2
-        from qoverlap.protocol import _DeviceKernel
-
-        p_up, _ = _DeviceKernel(joint, None).probabilities(psi_star)
-        assert p_up >= 1.0 - 1e-9
-        p_up_opposite, _ = _DeviceKernel(joint, None).probabilities(psi_star + np.pi)
-        assert p_up_opposite <= 1e-9
-        assert kernel_run.p_up <= 1.0
+        for mode in (IDEAL, hamiltonian_mode(ion_qnd(1.0, 3))):
+            psi_star = calibrate_phase(joint, mode)
+            # without the controlled gate p_up is 1; with it, p_up = (1+delta)/2
+            assert literal_device_run(joint, psi_star, mode, controlled_step=False).p_up >= 1.0 - 1e-9
+            opposite = literal_device_run(joint, psi_star + np.pi, mode, controlled_step=False)
+            assert opposite.p_up <= 1e-9
+            assert run_device(joint, psi_star, mode).p_up <= 1.0
 
 
 def test_calibration_state_independent_and_grid_robust():
@@ -193,12 +198,11 @@ def test_calibration_state_independent_and_grid_robust():
     psi_b = calibrate_phase(random_joint_state(3, 3))
     assert abs(psi_a - psi_b) < 1e-12
     # grids without a point at the fringe maximum still calibrate exactly
+    rho = random_joint_state(2, 4)
     for k in (3, 5, 7):
-        psi = calibrate_phase(random_joint_state(2, 4), phase_count=k)
-        from qoverlap.protocol import _DeviceKernel
-
-        p_up, _ = _DeviceKernel(random_joint_state(2, 4), None).probabilities(psi)
-        assert p_up >= 1.0 - 1e-9
+        psi = calibrate_phase(rho, phase_count=k)
+        assert literal_device_run(rho, psi, IDEAL, controlled_step=False).p_up >= 1.0 - 1e-9
+        assert literal_device_run(rho, psi + np.pi, IDEAL, controlled_step=False).p_up <= 1e-9
 
 
 def test_witness_delta_singlet():
@@ -228,12 +232,11 @@ def test_witness_delta_equals_flip_expectation():
 def test_witness_delta_invariant_under_detector_relabeling():
     # declaring the other detector "up" and recalibrating gives the same
     # probability difference: the calibration anchors the sign, not the label
-    from qoverlap.protocol import _DeviceKernel, _uniform_phases, fourier_coefficient
+    from qoverlap.protocol import _uniform_phases, fourier_coefficient
 
     rho = random_joint_state(2, 5151)
     phases = _uniform_phases(8)
-    kernel = _DeviceKernel(rho, None)
-    p_other = np.array([kernel.probabilities(p)[1] for p in phases])
+    p_other = np.array([literal_device_run(rho, p, IDEAL, controlled_step=False).p_down for p in phases])
     psi_star = (-np.angle(fourier_coefficient(p_other, phases))) % (2 * np.pi)
     r = run_device(rho, psi_star)
     assert abs((r.p_down - r.p_up) - witness_delta(rho)) < 1e-10
@@ -361,6 +364,8 @@ PRODUCT_MODES = {
     "physical": lambda d: PHYSICAL,
     "hamiltonian:linear_coupling": lambda d: hamiltonian_mode(linear_coupling(1.0, d)),
     "hamiltonian:dispersive_cps": lambda d: hamiltonian_mode(dispersive_cps(1.0, d)),
+    "hamiltonian:ion_qnd": lambda d: hamiltonian_mode(ion_qnd(1.0, d)),
+    "hamiltonian:ion_qnd_0.83t": lambda d: hamiltonian_mode(ion_qnd(1.0, d, interaction_time=0.83 * np.pi / 2)),
 }
 
 
