@@ -27,7 +27,6 @@ from .linalg import (
     CompositeSpace,
     UnitaryGate,
     dag,
-    exp_unitary,
     tensor,
 )
 
@@ -66,20 +65,56 @@ def phase_shift(psi: float) -> UnitaryGate:
     return UnitaryGate(CompositeSpace((2,)), m)
 
 
+def number_sectors(cutoff: int) -> tuple[np.ndarray, ...]:
+    """Flat two-mode indices ``n0*cutoff + n1`` of each total-photon-number sector.
+
+    Entry N lists the basis states with n0 + n1 = N (N = 0 .. 2 cutoff - 2)
+    in order of increasing n0; sectors hold at most ``cutoff`` states.  Every
+    coupler and every Fock-diagonal phase maps each sector into itself.
+    """
+    if cutoff < 2:
+        raise ValueError("cutoff must be at least 2")
+    sectors = []
+    for total in range(2 * cutoff - 1):
+        n0 = np.arange(max(0, total - cutoff + 1), min(total, cutoff - 1) + 1)
+        sectors.append(n0 * cutoff + (total - n0))
+    return tuple(sectors)
+
+
+def coupler_blocks(cutoff: int, theta: float) -> list[np.ndarray]:
+    """Coupler ``exp[theta (a0^dag a1 - a1^dag a0)]`` as its sector blocks.
+
+    Block N acts on the states ``number_sectors(cutoff)[N]``; the coupler
+    has no entries between sectors.  Each block is the exponential of the
+    truncated generator restricted to its sector (tridiagonal, at most
+    cutoff x cutoff), by one eigensolve, so it is exactly unitary.
+    ``-theta`` gives the inverse coupler.
+    """
+    blocks = []
+    for idx in number_sectors(cutoff):
+        n0, n1 = np.divmod(idx[:-1], cutoff)
+        # Hermitian generator h with exp(-i h theta) = exp[theta (a0^dag a1 - a1^dag a0)]:
+        # <n0+1, n1-1| h |n0, n1> = i sqrt((n0+1) n1)
+        h = np.diag(1j * np.sqrt((n0 + 1.0) * n1), -1)
+        h += dag(h)
+        w, v = np.linalg.eigh(h)
+        blocks.append((v * np.exp(-1j * theta * w)) @ dag(v))
+    return blocks
+
+
 def beamsplitter(cutoff: int) -> UnitaryGate:
     """50:50 coupler ``exp[(pi/4)(a0^dag a1 - a1^dag a0)]`` on two modes.
 
-    Built as the exponential of the generator truncated to ``cutoff`` levels
-    per mode, so it is exactly unitary on the truncated space.  It agrees
-    with the untruncated coupler on all sectors of total photon number
-    <= cutoff-1 (the generator never leaves such a sector); higher sectors
-    see truncation leakage.
+    Built from :func:`coupler_blocks`, the exponential of the generator
+    truncated to ``cutoff`` levels per mode, so it is exactly unitary on the
+    truncated space.  It agrees with the untruncated coupler on all sectors
+    of total photon number <= cutoff-1 (the generator never leaves such a
+    sector); higher sectors see truncation leakage.
     """
-    a = annihilation(cutoff)
-    ad = dag(a)
-    # Hermitian generator h with exp(-i h t) = exp[t (a0^dag a1 - a1^dag a0)]
-    h = 1j * (tensor(ad, a) - tensor(a, ad))
-    return exp_unitary(h, math.pi / 4, CompositeSpace((cutoff, cutoff)))
+    m = np.zeros((cutoff * cutoff, cutoff * cutoff), dtype=complex)
+    for idx, block in zip(number_sectors(cutoff), coupler_blocks(cutoff, math.pi / 4)):
+        m[np.ix_(idx, idx)] = block
+    return UnitaryGate(CompositeSpace((cutoff, cutoff)), m)
 
 
 def number_phase(theta: float, cutoff: int) -> UnitaryGate:

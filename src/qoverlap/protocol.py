@@ -39,16 +39,25 @@ with c = Tr(W_dn^dag W_up rho):
 
 Cost model.  The device input is either a dense joint ``DensityMatrix`` or a
 :class:`~qoverlap.linalg.ProductState` ``a (x) b`` kept as its factors; the
-input's type picks the path.  Fringes, visibility and delta need only the
-number c, computed once per run and never with a d^2 x d^2 matrix product
-on the input: O(d^2) for the ideal device on a product (Tr(a b)), O(d^4)
-otherwise (one pass over W_dn^dag W_up or over rho).  Compiling a non-ideal
-branch pair is separate and costs d^2 x d^2 matrix work.  The unconditional
-post-state is the only d^2 x d^2 output of a sweep; it is built on first
-read of :attr:`ProtocolRun.post_state_unconditional` (O(d^4) for the ideal
-device, O(d^6) for a compiled W).  :func:`run_device` returns the
-conditional post-states as well and therefore always works with dense
-d^2 x d^2 matrices.
+input's type picks the path.  Every non-ideal branch unitary is a coupler,
+a Fock-diagonal phase and the inverse coupler, so it conserves the total
+photon number N = n0 + n1 and is kept as its 2d - 1 sector blocks (each at
+most d x d, O(d^3) numbers in all); no d^2 x d^2 W is ever formed.
+Compiling one costs one eigensolve per sector and O(d^4) block products,
+and happens once per (mode, cutoff) per process: compiled branches are
+cached (``_COMPILE_CACHE_SIZE`` entries, read-only arrays), keyed by the
+mode with its Hamiltonian spec, interaction time included.  Fringes,
+visibility and delta need only the number c, computed once per run:
+O(d^2) for the ideal device (Tr(a b) on a product); for a compiled W,
+block by block from the input's O(d^3) sector entries (gathered from the
+factors for a product), plus O(d^4) for ``ion_qnd`` to multiply its two
+branches' blocks.  The unconditional post-state is the only d^2 x d^2
+output of a sweep; it is built on first read of
+:attr:`ProtocolRun.post_state_unconditional`, O(d^4) for the ideal device
+and O(d^5) for a compiled W (each block applied to its sector's rows and
+columns).  :func:`run_device` returns the conditional post-states as well
+and therefore always works with dense d^2 x d^2 matrices, at the same
+O(d^5).
 
 Detector convention: with the asymmetric ancilla rotation used here, the
 "dn" detector carries the (1 + cos)-type fringe for positive overlap; only
@@ -58,9 +67,10 @@ are exposed by the high-level pipelines.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -147,7 +157,27 @@ class ProtocolRun:
 
 
 _SWAP = object()  # sentinel: ideal flip, applied by index reshuffling
-# A branch unitary is _SWAP, a dense (d^2, d^2) matrix, or None for the identity.
+
+
+class _SectorUnitary(NamedTuple):
+    """A two-mode unitary kept as its blocks on the total-photon-number sectors.
+
+    ``blocks[k]`` acts on the flat indices ``sectors[k]`` (those of
+    :func:`qoverlap.gates.number_sectors`); entries between sectors are 0.
+    Compiled instances are cached and shared, so their arrays are read-only.
+    """
+
+    sectors: tuple[np.ndarray, ...]
+    blocks: tuple[np.ndarray, ...]
+
+
+# A branch unitary is _SWAP, a _SectorUnitary, or None for the identity.
+
+# Compiled (mode, cutoff) pairs kept per process.  The device_modes benchmark
+# cycles through 15 pairs; an entry holds O(d^3) numbers (~90 KB at d = 20).
+_COMPILE_CACHE_SIZE = 32
+# A middle factor with off-diagonal entries above this is not Fock-diagonal.
+_DIAGONAL_ATOL = 1e-12
 
 
 def _require_mode_pair(space: CompositeSpace) -> int:
@@ -182,14 +212,24 @@ def _left(w, mat: np.ndarray, d: int) -> np.ndarray:
     """w @ mat for a branch unitary w (the identity returns ``mat`` itself)."""
     if w is None:
         return mat
-    return _flip(mat, d) if w is _SWAP else w @ mat
+    if w is _SWAP:
+        return _flip(mat, d)
+    out = np.empty_like(mat)
+    for idx, block in zip(w.sectors, w.blocks):
+        out[idx] = block @ mat[idx]
+    return out
 
 
 def _right_dag(mat: np.ndarray, w, d: int) -> np.ndarray:
     """mat @ w^dag for a branch unitary w (the identity returns ``mat`` itself)."""
     if w is None:
         return mat
-    return _flip(mat, d, rows=False, cols=True) if w is _SWAP else mat @ dag(w)
+    if w is _SWAP:
+        return _flip(mat, d, rows=False, cols=True)
+    out = np.empty_like(mat)
+    for idx, block in zip(w.sectors, w.blocks):
+        out[:, idx] = mat[:, idx] @ dag(block)
+    return out
 
 
 def _conj(w, mat: np.ndarray, d: int) -> np.ndarray:
@@ -199,56 +239,83 @@ def _conj(w, mat: np.ndarray, d: int) -> np.ndarray:
     return _right_dag(_left(w, mat, d), w, d)
 
 
+def _sandwich(d: int, theta: float, middle: np.ndarray, on_mode: int) -> _SectorUnitary:
+    """Sector blocks of X^dag (middle on mode ``on_mode``) X, X the coupler at ``theta``.
+
+    ``middle`` is a single-mode operator that must be Fock-diagonal, so on
+    each sector it is the diagonal D_N and the block is X_N^dag D_N X_N.
+    """
+    phases = np.diagonal(middle)
+    if np.abs(middle - np.diag(phases)).max() > _DIAGONAL_ATOL:
+        raise ValueError("middle factor of the controlled step is not Fock-diagonal")
+    sectors = gates.number_sectors(d)
+    blocks = []
+    for idx, x in zip(sectors, gates.coupler_blocks(d, theta)):
+        block = dag(x) @ (phases[np.divmod(idx, d)[on_mode], None] * x)
+        block.flags.writeable = False
+        idx.flags.writeable = False
+        blocks.append(block)
+    return _SectorUnitary(sectors, tuple(blocks))
+
+
+@functools.lru_cache(maxsize=_COMPILE_CACHE_SIZE)
 def _mode_swap_operator(mode: DeviceMode, d: int):
     """Resolve the branch unitaries (W_up, W_dn) of the controlled step.
 
-    W_up is the sentinel ``_SWAP`` for the ideal device, otherwise a dense
-    (d^2, d^2) matrix; W_dn is None (the identity) except for ``ion_qnd``.
-    The controlled phase targets mode 1 (module docstring of
-    :mod:`qoverlap.gates`), the ion interaction mode 0.
+    W_up is the sentinel ``_SWAP`` for the ideal device, otherwise the
+    sector blocks of the coupler / Fock-diagonal phase / inverse coupler
+    sandwich; W_dn is None (the identity) except for ``ion_qnd``.  The
+    controlled phase targets mode 1 (module docstring of
+    :mod:`qoverlap.gates`), the ion interaction mode 0.  Cached per
+    (mode, cutoff); the mode's Hamiltonian spec, interaction time included,
+    is part of the key.
     """
     if mode.kind == "ideal":
         return _SWAP, None
-    parity_on_1 = tensor(np.eye(d), gates.number_phase(math.pi, d).mat)
+    parity = gates.number_phase(math.pi, d).mat
     if mode.kind == "physical":
-        b = gates.beamsplitter(d).mat
-        return dag(b) @ parity_on_1 @ b, None
+        return _sandwich(d, math.pi / 4, parity, 1), None
     spec = mode.hamiltonian
     if spec.cutoff != d:
         raise ValueError(f"Hamiltonian cutoff {spec.cutoff} does not match mode cutoff {d}")
     if spec.kind == "linear_coupling":
-        b = dynamics.realize_gate(spec).mat
-        return dag(b) @ parity_on_1 @ b, None
+        # evolving under i xi (a0^dag a1 - a1^dag a0) for t is the coupler at xi t
+        return _sandwich(d, spec.coupling * spec.interaction_time, parity, 1), None
     if spec.kind == "dispersive_cps":
-        phase = tensor(np.eye(d), dynamics.controlled_phase_branch(spec))
-        b = gates.beamsplitter(d).mat
-        return dag(b) @ phase @ b, None
+        return _sandwich(d, math.pi / 4, dynamics.controlled_phase_branch(spec), 1), None
     if spec.kind == "ion_qnd":
         g = dynamics.realize_gate(spec).mat.reshape(2, d, 2, d)
         fix = gates.number_phase(math.pi / 2, d).mat
-        b = gates.beamsplitter(d).mat
 
-        def branch(sign: float) -> np.ndarray:
-            # <s|G|s> for |s> = (|up> + sign |dn>)/sqrt(2), then F, between couplers
+        def branch(sign: float) -> _SectorUnitary:
+            # <s|G|s> for |s> = (|up> + sign |dn>)/sqrt(2), then F, between
+            # couplers taken the other way round (the coupler at -pi/4 is B^dag)
             g_s = 0.5 * (g[0, :, 0] + g[1, :, 1] + sign * (g[0, :, 1] + g[1, :, 0]))
-            return b @ tensor(fix @ g_s, np.eye(d)) @ dag(b)
+            return _sandwich(d, -math.pi / 4, fix @ g_s, 0)
 
         return branch(-1.0), branch(1.0)
     raise ValueError(f"device mode does not support Hamiltonian kind {spec.kind!r}")
 
 
-def _fringe_coefficient(rho: DeviceInput, w, d: int) -> complex:
-    """Tr(W rho) for W = _SWAP or dense, without any d^2 x d^2 matrix product."""
+def _sector_block(rho: DeviceInput, idx: np.ndarray, d: int) -> np.ndarray:
+    """The input's diagonal block on one sector (gathered from the factors for a product)."""
     if isinstance(rho, ProductState):
-        a, b = rho.a.mat, rho.b.mat
-        if w is _SWAP:
-            return complex(np.sum(a * b.T))  # Tr(flip (a x b)) = Tr(a b)
-        # Tr(W (a x b)) = sum W[(i,j),(k,l)] a[k,i] b[l,j]: contract b, then a.
-        w_b = np.tensordot(w.reshape(d, d, d, d), b, axes=([1, 3], [1, 0]))
-        return complex(np.sum(w_b * a.T))
-    if w is _SWAP:
+        n0, n1 = np.divmod(idx, d)
+        return rho.a.mat[n0[:, None], n0] * rho.b.mat[n1[:, None], n1]
+    return rho.mat[idx[:, None], idx]
+
+
+def _fringe_coefficient(rho: DeviceInput, w_up, w_dn, d: int) -> complex:
+    """c = Tr(W_dn^dag W_up rho), without any d^2 x d^2 matrix product."""
+    if w_up is _SWAP:
+        if isinstance(rho, ProductState):
+            return complex(np.sum(rho.a.mat * rho.b.mat.T))  # Tr(flip (a x b)) = Tr(a b)
         return complex(np.einsum("ijji", rho.mat.reshape(d, d, d, d)))
-    return complex(np.sum(w * rho.mat.T))
+    c = 0j
+    for k, idx in enumerate(w_up.sectors):
+        relative = w_up.blocks[k] if w_dn is None else dag(w_dn.blocks[k]) @ w_up.blocks[k]
+        c += np.sum(relative * _sector_block(rho, idx, d).T)
+    return complex(c)
 
 
 class _DeviceKernel:
@@ -258,8 +325,7 @@ class _DeviceKernel:
         self.rho = rho
         self.d = _require_mode_pair(rho.space)
         self.w_up, self.w_dn = _mode_swap_operator(mode, self.d)
-        relative = self.w_up if self.w_dn is None else dag(self.w_dn) @ self.w_up
-        self.c = _fringe_coefficient(rho, relative, self.d)
+        self.c = _fringe_coefficient(rho, self.w_up, self.w_dn, self.d)
 
     def post_unconditional(self) -> DensityMatrix:
         """(W_up rho W_up^dag + W_dn rho W_dn^dag)/2, made exactly Hermitian.

@@ -8,9 +8,10 @@ from qoverlap import (
     CompositeSpace,
     DensityMatrix,
     ProductState,
-    beamsplitter,
+    annihilation,
     controlled_swap_ideal,
     cps,
+    exp_unitary,
     ginibre_mixed,
     hadamard,
     number_phase,
@@ -60,6 +61,13 @@ class LiteralRun(NamedTuple):
     post_unconditional: np.ndarray
 
 
+def dense_coupler(d: int) -> np.ndarray:
+    """The 50:50 coupler exp[(pi/4)(a0^dag a1 - a1^dag a0)] from the dense d^2 x d^2 generator."""
+    a = annihilation(d)
+    ad = a.conj().T
+    return exp_unitary(1j * (tensor(ad, a) - tensor(a, ad)), np.pi / 4).mat
+
+
 def _literal_controlled_step(mode, d: int) -> np.ndarray:
     """The controlled step on (ancilla, mode0, mode1), composed gate by gate."""
     def on_modes(m):
@@ -67,7 +75,7 @@ def _literal_controlled_step(mode, d: int) -> np.ndarray:
 
     if mode.kind == "ideal":
         return controlled_swap_ideal(d).mat
-    coupler = beamsplitter(d).mat
+    coupler = dense_coupler(d)
     if mode.kind == "physical":
         return on_modes(coupler.conj().T) @ cps(d).mat @ on_modes(coupler)
     spec = mode.hamiltonian

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qoverlap import (
+    annihilation,
     beamsplitter,
     controlled_swap_ideal,
     cps,
@@ -13,6 +15,7 @@ from qoverlap import (
     singlet_ket,
     tensor,
 )
+from qoverlap.gates import coupler_blocks, number_sectors
 from conftest import haar_unitary
 
 UP, DN = 0, 1
@@ -99,6 +102,23 @@ def test_beamsplitter_conserves_photon_number_on_safe_sectors():
 def test_beamsplitter_unitary():
     u = beamsplitter(7).mat
     assert np.abs(u.conj().T @ u - np.eye(49)).max() < 1e-10
+
+
+@pytest.mark.parametrize("d", range(2, 11))
+def test_sector_coupler_matches_expm_of_dense_generator(d):
+    a = annihilation(d)
+    ad = a.conj().T
+    generator = tensor(ad, a) - tensor(a, ad)
+    sectors = number_sectors(d)
+    assert sorted(np.concatenate(sectors)) == list(range(d * d))
+    total = np.add.outer(np.arange(d), np.arange(d)).ravel()
+    between = total[:, None] != total[None, :]
+    off_angle = np.zeros((d * d, d * d), dtype=complex)
+    for idx, block in zip(sectors, coupler_blocks(d, 0.37)):
+        off_angle[np.ix_(idx, idx)] = block
+    for theta, u in ((np.pi / 4, beamsplitter(d).mat), (0.37, off_angle)):
+        assert np.abs(u - scipy.linalg.expm(theta * generator)).max() < 1e-12
+        assert np.all(u[between] == 0.0)
 
 
 def test_cps_passive_branch_untouched(rng):

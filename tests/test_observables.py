@@ -6,6 +6,7 @@ import pytest
 
 from qoverlap import (
     EXACT,
+    IDEAL,
     PHYSICAL,
     CompositeSpace,
     DensityMatrix,
@@ -19,6 +20,7 @@ from qoverlap import (
     hamiltonian_mode,
     hs_distance,
     ion_qnd,
+    linear_coupling,
     linear_entropy,
     overlap,
     povm_expectation,
@@ -272,13 +274,26 @@ def test_product_pipelines_build_no_joint_density_matrix(monkeypatch, settings, 
         assert max(dims, default=0) <= cutoff
 
 
-def test_cutoff_64_purity_stays_small_in_memory():
-    rho = thermal(1.0, 64)
+@pytest.mark.parametrize(
+    "mode, cutoff",
+    [
+        pytest.param(IDEAL, 64, id="ideal-64"),
+        pytest.param(PHYSICAL, 32, id="physical-32"),
+        pytest.param(hamiltonian_mode(linear_coupling(1.0, 32)), 32, id="hamiltonian:linear_coupling-32"),
+    ],
+)
+def test_large_cutoff_purity_stays_small_in_memory(mode, cutoff):
+    # Safe sector: levels <= (cutoff - 1) // 2, where every mode is exact.
+    levels = (cutoff - 1) // 2 + 1
+    rho = embed_mode_state(thermal(1.0, levels), cutoff)
     tracemalloc.start()
     try:
-        report = purity(rho)
+        report = purity(rho, MeasurementSettings(mode=mode))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert abs(report.device_value - 1.0 / 3.0) < 1e-6
-    assert peak < 8 * 2**20  # the dense 4096 x 4096 joint alone is 256 MiB
+    assert report.abs_error < 1e-9
+    q = 0.5  # Boltzmann ratio nbar / (nbar + 1) at nbar = 1
+    assert abs(report.device_value - (1 - q) / (1 + q) * (1 + q**levels) / (1 - q**levels)) < 1e-12
+    # a dense d^2 x d^2 matrix is 16 MiB at d = 32 and 256 MiB at d = 64
+    assert peak < 8 * 2**20

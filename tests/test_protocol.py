@@ -93,6 +93,42 @@ def test_factored_engine_matches_literal_gate_sequence(label):
             assert abs(run.delta - (star.p_up - star.p_down)) < 1e-12
 
 
+def test_compiled_branches_cached_per_mode_and_interaction_time():
+    from qoverlap.protocol import _mode_swap_operator
+
+    d = 3
+    rho = random_joint_state(d, 77)
+    # each pair differs only in interaction time and runs back to back
+    pairs = [
+        (ion_qnd(1.0, d), ion_qnd(1.0, d, interaction_time=0.83 * np.pi / 2)),
+        (linear_coupling(1.0, d), linear_coupling(1.0, d, interaction_time=np.pi / 8)),
+    ]
+    modes = [hamiltonian_mode(spec) for pair in pairs for spec in pair]
+    _mode_swap_operator.cache_clear()
+    for repeat in range(2):
+        for mode in modes:
+            r = run_device(rho, 0.9, mode)
+            lit = literal_device_run(rho, 0.9, mode)
+            assert abs(r.p_up - lit.p_up) < 1e-12
+            assert np.abs(r.post_up.mat - lit.post_up).max() < 1e-12
+        # a repeated (mode, cutoff) is served from the cache, never recompiled
+        info = _mode_swap_operator.cache_info()
+        assert (info.misses, info.hits) == (len(modes), repeat * len(modes))
+    w_up, w_dn = _mode_swap_operator(modes[0], d)
+    for array in (w_up.blocks[1], w_dn.blocks[1], w_up.sectors[1]):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def test_compile_rejects_a_middle_factor_that_is_not_fock_diagonal():
+    from qoverlap.protocol import _sandwich
+
+    middle = np.eye(3, dtype=complex)
+    middle[0, 1] = 1e-9
+    with pytest.raises(ValueError):
+        _sandwich(3, np.pi / 4, middle, 1)
+
+
 def test_unconditional_post_state_mixes_the_inputs():
     a, b, joint = product_input(4, 33, 34, rank_a=2)
     r = run_device(joint, 0.35)
