@@ -17,6 +17,7 @@ Conventions, fixed once here and relied on everywhere else:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -81,16 +82,19 @@ def number_sectors(cutoff: int) -> tuple[np.ndarray, ...]:
     return tuple(sectors)
 
 
-def coupler_blocks(cutoff: int, theta: float) -> list[np.ndarray]:
-    """Coupler ``exp[theta (a0^dag a1 - a1^dag a0)]`` as its sector blocks.
+# Cutoffs whose sector eigensystems are kept per process; an entry holds as
+# many numbers as one compiled branch, O(cutoff^3).
+_EIGENSYSTEM_CACHE_SIZE = 8
 
-    Block N acts on the states ``number_sectors(cutoff)[N]``; the coupler
-    has no entries between sectors.  Each block is the exponential of the
-    truncated generator restricted to its sector (tridiagonal, at most
-    cutoff x cutoff), by one eigensolve, so it is exactly unitary.
-    ``-theta`` gives the inverse coupler.
+
+@functools.lru_cache(maxsize=_EIGENSYSTEM_CACHE_SIZE)
+def _coupler_eigensystems(cutoff: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Eigenpairs ``(w, v)`` of the coupler generator on each number sector.
+
+    The generator does not depend on the coupling angle, so every coupler
+    at one cutoff shares them; cached per cutoff, as read-only arrays.
     """
-    blocks = []
+    pairs = []
     for idx in number_sectors(cutoff):
         n0, n1 = np.divmod(idx[:-1], cutoff)
         # Hermitian generator h with exp(-i h theta) = exp[theta (a0^dag a1 - a1^dag a0)]:
@@ -98,8 +102,24 @@ def coupler_blocks(cutoff: int, theta: float) -> list[np.ndarray]:
         h = np.diag(1j * np.sqrt((n0 + 1.0) * n1), -1)
         h += dag(h)
         w, v = np.linalg.eigh(h)
-        blocks.append((v * np.exp(-1j * theta * w)) @ dag(v))
-    return blocks
+        w.flags.writeable = False
+        v.flags.writeable = False
+        pairs.append((w, v))
+    return tuple(pairs)
+
+
+def coupler_blocks(cutoff: int, theta: float) -> list[np.ndarray]:
+    """Coupler ``exp[theta (a0^dag a1 - a1^dag a0)]`` as its sector blocks.
+
+    Block N acts on the states ``number_sectors(cutoff)[N]``; the coupler
+    has no entries between sectors.  Each block is the exponential of the
+    truncated generator restricted to its sector (tridiagonal, at most
+    cutoff x cutoff) from its eigensystem, so it is exactly unitary.  One
+    eigensolve per sector serves every ``theta`` at a cutoff (a lossless
+    coupler is an SU(2) rotation whose eigenvectors do not depend on the
+    angle).  ``-theta`` gives the inverse coupler.
+    """
+    return [(v * np.exp(-1j * theta * w)) @ dag(v) for w, v in _coupler_eigensystems(cutoff)]
 
 
 def beamsplitter(cutoff: int) -> UnitaryGate:

@@ -20,7 +20,6 @@ from .linalg import (
     DensityMatrix,
     ProductState,
     as_single_subsystem,
-    partial_trace,
     partial_transpose,
 )
 from .protocol import IDEAL, DeviceInput, DeviceMode, ProtocolRun
@@ -229,9 +228,12 @@ def hs_distance(
 
     Measures the two purities first, reuses each run's (nondemolition)
     unconditional post-state as the ensemble for the overlap measurement, and
-    assembles (P_A + P_B)/2 - O_AB.  In shot-noise mode the per-phase budget
-    is split equally across the three sub-measurements (sub-seeds seed,
-    seed+1, seed+2) and errors combine in quadrature.
+    assembles (P_A + P_B)/2 - O_AB.  The overlap run reads only mode 0 of
+    each post-state, :attr:`~qoverlap.protocol.ProtocolRun.reduced_post_state`,
+    which is streamed sector by sector without the d^2 x d^2 state.  In
+    shot-noise mode the per-phase budget is split equally across the three
+    sub-measurements (sub-seeds seed, seed+1, seed+2) and errors combine in
+    quadrature.
     """
     if rho_a.space.dim != rho_b.space.dim:
         raise ValueError("hs_distance requires states of equal dimension")
@@ -243,8 +245,8 @@ def hs_distance(
 
     pa_report, pa_detail = purity(rho_a, subs[0], return_detail=True)
     pb_report, pb_detail = purity(rho_b, subs[1], return_detail=True)
-    recycled_a = partial_trace(pa_detail.run.post_state_unconditional, 0)
-    recycled_b = partial_trace(pb_detail.run.post_state_unconditional, 0)
+    recycled_a = pa_detail.run.reduced_post_state
+    recycled_b = pb_detail.run.reduced_post_state
     o_report, o_detail = overlap(recycled_a, recycled_b, subs[2], return_detail=True)
 
     device = 0.5 * (pa_report.device_value + pb_report.device_value) - o_report.device_value
@@ -272,7 +274,10 @@ def witness(
 
     Negative values certify entanglement.  The verdict is "entangled" when
     the measured value is below -1e-9 (exact mode) or below minus three
-    standard errors (shot-noise mode), otherwise "inconclusive".
+    standard errors (shot-noise mode), otherwise "inconclusive".  In
+    shot-noise mode the standard error is that of the plus-four proportion
+    (ups + 2)/(shots + 4), which stays positive when every shot lands on
+    one detector.
     """
     _equal_local_dim(rho_joint)
     run = protocol.sweep_visibility(rho_joint, settings.phase_count, settings.mode)
@@ -285,9 +290,11 @@ def witness(
         p_up = min(max(0.5 * (1.0 + delta), 0.0), 1.0)
         rng = np.random.Generator(np.random.Philox(key=[int(settings.seed) % 2**64, 0]))
         ups = int(rng.binomial(settings.shots, p_up))
-        p_hat = ups / settings.shots
-        delta = 2.0 * p_hat - 1.0
-        se = 2.0 * float(np.sqrt(p_hat * (1.0 - p_hat) / settings.shots))
+        delta = 2.0 * ups / settings.shots - 1.0
+        # Plus-four proportion: stays inside (0, 1), so the error is never 0
+        # when every shot lands on one detector.
+        p_tilde = (ups + 2) / (settings.shots + 4)
+        se = 2.0 * float(np.sqrt(p_tilde * (1.0 - p_tilde) / (settings.shots + 4)))
         verdict = "entangled" if delta < -3.0 * se else "inconclusive"
     report = _report("witness", delta, witness_oracle(rho_joint), settings, se, verdict)
     return _maybe_detail(report, MeasurementDetail(run, None, None), return_detail)

@@ -43,21 +43,29 @@ input's type picks the path.  Every non-ideal branch unitary is a coupler,
 a Fock-diagonal phase and the inverse coupler, so it conserves the total
 photon number N = n0 + n1 and is kept as its 2d - 1 sector blocks (each at
 most d x d, O(d^3) numbers in all); no d^2 x d^2 W is ever formed.
-Compiling one costs one eigensolve per sector and O(d^4) block products,
-and happens once per (mode, cutoff) per process: compiled branches are
-cached (``_COMPILE_CACHE_SIZE`` entries, read-only arrays), keyed by the
-mode with its Hamiltonian spec, interaction time included.  Fringes,
-visibility and delta need only the number c, computed once per run:
-O(d^2) for the ideal device (Tr(a b) on a product); for a compiled W,
-block by block from the input's O(d^3) sector entries (gathered from the
-factors for a product), plus O(d^4) for ``ion_qnd`` to multiply its two
-branches' blocks.  The unconditional post-state is the only d^2 x d^2
-output of a sweep; it is built on first read of
-:attr:`ProtocolRun.post_state_unconditional`, O(d^4) for the ideal device
-and O(d^5) for a compiled W (each block applied to its sector's rows and
-columns).  :func:`run_device` returns the conditional post-states as well
-and therefore always works with dense d^2 x d^2 matrices, at the same
-O(d^5).
+Compiling one costs O(d^4) block products; the sector eigensolves of the
+coupler are shared by every coupling angle at a cutoff.  It happens once
+per (mode, cutoff) per process: compiled branches are cached
+(``_COMPILE_CACHE_SIZE`` entries, read-only arrays), keyed by the mode with
+its Hamiltonian spec, interaction time included.  Fringes, visibility and
+delta need only the number c, computed once per run: O(d^2) for the ideal
+device (Tr(a b) on a product); for a compiled W, block by block from the
+input's O(d^3) sector entries (gathered from the factors for a product),
+plus O(d^4) for ``ion_qnd`` to multiply its two branches' blocks.
+
+What a sweep derives from its post-measurement state is built on first
+read, each from only the part it needs.
+:attr:`ProtocolRun.post_visibility`, the visibility of a second sweep on
+the unconditional post-state, reads that state's sector-diagonal blocks,
+which follow from the input's: O(d^4).
+:attr:`ProtocolRun.reduced_post_state`, the post-state's mode-0 reduced
+state, is a partial trace of the input for the ideal device and is
+streamed one row sector at a time for a compiled W: O(d^5) time, O(d^3)
+memory.  Only :attr:`ProtocolRun.post_state_unconditional` is the full
+d^2 x d^2 state, O(d^4) for the ideal device and O(d^5) for a compiled W
+(each block applied to its sector's rows and columns); no pipeline reads
+it.  :func:`run_device` returns the conditional post-states as well and
+therefore always works with dense d^2 x d^2 matrices, at the same O(d^5).
 
 Detector convention: with the asymmetric ancilla rotation used here, the
 "dn" detector carries the (1 + cos)-type fringe for positive overlap; only
@@ -70,7 +78,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,9 +144,13 @@ class PhaseResult:
 class ProtocolRun:
     """Phase sweep summary: fringes, extracted visibility, calibrated delta.
 
-    ``post_state_unconditional`` is a d^2 x d^2 state that most pipelines
-    never read, so a sweep stores how to build it and builds it on first
-    read; later reads return the same object.
+    The run keeps its device kernel (the input, the branch unitaries and c),
+    and the quantities derived from the post-measurement state are built on
+    first read; later reads return the same object.
+    ``post_state_unconditional`` is the full d^2 x d^2 state;
+    ``reduced_post_state`` is its mode-0 reduced state and ``post_visibility``
+    the visibility a second sweep on it would extract, both computed without
+    the d^2 x d^2 matrix.
     """
 
     phases: np.ndarray
@@ -146,14 +158,19 @@ class ProtocolRun:
     p_down: np.ndarray
     visibility: float
     delta: float
-    _post_state: DensityMatrix | Callable[[], DensityMatrix] = field(repr=False, compare=False)
+    _kernel: _DeviceKernel = field(repr=False, compare=False)
 
-    @property
+    @functools.cached_property
     def post_state_unconditional(self) -> DensityMatrix:
-        if not isinstance(self._post_state, DensityMatrix):
-            # Replacing the callable also drops what it holds (the input, W).
-            object.__setattr__(self, "_post_state", self._post_state())
-        return self._post_state
+        return self._kernel.post_unconditional()
+
+    @functools.cached_property
+    def reduced_post_state(self) -> DensityMatrix:
+        return self._kernel.reduced_post()
+
+    @functools.cached_property
+    def post_visibility(self) -> float:
+        return self._kernel.post_visibility()
 
 
 _SWAP = object()  # sentinel: ideal flip, applied by index reshuffling
@@ -172,6 +189,15 @@ class _SectorUnitary(NamedTuple):
 
 
 # A branch unitary is _SWAP, a _SectorUnitary, or None for the identity.
+
+
+class _Sector(NamedTuple):
+    """One total-photon-number sector: flat indices n0 * d + n1 with n0 upward."""
+
+    idx: np.ndarray
+    n0: np.ndarray
+    n1: np.ndarray
+
 
 # Compiled (mode, cutoff) pairs kept per process.  The device_modes benchmark
 # cycles through 15 pairs; an entry holds O(d^3) numbers (~90 KB at d = 20).
@@ -239,6 +265,32 @@ def _conj(w, mat: np.ndarray, d: int) -> np.ndarray:
     return _right_dag(_left(w, mat, d), w, d)
 
 
+@functools.lru_cache(maxsize=_COMPILE_CACHE_SIZE)
+def _sectors(d: int) -> tuple[_Sector, ...]:
+    """The sectors of :func:`qoverlap.gates.number_sectors`, read-only, cached per cutoff."""
+    sectors = []
+    for idx in gates.number_sectors(d):
+        parts = (idx, *np.divmod(idx, d))
+        for array in parts:
+            array.flags.writeable = False
+        sectors.append(_Sector(*parts))
+    return tuple(sectors)
+
+
+@functools.lru_cache(maxsize=_COMPILE_CACHE_SIZE)
+def _padded_sectors(d: int) -> np.ndarray:
+    """Flat indices of every sector in turn, each padded with 0 to d entries.
+
+    Taking these columns lays a row out as (2d - 1, d): sector, then state.
+    Read-only, cached per cutoff.
+    """
+    padded = np.zeros((2 * d - 1, d), dtype=np.intp)
+    for total, sector in enumerate(_sectors(d)):
+        padded[total, : len(sector.idx)] = sector.idx
+    padded.flags.writeable = False
+    return padded.reshape(-1)
+
+
 def _sandwich(d: int, theta: float, middle: np.ndarray, on_mode: int) -> _SectorUnitary:
     """Sector blocks of X^dag (middle on mode ``on_mode``) X, X the coupler at ``theta``.
 
@@ -248,14 +300,13 @@ def _sandwich(d: int, theta: float, middle: np.ndarray, on_mode: int) -> _Sector
     phases = np.diagonal(middle)
     if np.abs(middle - np.diag(phases)).max() > _DIAGONAL_ATOL:
         raise ValueError("middle factor of the controlled step is not Fock-diagonal")
-    sectors = gates.number_sectors(d)
+    sectors = _sectors(d)
     blocks = []
-    for idx, x in zip(sectors, gates.coupler_blocks(d, theta)):
-        block = dag(x) @ (phases[np.divmod(idx, d)[on_mode], None] * x)
+    for sector, x in zip(sectors, gates.coupler_blocks(d, theta)):
+        block = dag(x) @ (phases[(sector.n0, sector.n1)[on_mode], None] * x)
         block.flags.writeable = False
-        idx.flags.writeable = False
         blocks.append(block)
-    return _SectorUnitary(sectors, tuple(blocks))
+    return _SectorUnitary(tuple(sector.idx for sector in sectors), tuple(blocks))
 
 
 @functools.lru_cache(maxsize=_COMPILE_CACHE_SIZE)
@@ -297,12 +348,38 @@ def _mode_swap_operator(mode: DeviceMode, d: int):
     raise ValueError(f"device mode does not support Hamiltonian kind {spec.kind!r}")
 
 
-def _sector_block(rho: DeviceInput, idx: np.ndarray, d: int) -> np.ndarray:
+def _sector_block(rho: DeviceInput, sector: _Sector) -> np.ndarray:
     """The input's diagonal block on one sector (gathered from the factors for a product)."""
     if isinstance(rho, ProductState):
-        n0, n1 = np.divmod(idx, d)
+        n0, n1 = sector.n0, sector.n1
         return rho.a.mat[n0[:, None], n0] * rho.b.mat[n1[:, None], n1]
-    return rho.mat[idx[:, None], idx]
+    return rho.mat[sector.idx[:, None], sector.idx]
+
+
+def _sector_rows(rho: DeviceInput, sector: _Sector) -> np.ndarray:
+    """The input's rows on one sector, one per state (a[n0] (x) b[n1] for a product)."""
+    if isinstance(rho, ProductState):
+        rows = rho.a.mat[sector.n0, :, None] * rho.b.mat[sector.n1, None, :]
+        return rows.reshape(len(sector.idx), -1)
+    return rho.mat[sector.idx]
+
+
+def _sector_conj(w, k: int, block: np.ndarray) -> np.ndarray:
+    """W_N block W_N^dag on sector k for a branch unitary w."""
+    if w is None:
+        return block
+    if w is _SWAP:
+        # number_sectors orders n0 upward, so the flip is the anti-identity J
+        return block[::-1, ::-1]
+    return w.blocks[k] @ block @ dag(w.blocks[k])
+
+
+def _sector_trace(w_up, w_dn, k: int, block: np.ndarray) -> complex:
+    """Tr(W_dn,N^dag W_up,N block) on sector k."""
+    if w_up is _SWAP:
+        return np.trace(block[::-1])  # Tr(J block)
+    relative = w_up.blocks[k] if w_dn is None else dag(w_dn.blocks[k]) @ w_up.blocks[k]
+    return (relative * block.T).sum()
 
 
 def _fringe_coefficient(rho: DeviceInput, w_up, w_dn, d: int) -> complex:
@@ -312,10 +389,44 @@ def _fringe_coefficient(rho: DeviceInput, w_up, w_dn, d: int) -> complex:
             return complex(np.sum(rho.a.mat * rho.b.mat.T))  # Tr(flip (a x b)) = Tr(a b)
         return complex(np.einsum("ijji", rho.mat.reshape(d, d, d, d)))
     c = 0j
-    for k, idx in enumerate(w_up.sectors):
-        relative = w_up.blocks[k] if w_dn is None else dag(w_dn.blocks[k]) @ w_up.blocks[k]
-        c += np.sum(relative * _sector_block(rho, idx, d).T)
+    for k, sector in enumerate(_sectors(d)):
+        c += _sector_trace(w_up, w_dn, k, _sector_block(rho, sector))
     return complex(c)
+
+
+def _reduced_branch(rho: DeviceInput, w, d: int) -> np.ndarray:
+    """Tr_1(W rho W^dag) for a branch unitary w, as a fresh d x d array.
+
+    The identity and the flip leave a partial trace of the input (Tr(b) a
+    and Tr(a) b on a product).  A compiled W is streamed one row sector of
+    W rho at a time: row |i, j> of W rho W^dag meets column |k, j> as the
+    dot product of that row with row |k, j> of W, which lives on the sector
+    of total photon number k + j.  O(d^5) time and O(d^3) memory.
+    """
+    if w is None or w is _SWAP:
+        if isinstance(rho, ProductState):
+            a, b = (rho.a.mat, rho.b.mat) if w is None else (rho.b.mat, rho.a.mat)
+            return np.trace(b) * a
+        return np.einsum("ijkj->ik" if w is None else "jijk->ik", rho.mat.reshape(d, d, d, d))
+    sectors = _sectors(d)
+    # w_rows[j, k]: conjugate of row |k, j> of W on its sector's states, padded with 0
+    w_rows = np.zeros((d * d, d), dtype=complex)
+    for sector, block in zip(sectors, w.blocks):
+        w_rows[sector.n1 * d + sector.n0, : len(sector.idx)] = block.conj()
+    w_rows = w_rows.reshape(d, d, d)
+    padded = _padded_sectors(d)
+    out = np.zeros((d, d), dtype=complex)
+    for sector, block in zip(sectors, w.blocks):
+        m, top = len(sector.idx), int(sector.n1[0])
+        w_rho = (block @ _sector_rows(rho, sector)).take(padded, axis=1)
+        # Row r of w_rho is row |n0[r], top - r> of W rho, laid out by sector.
+        # picked[r, k] is its part on sector top - r + k, where row |k, top - r>
+        # of W lives: a strided view, as that sector rises with k and falls with r.
+        row, item = w_rho.strides
+        picked = np.ndarray((m, d, d), complex, w_rho, top * d * item, (row - d * item, d * item, item))
+        mine = w_rows[top - m + 1 : top + 1][::-1]  # w_rows[n1]
+        out[sector.n0[0] : sector.n0[-1] + 1] += np.einsum("rkt,rkt->rk", picked, mine)
+    return out
 
 
 class _DeviceKernel:
@@ -338,6 +449,28 @@ class _DeviceKernel:
         mixed += dag(mixed)
         mixed *= 0.25
         return DensityMatrix(self.rho.space, mixed)
+
+    def reduced_post(self) -> DensityMatrix:
+        """Mode-0 state of the unconditional post-state, Tr_1 of :meth:`post_unconditional`."""
+        mixed = _reduced_branch(self.rho, self.w_up, self.d)
+        mixed += _reduced_branch(self.rho, self.w_dn, self.d)
+        mixed += dag(mixed)
+        mixed *= 0.25
+        return DensityMatrix(CompositeSpace((self.d,)), mixed)
+
+    def post_visibility(self) -> float:
+        """|c| of the unconditional post-state, from its sector-diagonal blocks.
+
+        W_up and W_dn conserve the photon number, so the post-state's block
+        on sector N is (W_up,N rho_NN W_up,N^dag + W_dn,N rho_NN W_dn,N^dag)/2
+        and needs only the input's block rho_NN: O(d^4) in all.
+        """
+        c = 0j
+        for k, sector in enumerate(_sectors(self.d)):
+            block = _sector_block(self.rho, sector)
+            mixed = _sector_conj(self.w_up, k, block) + _sector_conj(self.w_dn, k, block)
+            c += _sector_trace(self.w_up, self.w_dn, k, mixed)
+        return float(abs(0.5 * c))
 
     def phase_result(self, psi: float) -> PhaseResult:
         rho, d = _dense_mat(self.rho), self.d
@@ -437,8 +570,7 @@ def sweep_visibility(
     cross = (np.exp(1j * phases) * kernel.c).real
     p_up = np.maximum(0.5 * (1.0 - cross), 0.0)
     p_dn = np.maximum(0.5 * (1.0 + cross), 0.0)
-    # the kernel holds the input, the branches and c only
-    return ProtocolRun(phases, p_up, p_dn, abs(kernel.c), kernel.c.real, kernel.post_unconditional)
+    return ProtocolRun(phases, p_up, p_dn, abs(kernel.c), kernel.c.real, kernel)
 
 
 def witness_delta(rho_joint: DeviceInput, mode: DeviceMode = IDEAL) -> float:
@@ -511,11 +643,12 @@ def repeat_measurement_check(
 ) -> tuple[float, float]:
     """Visibility before and after one measurement pass.
 
-    The first sweep runs on the product ``rho_a (x) rho_b``; the second runs
-    on the (dense) unconditional post-state of the first.  The measurement is
-    nondemolition for the overlap, so both values agree in ideal mode.
+    The first sweep runs on the product ``rho_a (x) rho_b``; the second value
+    is the visibility of a sweep on the first's unconditional post-state,
+    :attr:`ProtocolRun.post_visibility`, which reads only that state's
+    sector-diagonal blocks.  The measurement is nondemolition for the
+    overlap, so both values agree in ideal mode.
     """
     pair = ProductState(as_single_subsystem(rho_a), as_single_subsystem(rho_b))
     first = sweep_visibility(pair, mode=mode)
-    second = sweep_visibility(first.post_state_unconditional, mode=mode)
-    return first.visibility, second.visibility
+    return first.visibility, first.post_visibility

@@ -345,13 +345,11 @@ def run_scenario(scenario: Scenario, stamp: bool = False) -> ResultRecord:
         pair = ProductState(as_single_subsystem(s.state_a), as_single_subsystem(s.state_b))
         _check_safe_support(pair, s.device_mode, s.name)
         first = protocol.sweep_visibility(pair, s.phase_count, s.device_mode)
-        second = protocol.sweep_visibility(
-            first.post_state_unconditional, s.phase_count, s.device_mode)
         report = observables.ObservableReport(
             name="repeat_check",
-            device_value=second.visibility,
+            device_value=first.post_visibility,
             oracle_value=first.visibility,
-            abs_error=abs(second.visibility - first.visibility),
+            abs_error=abs(first.post_visibility - first.visibility),
             shots_used=None,
             std_error=None,
         )

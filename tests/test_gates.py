@@ -121,6 +121,24 @@ def test_sector_coupler_matches_expm_of_dense_generator(d):
         assert np.all(u[between] == 0.0)
 
 
+def test_couplers_at_one_cutoff_share_one_eigensolve_per_sector(monkeypatch):
+    from qoverlap import gates
+
+    d = 7
+    gates._coupler_eigensystems.cache_clear()
+    solved = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: solved.append(h.shape) or eigh(h))
+    for theta in (np.pi / 4, -np.pi / 4, 0.37, np.pi / 8):
+        for idx, block in zip(number_sectors(d), coupler_blocks(d, theta)):
+            # the same numbers as a fresh solve of the sector's generator
+            n0, n1 = np.divmod(idx[:-1], d)
+            h = np.diag(1j * np.sqrt((n0 + 1.0) * n1), -1)
+            w, v = eigh(h + h.conj().T)
+            assert np.array_equal(block, (v * np.exp(-1j * theta * w)) @ v.conj().T)
+    assert len(solved) == 2 * d - 1
+
+
 def test_cps_passive_branch_untouched(rng):
     d = 4
     gate = cps(d).mat

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -13,6 +14,7 @@ from qoverlap import (
     MeasurementSettings,
     bell_singlet,
     coherent,
+    dispersive_cps,
     fidelity_with_pure,
     fock,
     fock_ket,
@@ -24,7 +26,10 @@ from qoverlap import (
     linear_entropy,
     overlap,
     povm_expectation,
+    parse_scenario,
     purity,
+    repeat_measurement_check,
+    run_scenario,
     thermal,
     werner,
     witness,
@@ -37,6 +42,7 @@ from qoverlap.observables import (
     purity_direct,
     witness_oracle,
 )
+from qoverlap.protocol import _DeviceKernel
 from conftest import embed_mode_state, random_joint_state
 
 SHOT_SETTINGS = MeasurementSettings(shots=20_000, seed=3)
@@ -236,6 +242,22 @@ def test_shot_noise_witness_threshold():
     assert mild.device_value < 0
 
 
+def test_shot_noise_witness_error_stays_positive_when_one_detector_gets_every_shot():
+    # p_up = 0.99982 at 1000 shots: every shot lands on "up", and the raw
+    # proportion's error would read 0 and make the miss look infinite.
+    scenario = parse_scenario(
+        '{"name": "shot-111", "task": "witness", "device_mode": "physical", "shots": 1000, '
+        '"seed": 369739300, "cutoff": 2, "state_joint": {"kind": "pure", "amplitudes": '
+        '[[-0.05970736815139358, 0.6026087403686551], [-0.2684513452032809, -1.4907556060462825], '
+        '[-0.22761807899894854, -1.480347479784335], [0.0, 0.0]]}}'
+    )
+    report = witness(scenario.state_joint, MeasurementSettings(
+        mode=scenario.device_mode, shots=scenario.shots, seed=scenario.seed))
+    assert report.device_value == 1.0
+    assert report.std_error > 0
+    assert report.abs_error <= 6 * report.std_error
+
+
 def test_shot_noise_determinism():
     r1 = overlap(fock(0, 3), fock(0, 3), SHOT_SETTINGS)
     r2 = overlap(fock(0, 3), fock(0, 3), SHOT_SETTINGS)
@@ -296,4 +318,74 @@ def test_large_cutoff_purity_stays_small_in_memory(mode, cutoff):
     q = 0.5  # Boltzmann ratio nbar / (nbar + 1) at nbar = 1
     assert abs(report.device_value - (1 - q) / (1 + q) * (1 + q**levels) / (1 - q**levels)) < 1e-12
     # a dense d^2 x d^2 matrix is 16 MiB at d = 32 and 256 MiB at d = 64
+    assert peak < 8 * 2**20
+
+
+GUARD_MODES = {
+    "ideal": lambda d: IDEAL,
+    "physical": lambda d: PHYSICAL,
+    "hamiltonian:linear_coupling": lambda d: hamiltonian_mode(linear_coupling(1.0, d)),
+    "hamiltonian:dispersive_cps": lambda d: hamiltonian_mode(dispersive_cps(1.0, d)),
+    "hamiltonian:ion_qnd": lambda d: hamiltonian_mode(ion_qnd(1.0, d)),
+}
+
+
+@pytest.mark.parametrize("label", list(GUARD_MODES))
+def test_no_pipeline_builds_the_dense_post_state(monkeypatch, label):
+    def refuse(self):
+        raise AssertionError("built the d^2 x d^2 unconditional post-state")
+
+    monkeypatch.setattr(_DeviceKernel, "post_unconditional", refuse)
+    d = 6
+    mode = GUARD_MODES[label](d)
+    settings = MeasurementSettings(mode=mode)
+    # Safe sector: levels <= (d - 1) // 2, where every mode is exact.
+    a = embed_mode_state(ginibre_mixed(3, 3, 80), d)
+    b = embed_mode_state(ginibre_mixed(3, 2, 81), d)
+    joint = DensityMatrix(CompositeSpace((d, d)), np.kron(a.mat, b.mat))
+    for report in (
+        overlap(a, b, settings),
+        fidelity_with_pure(a, fock_ket(1, d), settings),
+        purity(a, settings),
+        linear_entropy(a, settings),
+        hs_distance(a, b, settings),
+        witness(joint, settings),
+    ):
+        assert report.abs_error < 1e-9, report.name
+    first, second = repeat_measurement_check(a, b, mode)
+    assert abs(second - first) < 1e-12
+    doc = {
+        "name": "guard", "task": "repeat_check", "cutoff": d, "device_mode": label,
+        "state_a": {"kind": "fock", "n": 1},
+        "state_b": {"kind": "pure", "amplitudes": [[0.6, 0.0], [0.0, 0.8], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},
+    }
+    record = run_scenario(parse_scenario(json.dumps(doc)))
+    assert abs(record.device_value - 0.64) < 1e-12
+    assert record.abs_error < 1e-12
+
+
+@pytest.mark.parametrize(
+    "mode, cutoff",
+    [
+        pytest.param(IDEAL, 64, id="ideal-64"),
+        pytest.param(PHYSICAL, 32, id="physical-32"),
+        pytest.param(hamiltonian_mode(ion_qnd(1.0, 24)), 24, id="hamiltonian:ion_qnd-24"),
+    ],
+)
+def test_large_cutoff_hs_distance_and_repeat_check_stay_small_in_memory(mode, cutoff):
+    # Safe sector, as in test_large_cutoff_purity_stays_small_in_memory.
+    levels = (cutoff - 1) // 2 + 1
+    a = embed_mode_state(thermal(1.0, levels), cutoff)
+    b = embed_mode_state(coherent(0.7, levels), cutoff)
+    tracemalloc.start()
+    try:
+        report = hs_distance(a, b, MeasurementSettings(mode=mode))
+        first, second = repeat_measurement_check(a, b, mode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.abs_error < 1e-9
+    assert abs(first - overlap_direct(a, b)) < 1e-9
+    assert abs(second - first) < 1e-12
+    # the dense post-state is 16 MiB at d = 32 and 256 MiB at d = 64
     assert peak < 8 * 2**20

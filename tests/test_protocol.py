@@ -19,6 +19,7 @@ from qoverlap import (
     hamiltonian_mode,
     ion_qnd,
     linear_coupling,
+    partial_trace,
     repeat_measurement_check,
     run_device,
     sample_shots,
@@ -438,3 +439,33 @@ def test_product_input_matches_dense_joint(label, d, seeds, ranks, phase_count, 
         if x is not None:
             assert np.abs(x.mat - y.mat).max() < 1e-12
 
+
+
+POST_STATE_MODES = {
+    **PRODUCT_MODES,
+    "hamiltonian:linear_coupling_pi/8": lambda d: hamiltonian_mode(linear_coupling(1.0, d, interaction_time=np.pi / 8)),
+}
+
+
+@pytest.mark.parametrize("label", list(POST_STATE_MODES))
+@settings(max_examples=20, deadline=None)
+@given(
+    d=st.integers(2, 6),
+    seeds=st.tuples(st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1)),
+    ranks=st.tuples(st.integers(1, 36), st.integers(1, 6)),
+    as_product=st.booleans(),
+)
+def test_post_state_quantities_match_the_dense_post_state(label, d, seeds, ranks, as_product):
+    # Ginibre inputs of full rank populate the sectors above total photon
+    # number d - 1, where the composed gates leak.
+    if as_product:
+        rho = ProductState(ginibre_mixed(d, min(ranks[0], d), seeds[0]), ginibre_mixed(d, ranks[1] % d + 1, seeds[1]))
+    else:
+        rho = random_joint_state(d, seeds[0], min(ranks[0], d * d))
+    mode = POST_STATE_MODES[label](d)
+    run = sweep_visibility(rho, mode=mode)
+    dense = run.post_state_unconditional
+    reduced = run.reduced_post_state
+    assert reduced.space.dims == (d,)
+    assert np.abs(reduced.mat - partial_trace(dense, 0).mat).max() < 1e-12
+    assert abs(run.post_visibility - sweep_visibility(dense, mode=mode).visibility) < 1e-12
