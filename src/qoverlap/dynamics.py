@@ -14,8 +14,12 @@ the dimensionless coupling*time product matters):
   branch phases exp(-/+ i pi n / 2).  Following it with a pi/2-per-photon
   phase on the same mode turns the pair exactly into a controlled phase
   shift whose active ancilla state is |->; the modified protocol therefore
-  prepares and reads the ancilla in the |+/-> basis.  The device runs it
-  as a pair of branch unitaries (see :mod:`qoverlap.protocol`).
+  prepares and reads the ancilla in the |+/-> basis.
+
+Each of these evolutions is a phase per photon on the number basis, or on the
+ancilla's sigma_x basis, so the device writes its branches in closed form
+(see :mod:`qoverlap.protocol`); :func:`realize_gate` evolves the dense
+Hamiltonian and serves as the literal reference.
 """
 
 from __future__ import annotations
@@ -111,20 +115,3 @@ def realize_gate(spec: HamiltonianSpec) -> UnitaryGate:
     space = CompositeSpace((d, d) if spec.kind == "linear_coupling" else (2, d))
     return exp_unitary(h, spec.interaction_time, space)
 
-
-def controlled_phase_branch(spec: HamiltonianSpec, atol: float = 1e-12) -> np.ndarray:
-    """Mode unitary applied on the active ancilla branch of a realized gate.
-
-    Valid for ``dispersive_cps`` specs: the realized gate is block diagonal
-    over the ancilla with the |dn> block equal to the identity; the |up>
-    block is returned.  Raises if the gate is not of that controlled form.
-    """
-    if spec.kind != "dispersive_cps":
-        raise ValueError("controlled-form extraction applies to dispersive_cps gates")
-    g = realize_gate(spec).mat
-    d = spec.cutoff
-    if np.abs(g[:d, d:]).max() > atol or np.abs(g[d:, :d]).max() > atol:
-        raise ValueError("realized gate is not ancilla-block-diagonal")
-    if np.abs(g[d:, d:] - np.eye(d)).max() > atol:
-        raise ValueError("realized gate acts nontrivially on the passive branch")
-    return np.ascontiguousarray(g[:d, :d])

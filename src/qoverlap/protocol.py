@@ -6,8 +6,9 @@ Hamiltonian-compiled), a final ancilla rotation, and reads out the ancilla.
 
 Every supported controlled step has the exact form
 ``P_up (x) W_up + P_dn (x) W_dn`` with mode-only unitaries.  W_dn is the
-identity for every mode but the trapped-ion layout (W_up is the exact flip
-for the ideal device and the coupler/phase/coupler sandwich otherwise).
+identity for every mode but the trapped-ion layout.  W_up is the exact flip
+for the ideal device; every other branch is X^dag exp(i phi n_m) X, a coupler
+X at angle theta around a phase phi per photon on mode m (:func:`_sandwich`).
 Commuting the ancilla gates through that structure collapses the whole
 sequence into two Kraus operators acting on the modes alone,
 
@@ -19,14 +20,14 @@ factored evaluation against literal full-space matrix conjugation.
 
 The ``ion_qnd`` interaction is diagonal in the ancilla's sigma_x basis, so
 its layout prepares and reads the ancilla in the |+/-> basis with |->
-playing the role of |up>.  Its branches are the compiled gate's |-> and |+>
-blocks G_-, G_+, each followed by a pi/2-per-photon phase F on the driven
-mode 0, between the couplers taken the other way round:
-W_up = B (F G_-) (x) I B^dag and W_dn = B (F G_+) (x) I B^dag.  At the
-default interaction time F G_+ is the identity; at other times it is not.
+playing the role of |up>.  On |-/+> the interaction is exp(+/- i omega t n);
+followed by a pi/2-per-photon phase on the driven mode 0, between couplers
+taken the other way round, W_up, W_dn = B exp(i (pi/2 +/- omega t) n_0) B^dag.
+At the default time W_dn is the identity; at other times it is not.  Both
+share B, so W_rel = W_dn^dag W_up = B exp(2 i omega t n_0) B^dag.
 
 Consequences used throughout (W_up, W_dn unitary, rho Hermitian, Tr rho = 1),
-with c = Tr(W_dn^dag W_up rho):
+with c = Tr(W_dn^dag W_up rho) = Tr(W_rel rho):
 
 * p_dn(psi) = (1 + Re[exp(i psi) c]) / 2 and p_up + p_dn = 1.
 * The fringe's contrast (visibility) is |c|; for the ideal W_up = flip, c is
@@ -40,7 +41,7 @@ with c = Tr(W_dn^dag W_up rho):
 Cost model.  The device input is either a dense joint ``DensityMatrix`` or a
 :class:`~qoverlap.linalg.ProductState` ``a (x) b`` kept as its factors; the
 input's type picks the path.  Every non-ideal branch unitary is a coupler,
-a Fock-diagonal phase and the inverse coupler, so it conserves the total
+a per-photon phase and the inverse coupler, so it conserves the total
 photon number N = n0 + n1 and is kept as its 2d - 1 sector blocks (each at
 most d x d, O(d^3) numbers in all); no d^2 x d^2 W is ever formed.
 Compiling one costs O(d^4) block products; the sector eigensolves of the
@@ -49,9 +50,9 @@ per (mode, cutoff) per process: compiled branches are cached
 (``_COMPILE_CACHE_SIZE`` entries, read-only arrays), keyed by the mode with
 its Hamiltonian spec, interaction time included.  Fringes, visibility and
 delta need only the number c, computed once per run: O(d^2) for the ideal
-device (Tr(a b) on a product); for a compiled W, block by block from the
-input's O(d^3) sector entries (gathered from the factors for a product),
-plus O(d^4) for ``ion_qnd`` to multiply its two branches' blocks.
+device (Tr(a b) on a product); for a compiled W, block by block against
+W_rel from the input's O(d^3) sector entries (gathered from the factors for
+a product).
 
 What a sweep derives from its post-measurement state is built on first
 read, each from only the part it needs.
@@ -61,11 +62,11 @@ which follow from the input's: O(d^4).
 :attr:`ProtocolRun.reduced_post_state`, the post-state's mode-0 reduced
 state, is a partial trace of the input for the ideal device and is
 streamed one row sector at a time for a compiled W: O(d^5) time, O(d^3)
-memory.  Only :attr:`ProtocolRun.post_state_unconditional` is the full
-d^2 x d^2 state, O(d^4) for the ideal device and O(d^5) for a compiled W
-(each block applied to its sector's rows and columns); no pipeline reads
-it.  :func:`run_device` returns the conditional post-states as well and
-therefore always works with dense d^2 x d^2 matrices, at the same O(d^5).
+memory.  Only :func:`run_device` forms the dense d^2 x d^2 post-states,
+applying each branch to rows only (rho W^dag as (W rho^dag)^dag): O(d^4)
+for the ideal device, O(d^5) for a compiled W.
+:attr:`ProtocolRun.post_state_unconditional` is its unconditional
+post-state; no pipeline reads it.
 
 Detector convention: with the asymmetric ancilla rotation used here, the
 "dn" detector carries the (1 + cos)-type fringe for positive overlap; only
@@ -82,7 +83,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import dynamics, gates
+from . import gates
 from .dynamics import HamiltonianSpec
 from .linalg import (
     CompositeSpace,
@@ -162,7 +163,7 @@ class ProtocolRun:
 
     @functools.cached_property
     def post_state_unconditional(self) -> DensityMatrix:
-        return self._kernel.post_unconditional()
+        return self._kernel.phase_result(0.0).post_unconditional
 
     @functools.cached_property
     def reduced_post_state(self) -> DensityMatrix:
@@ -202,8 +203,6 @@ class _Sector(NamedTuple):
 # Compiled (mode, cutoff) pairs kept per process.  The device_modes benchmark
 # cycles through 15 pairs; an entry holds O(d^3) numbers (~90 KB at d = 20).
 _COMPILE_CACHE_SIZE = 32
-# A middle factor with off-diagonal entries above this is not Fock-diagonal.
-_DIAGONAL_ATOL = 1e-12
 
 
 def _require_mode_pair(space: CompositeSpace) -> int:
@@ -222,47 +221,22 @@ def _dense_mat(rho: DeviceInput) -> np.ndarray:
     return rho.mat
 
 
-def _flip(mat: np.ndarray, d: int, rows: bool = True, cols: bool = False) -> np.ndarray:
-    """flip @ mat, mat @ flip or flip @ mat @ flip, as a fresh array.
-
-    Permutes the tensor factors of rows and/or columns instead of multiplying.
-    """
-    out = np.empty(mat.shape, dtype=mat.dtype)
-    axes = (1, 0) if rows else (0, 1)
-    axes += (3, 2) if cols else (2, 3)
-    out.reshape(d, d, d, d)[...] = mat.reshape(d, d, d, d).transpose(axes)
-    return out
-
-
 def _left(w, mat: np.ndarray, d: int) -> np.ndarray:
     """w @ mat for a branch unitary w (the identity returns ``mat`` itself)."""
     if w is None:
         return mat
     if w is _SWAP:
-        return _flip(mat, d)
-    out = np.empty_like(mat)
+        # row |n0, n1> of the result is row |n1, n0> of mat
+        return mat.reshape(d, d, -1).transpose(1, 0, 2).reshape(mat.shape)
+    out = np.empty(mat.shape, dtype=complex)
     for idx, block in zip(w.sectors, w.blocks):
         out[idx] = block @ mat[idx]
     return out
 
 
 def _right_dag(mat: np.ndarray, w, d: int) -> np.ndarray:
-    """mat @ w^dag for a branch unitary w (the identity returns ``mat`` itself)."""
-    if w is None:
-        return mat
-    if w is _SWAP:
-        return _flip(mat, d, rows=False, cols=True)
-    out = np.empty_like(mat)
-    for idx, block in zip(w.sectors, w.blocks):
-        out[:, idx] = mat[:, idx] @ dag(block)
-    return out
-
-
-def _conj(w, mat: np.ndarray, d: int) -> np.ndarray:
-    """w @ mat @ w^dag for a branch unitary w (the identity returns ``mat`` itself)."""
-    if w is _SWAP:
-        return _flip(mat, d, cols=True)
-    return _right_dag(_left(w, mat, d), w, d)
+    """mat @ w^dag = (w @ mat^dag)^dag, by rows (the identity returns ``mat`` itself)."""
+    return mat if w is None else dag(_left(w, dag(mat), d))
 
 
 @functools.lru_cache(maxsize=_COMPILE_CACHE_SIZE)
@@ -291,15 +265,13 @@ def _padded_sectors(d: int) -> np.ndarray:
     return padded.reshape(-1)
 
 
-def _sandwich(d: int, theta: float, middle: np.ndarray, on_mode: int) -> _SectorUnitary:
-    """Sector blocks of X^dag (middle on mode ``on_mode``) X, X the coupler at ``theta``.
+def _sandwich(d: int, theta: float, phi: float, on_mode: int) -> _SectorUnitary:
+    """Sector blocks of X^dag exp(i phi n_m) X, X the coupler at ``theta``.
 
-    ``middle`` is a single-mode operator that must be Fock-diagonal, so on
-    each sector it is the diagonal D_N and the block is X_N^dag D_N X_N.
+    n_m is the photon number of mode ``on_mode``; the phase is diagonal on
+    each sector, D_N, so the block is X_N^dag D_N X_N.
     """
-    phases = np.diagonal(middle)
-    if np.abs(middle - np.diag(phases)).max() > _DIAGONAL_ATOL:
-        raise ValueError("middle factor of the controlled step is not Fock-diagonal")
+    phases = np.exp(1j * phi * np.arange(d))
     sectors = _sectors(d)
     blocks = []
     for sector, x in zip(sectors, gates.coupler_blocks(d, theta)):
@@ -311,41 +283,42 @@ def _sandwich(d: int, theta: float, middle: np.ndarray, on_mode: int) -> _Sector
 
 @functools.lru_cache(maxsize=_COMPILE_CACHE_SIZE)
 def _mode_swap_operator(mode: DeviceMode, d: int):
-    """Resolve the branch unitaries (W_up, W_dn) of the controlled step.
+    """Resolve the branch unitaries (W_up, W_dn, W_rel) of the controlled step.
 
     W_up is the sentinel ``_SWAP`` for the ideal device, otherwise the
-    sector blocks of the coupler / Fock-diagonal phase / inverse coupler
-    sandwich; W_dn is None (the identity) except for ``ion_qnd``.  The
-    controlled phase targets mode 1 (module docstring of
-    :mod:`qoverlap.gates`), the ion interaction mode 0.  Cached per
-    (mode, cutoff); the mode's Hamiltonian spec, interaction time included,
-    is part of the key.
+    sector blocks of a coupler / per-photon phase / inverse coupler
+    sandwich (:func:`_sandwich`); W_dn is None (the identity) except for
+    ``ion_qnd``.  W_rel = W_dn^dag W_up, the one unitary that c reads, is
+    W_up itself unless W_dn is compiled.  The controlled phase targets
+    mode 1 (module docstring of :mod:`qoverlap.gates`), the ion interaction
+    mode 0.  Cached per (mode, cutoff); the mode's Hamiltonian spec,
+    interaction time included, is part of the key.
     """
     if mode.kind == "ideal":
-        return _SWAP, None
-    parity = gates.number_phase(math.pi, d).mat
+        return _SWAP, None, _SWAP
     if mode.kind == "physical":
-        return _sandwich(d, math.pi / 4, parity, 1), None
+        w_up = _sandwich(d, math.pi / 4, math.pi, 1)
+        return w_up, None, w_up
     spec = mode.hamiltonian
     if spec.cutoff != d:
         raise ValueError(f"Hamiltonian cutoff {spec.cutoff} does not match mode cutoff {d}")
+    angle = spec.coupling * spec.interaction_time
     if spec.kind == "linear_coupling":
         # evolving under i xi (a0^dag a1 - a1^dag a0) for t is the coupler at xi t
-        return _sandwich(d, spec.coupling * spec.interaction_time, parity, 1), None
-    if spec.kind == "dispersive_cps":
-        return _sandwich(d, math.pi / 4, dynamics.controlled_phase_branch(spec), 1), None
-    if spec.kind == "ion_qnd":
-        g = dynamics.realize_gate(spec).mat.reshape(2, d, 2, d)
-        fix = gates.number_phase(math.pi / 2, d).mat
-
-        def branch(sign: float) -> _SectorUnitary:
-            # <s|G|s> for |s> = (|up> + sign |dn>)/sqrt(2), then F, between
-            # couplers taken the other way round (the coupler at -pi/4 is B^dag)
-            g_s = 0.5 * (g[0, :, 0] + g[1, :, 1] + sign * (g[0, :, 1] + g[1, :, 0]))
-            return _sandwich(d, -math.pi / 4, fix @ g_s, 0)
-
-        return branch(-1.0), branch(1.0)
-    raise ValueError(f"device mode does not support Hamiltonian kind {spec.kind!r}")
+        w_up = _sandwich(d, angle, math.pi, 1)
+    elif spec.kind == "dispersive_cps":
+        # the |up> block of exp(-i kappa t n (x) |up><up|)
+        w_up = _sandwich(d, math.pi / 4, -angle, 1)
+    elif spec.kind == "ion_qnd":
+        # W_up, W_dn and W_rel of the module docstring; the coupler at -pi/4 is B^dag
+        return (
+            _sandwich(d, -math.pi / 4, math.pi / 2 + angle, 0),
+            _sandwich(d, -math.pi / 4, math.pi / 2 - angle, 0),
+            _sandwich(d, -math.pi / 4, 2 * angle, 0),
+        )
+    else:
+        raise ValueError(f"device mode does not support Hamiltonian kind {spec.kind!r}")
+    return w_up, None, w_up
 
 
 def _sector_block(rho: DeviceInput, sector: _Sector) -> np.ndarray:
@@ -374,23 +347,22 @@ def _sector_conj(w, k: int, block: np.ndarray) -> np.ndarray:
     return w.blocks[k] @ block @ dag(w.blocks[k])
 
 
-def _sector_trace(w_up, w_dn, k: int, block: np.ndarray) -> complex:
-    """Tr(W_dn,N^dag W_up,N block) on sector k."""
-    if w_up is _SWAP:
+def _sector_trace(w_rel, k: int, block: np.ndarray) -> complex:
+    """Tr(W_rel,N block) on sector k."""
+    if w_rel is _SWAP:
         return np.trace(block[::-1])  # Tr(J block)
-    relative = w_up.blocks[k] if w_dn is None else dag(w_dn.blocks[k]) @ w_up.blocks[k]
-    return (relative * block.T).sum()
+    return (w_rel.blocks[k] * block.T).sum()
 
 
-def _fringe_coefficient(rho: DeviceInput, w_up, w_dn, d: int) -> complex:
-    """c = Tr(W_dn^dag W_up rho), without any d^2 x d^2 matrix product."""
-    if w_up is _SWAP:
+def _fringe_coefficient(rho: DeviceInput, w_rel, d: int) -> complex:
+    """c = Tr(W_rel rho), without any d^2 x d^2 matrix product."""
+    if w_rel is _SWAP:
         if isinstance(rho, ProductState):
             return complex(np.sum(rho.a.mat * rho.b.mat.T))  # Tr(flip (a x b)) = Tr(a b)
         return complex(np.einsum("ijji", rho.mat.reshape(d, d, d, d)))
     c = 0j
     for k, sector in enumerate(_sectors(d)):
-        c += _sector_trace(w_up, w_dn, k, _sector_block(rho, sector))
+        c += _sector_trace(w_rel, k, _sector_block(rho, sector))
     return complex(c)
 
 
@@ -435,23 +407,11 @@ class _DeviceKernel:
     def __init__(self, rho: DeviceInput, mode: DeviceMode):
         self.rho = rho
         self.d = _require_mode_pair(rho.space)
-        self.w_up, self.w_dn = _mode_swap_operator(mode, self.d)
-        self.c = _fringe_coefficient(rho, self.w_up, self.w_dn, self.d)
-
-    def post_unconditional(self) -> DensityMatrix:
-        """(W_up rho W_up^dag + W_dn rho W_dn^dag)/2, made exactly Hermitian.
-
-        Built from the input and the branches alone, updating fresh arrays in place.
-        """
-        mat, d = _dense_mat(self.rho), self.d
-        mixed = _conj(self.w_up, mat, d)  # fresh: W_up is never the identity
-        mixed += _conj(self.w_dn, mat, d)
-        mixed += dag(mixed)
-        mixed *= 0.25
-        return DensityMatrix(self.rho.space, mixed)
+        self.w_up, self.w_dn, self.w_rel = _mode_swap_operator(mode, self.d)
+        self.c = _fringe_coefficient(rho, self.w_rel, self.d)
 
     def reduced_post(self) -> DensityMatrix:
-        """Mode-0 state of the unconditional post-state, Tr_1 of :meth:`post_unconditional`."""
+        """Mode-0 state of the unconditional post-state (W_up rho W_up^dag + W_dn rho W_dn^dag)/2."""
         mixed = _reduced_branch(self.rho, self.w_up, self.d)
         mixed += _reduced_branch(self.rho, self.w_dn, self.d)
         mixed += dag(mixed)
@@ -469,14 +429,14 @@ class _DeviceKernel:
         for k, sector in enumerate(_sectors(self.d)):
             block = _sector_block(self.rho, sector)
             mixed = _sector_conj(self.w_up, k, block) + _sector_conj(self.w_dn, k, block)
-            c += _sector_trace(self.w_up, self.w_dn, k, mixed)
+            c += _sector_trace(self.w_rel, k, mixed)
         return float(abs(0.5 * c))
 
     def phase_result(self, psi: float) -> PhaseResult:
         rho, d = _dense_mat(self.rho), self.d
         w_rho = _left(self.w_up, rho, d)
         up = _right_dag(w_rho, self.w_up, d)
-        dn = _conj(self.w_dn, rho, d)
+        dn = _right_dag(_left(self.w_dn, rho, d), self.w_dn, d)
         cross = np.exp(1j * psi) * _right_dag(w_rho, self.w_dn, d)
         cross += dag(cross)
         num_up = 0.25 * (up + dn - cross)

@@ -22,7 +22,6 @@ from qoverlap import (
     tensor,
     tensor_states,
 )
-from qoverlap.dynamics import controlled_phase_branch
 from qoverlap.observables import overlap_direct
 from conftest import embed_mode_state, embed_on_modes
 
@@ -80,13 +79,6 @@ def test_realized_cps_matches_gate():
     for kappa in (1.0, 2.0):
         g = realize_gate(dispersive_cps(kappa, d))
         assert np.abs(embed_on_modes(g.mat, d) - cps(d, target_mode=1).mat).max() < 1e-12
-
-
-def test_realized_cps_branch_structure():
-    branch = controlled_phase_branch(dispersive_cps(2.0, 6))
-    assert np.abs(branch - number_phase(np.pi, 6).mat).max() < 1e-12
-    with pytest.raises(ValueError):
-        controlled_phase_branch(linear_coupling(1.0, 6))
 
 
 def test_half_time_coupler_differs():

@@ -7,6 +7,7 @@ from qoverlap import (
     IDEAL,
     PHYSICAL,
     DensityMatrix,
+    MeasurementSettings,
     ProductState,
     bell_singlet,
     calibrate_phase,
@@ -17,6 +18,7 @@ from qoverlap import (
     fock,
     ginibre_mixed,
     hamiltonian_mode,
+    hs_distance,
     ion_qnd,
     linear_coupling,
     partial_trace,
@@ -63,6 +65,11 @@ ORACLE_MODES = {
     "dispersive_cps": lambda d: hamiltonian_mode(dispersive_cps(1.0, d)),
     "ion_qnd": lambda d: hamiltonian_mode(ion_qnd(1.0, d)),
     "ion_qnd_0.83t": lambda d: hamiltonian_mode(ion_qnd(1.0, d, interaction_time=0.83 * np.pi / 2)),
+    # Away from the default times exp(-i kappa t n) and exp(+i kappa t n)
+    # differ, so these pin the sign and the size of every compiled phase.
+    "dispersive_cps_0.7t": lambda d: hamiltonian_mode(dispersive_cps(2.0, d, interaction_time=0.7 * np.pi / 2.0)),
+    "linear_coupling_t0.3": lambda d: hamiltonian_mode(linear_coupling(1.3, d, interaction_time=0.3)),
+    "ion_qnd_1.2t": lambda d: hamiltonian_mode(ion_qnd(1.7, d, interaction_time=1.2 * np.pi / (2 * 1.7))),
 }
 
 
@@ -115,19 +122,34 @@ def test_compiled_branches_cached_per_mode_and_interaction_time():
         # a repeated (mode, cutoff) is served from the cache, never recompiled
         info = _mode_swap_operator.cache_info()
         assert (info.misses, info.hits) == (len(modes), repeat * len(modes))
-    w_up, w_dn = _mode_swap_operator(modes[0], d)
-    for array in (w_up.blocks[1], w_dn.blocks[1], w_up.sectors[1]):
+    w_up, w_dn, w_rel = _mode_swap_operator(modes[0], d)
+    for array in (w_up.blocks[1], w_dn.blocks[1], w_rel.blocks[1], w_up.sectors[1]):
         with pytest.raises(ValueError):
             array[0] = 0
+    # W_rel = W_dn^dag W_up for the ion; every other mode reads W_up itself
+    for k in range(2 * d - 1):
+        assert np.abs(w_rel.blocks[k] - w_dn.blocks[k].conj().T @ w_up.blocks[k]).max() < 1e-12
+    w_up, w_dn, w_rel = _mode_swap_operator(modes[2], d)
+    assert w_dn is None and w_rel is w_up
 
 
-def test_compile_rejects_a_middle_factor_that_is_not_fock_diagonal():
-    from qoverlap.protocol import _sandwich
+def test_device_never_compiles_through_time_evolution(monkeypatch):
+    from qoverlap import dynamics, linalg
+    from qoverlap.protocol import _mode_swap_operator
 
-    middle = np.eye(3, dtype=complex)
-    middle[0, 1] = 1e-9
-    with pytest.raises(ValueError):
-        _sandwich(3, np.pi / 4, middle, 1)
+    def refuse(*args, **kwargs):
+        raise AssertionError("compiled a branch by evolving a dense Hamiltonian")
+
+    monkeypatch.setattr(dynamics, "realize_gate", refuse)
+    monkeypatch.setattr(linalg, "exp_unitary", refuse)
+    _mode_swap_operator.cache_clear()
+    d = 4
+    a, b, product = product_input(d, 41, 42)
+    for make in ORACLE_MODES.values():
+        mode = make(d)
+        sweep_visibility(ProductState(a, b), 5, mode)
+        run_device(product, 0.9, mode)
+        hs_distance(a, b, MeasurementSettings(mode=mode))
 
 
 def test_unconditional_post_state_mixes_the_inputs():
