@@ -7,11 +7,18 @@ carry both, so exact-mode runs double as end-to-end consistency checks.
 With ``settings.shots`` set, per-phase probabilities are sampled and the
 device value comes from the counting-statistics estimator; the reported
 ``std_error`` is the propagated binomial error.
+
+Every report keeps the sweep behind it: ``report.run`` is the
+:class:`~qoverlap.protocol.ProtocolRun` (phases and exact fringes) and
+``report.counts`` the sampled (K, 2) up/down counts, ``None`` in exact mode
+and for ``witness``, whose one counting run is at the calibrated phase.
+``hs_distance`` carries its overlap sub-run and ``linear_entropy`` its purity
+run.  Neither field takes part in equality.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,18 +59,12 @@ class ObservableReport:
     shots_used: int | None
     std_error: float | None = None
     verdict: str | None = None
+    run: ProtocolRun | None = field(default=None, repr=False, compare=False)
+    counts: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
-class MeasurementDetail:
-    """Raw sweep behind a report, for record keeping."""
-
-    run: ProtocolRun
-    counts: np.ndarray | None
-    shots_per_phase: int | None
-
-
-def _report(name, device, oracle, settings, std_error=None, verdict=None) -> ObservableReport:
+def _report(name, device, oracle, settings, std_error=None, verdict=None, run=None,
+            counts=None) -> ObservableReport:
     return ObservableReport(
         name=name,
         device_value=float(device),
@@ -72,21 +73,20 @@ def _report(name, device, oracle, settings, std_error=None, verdict=None) -> Obs
         shots_used=settings.shots,
         std_error=std_error,
         verdict=verdict,
+        run=run,
+        counts=counts,
     )
 
 
-def _measure_visibility(rho_joint: DeviceInput, settings: MeasurementSettings):
-    """Run one sweep; returns (value, std_error, detail)."""
+def _measure_visibility(name: str, rho_joint: DeviceInput, oracle: float,
+                        settings: MeasurementSettings) -> ObservableReport:
+    """Run one sweep and report its visibility against ``oracle``."""
     run = protocol.sweep_visibility(rho_joint, settings.phase_count, settings.mode)
     if settings.shots is None:
-        return run.visibility, None, MeasurementDetail(run, None, None)
+        return _report(name, run.visibility, oracle, settings, run=run)
     counts = protocol.sample_shots(run, settings.shots, settings.seed)
     v_hat, se = protocol.estimate_visibility(counts, run.phases)
-    return v_hat, se, MeasurementDetail(run, counts, settings.shots)
-
-
-def _maybe_detail(report, detail, return_detail):
-    return (report, detail) if return_detail else report
+    return _report(name, v_hat, oracle, settings, se, run=run, counts=counts)
 
 
 # ---------------------------------------------------------------------------
@@ -144,28 +144,18 @@ def _equal_local_dim(rho_joint: DensityMatrix) -> int:
 # pipelines
 
 def overlap(
-    rho_a: DensityMatrix,
-    rho_b: DensityMatrix,
-    settings: MeasurementSettings = EXACT,
-    *,
-    return_detail: bool = False,
-):
+    rho_a: DensityMatrix, rho_b: DensityMatrix, settings: MeasurementSettings = EXACT
+) -> ObservableReport:
     """Overlap Tr(rho_a rho_b), measured as the visibility of the device fringe."""
     if rho_a.space.dim != rho_b.space.dim:
         raise ValueError("overlap requires states of equal dimension")
     pair = ProductState(as_single_subsystem(rho_a), as_single_subsystem(rho_b))
-    value, se, detail = _measure_visibility(pair, settings)
-    report = _report("overlap", value, overlap_direct(rho_a, rho_b), settings, se)
-    return _maybe_detail(report, detail, return_detail)
+    return _measure_visibility("overlap", pair, overlap_direct(rho_a, rho_b), settings)
 
 
 def fidelity_with_pure(
-    rho: DensityMatrix,
-    pure_psi: np.ndarray,
-    settings: MeasurementSettings = EXACT,
-    *,
-    return_detail: bool = False,
-):
+    rho: DensityMatrix, pure_psi: np.ndarray, settings: MeasurementSettings = EXACT
+) -> ObservableReport:
     """Fidelity <psi|rho|psi> of a state against a normalized pure state."""
     psi = np.asarray(pure_psi, dtype=complex).reshape(-1)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
@@ -174,18 +164,11 @@ def fidelity_with_pure(
         raise ValueError("pure state dimension does not match the density matrix")
     single = as_single_subsystem(rho)
     rho_b = DensityMatrix(single.space, np.outer(psi, psi.conj()))
-    value, se, detail = _measure_visibility(ProductState(single, rho_b), settings)
     oracle = float((psi.conj() @ rho.mat @ psi).real)
-    report = _report("fidelity", value, oracle, settings, se)
-    return _maybe_detail(report, detail, return_detail)
+    return _measure_visibility("fidelity", ProductState(single, rho_b), oracle, settings)
 
 
-def purity(
-    rho: DensityMatrix,
-    settings: MeasurementSettings = EXACT,
-    *,
-    return_detail: bool = False,
-):
+def purity(rho: DensityMatrix, settings: MeasurementSettings = EXACT) -> ObservableReport:
     """Purity Tr(rho^2): overlap of the state with an independent copy.
 
     The two ensemble copies enter the device as the two 'modes'; any internal
@@ -193,37 +176,19 @@ def purity(
     away.
     """
     single = as_single_subsystem(rho)
-    value, se, detail = _measure_visibility(ProductState(single, single), settings)
-    report = _report("purity", value, purity_direct(rho), settings, se)
-    return _maybe_detail(report, detail, return_detail)
+    return _measure_visibility("purity", ProductState(single, single), purity_direct(rho), settings)
 
 
-def linear_entropy(
-    rho: DensityMatrix,
-    settings: MeasurementSettings = EXACT,
-    *,
-    return_detail: bool = False,
-):
+def linear_entropy(rho: DensityMatrix, settings: MeasurementSettings = EXACT) -> ObservableReport:
     """Linear entropy 1 - Tr(rho^2)."""
-    base = purity(rho, settings, return_detail=True)
-    p_report, detail = base
-    report = _report(
-        "linear_entropy",
-        1.0 - p_report.device_value,
-        1.0 - p_report.oracle_value,
-        settings,
-        p_report.std_error,
-    )
-    return _maybe_detail(report, detail, return_detail)
+    p = purity(rho, settings)
+    return _report("linear_entropy", 1.0 - p.device_value, 1.0 - p.oracle_value, settings,
+                   p.std_error, run=p.run, counts=p.counts)
 
 
 def hs_distance(
-    rho_a: DensityMatrix,
-    rho_b: DensityMatrix,
-    settings: MeasurementSettings = EXACT,
-    *,
-    return_detail: bool = False,
-):
+    rho_a: DensityMatrix, rho_b: DensityMatrix, settings: MeasurementSettings = EXACT
+) -> ObservableReport:
     """Squared Hilbert-Schmidt distance assembled from three device runs.
 
     Measures the two purities first, reuses each run's (nondemolition)
@@ -243,33 +208,20 @@ def hs_distance(
         per = max(1, settings.shots // 3)
         subs = [replace(settings, shots=per, seed=settings.seed + i) for i in range(3)]
 
-    pa_report, pa_detail = purity(rho_a, subs[0], return_detail=True)
-    pb_report, pb_detail = purity(rho_b, subs[1], return_detail=True)
-    recycled_a = pa_detail.run.reduced_post_state
-    recycled_b = pb_detail.run.reduced_post_state
-    o_report, o_detail = overlap(recycled_a, recycled_b, subs[2], return_detail=True)
+    pa = purity(rho_a, subs[0])
+    pb = purity(rho_b, subs[1])
+    o = overlap(pa.run.reduced_post_state, pb.run.reduced_post_state, subs[2])
 
-    device = 0.5 * (pa_report.device_value + pb_report.device_value) - o_report.device_value
+    device = 0.5 * (pa.device_value + pb.device_value) - o.device_value
     if settings.shots is None:
         se = None
     else:
-        se = float(
-            np.sqrt(
-                0.25 * pa_report.std_error**2
-                + 0.25 * pb_report.std_error**2
-                + o_report.std_error**2
-            )
-        )
-    report = _report("hs_distance", device, hs_distance_direct(rho_a, rho_b), settings, se)
-    return _maybe_detail(report, o_detail, return_detail)
+        se = float(np.sqrt(0.25 * pa.std_error**2 + 0.25 * pb.std_error**2 + o.std_error**2))
+    return _report("hs_distance", device, hs_distance_direct(rho_a, rho_b), settings, se,
+                   run=o.run, counts=o.counts)
 
 
-def witness(
-    rho_joint: DensityMatrix,
-    settings: MeasurementSettings = EXACT,
-    *,
-    return_detail: bool = False,
-):
+def witness(rho_joint: DensityMatrix, settings: MeasurementSettings = EXACT) -> ObservableReport:
     """Entanglement witness: calibrated probability difference with verdict.
 
     Negative values certify entanglement.  The verdict is "entangled" when
@@ -296,8 +248,7 @@ def witness(
         p_tilde = (ups + 2) / (settings.shots + 4)
         se = 2.0 * float(np.sqrt(p_tilde * (1.0 - p_tilde) / (settings.shots + 4)))
         verdict = "entangled" if delta < -3.0 * se else "inconclusive"
-    report = _report("witness", delta, witness_oracle(rho_joint), settings, se, verdict)
-    return _maybe_detail(report, MeasurementDetail(run, None, None), return_detail)
+    return _report("witness", delta, witness_oracle(rho_joint), settings, se, verdict, run=run)
 
 
 def povm_expectation(rho_joint: DensityMatrix) -> float:

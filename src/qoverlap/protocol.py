@@ -180,12 +180,11 @@ _SWAP = object()  # sentinel: ideal flip, applied by index reshuffling
 class _SectorUnitary(NamedTuple):
     """A two-mode unitary kept as its blocks on the total-photon-number sectors.
 
-    ``blocks[k]`` acts on the flat indices ``sectors[k]`` (those of
+    ``blocks[k]`` acts on the flat indices ``_sectors(d)[k].idx`` (those of
     :func:`qoverlap.gates.number_sectors`); entries between sectors are 0.
     Compiled instances are cached and shared, so their arrays are read-only.
     """
 
-    sectors: tuple[np.ndarray, ...]
     blocks: tuple[np.ndarray, ...]
 
 
@@ -229,8 +228,8 @@ def _left(w, mat: np.ndarray, d: int) -> np.ndarray:
         # row |n0, n1> of the result is row |n1, n0> of mat
         return mat.reshape(d, d, -1).transpose(1, 0, 2).reshape(mat.shape)
     out = np.empty(mat.shape, dtype=complex)
-    for idx, block in zip(w.sectors, w.blocks):
-        out[idx] = block @ mat[idx]
+    for sector, block in zip(_sectors(d), w.blocks):
+        out[sector.idx] = block @ mat[sector.idx]
     return out
 
 
@@ -272,13 +271,12 @@ def _sandwich(d: int, theta: float, phi: float, on_mode: int) -> _SectorUnitary:
     each sector, D_N, so the block is X_N^dag D_N X_N.
     """
     phases = np.exp(1j * phi * np.arange(d))
-    sectors = _sectors(d)
     blocks = []
-    for sector, x in zip(sectors, gates.coupler_blocks(d, theta)):
+    for sector, x in zip(_sectors(d), gates.coupler_blocks(d, theta)):
         block = dag(x) @ (phases[(sector.n0, sector.n1)[on_mode], None] * x)
         block.flags.writeable = False
         blocks.append(block)
-    return _SectorUnitary(tuple(sector.idx for sector in sectors), tuple(blocks))
+    return _SectorUnitary(tuple(blocks))
 
 
 @functools.lru_cache(maxsize=_COMPILE_CACHE_SIZE)

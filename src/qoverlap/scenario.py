@@ -20,7 +20,7 @@ import numpy as np
 
 from . import observables, protocol, states
 from .dynamics import dispersive_cps, ion_qnd, linear_coupling
-from .linalg import DensityMatrix, ProductState, as_single_subsystem
+from .linalg import DensityMatrix, ProductState
 # Bound here although unused: perfbench/tests/test_bench.py
 # (test_every_patched_name_is_restored) patches and restores it by this name.
 from .linalg import tensor_states  # noqa: F401
@@ -319,44 +319,31 @@ def run_scenario(scenario: Scenario, stamp: bool = False) -> ResultRecord:
     (off by default so records stay byte-identical across reruns).
     """
     s = scenario
+    device_input = (s.state_joint if s.task == "witness"
+                    else ProductState(s.state_a, s.state_b or s.state_a))
+    _check_safe_support(device_input, s.device_mode, s.name)
     settings = MeasurementSettings(mode=s.device_mode, phase_count=s.phase_count,
                                    shots=s.shots, seed=s.seed)
-    detail = None
-    if s.task == "overlap":
-        report, detail = observables.overlap(s.state_a, s.state_b, settings, return_detail=True)
-        _check_safe_support(ProductState(s.state_a, s.state_b), s.device_mode, s.name)
+    if s.task == "witness":
+        report = observables.witness(s.state_joint, settings)
     elif s.task == "fidelity":
-        report, detail = observables.fidelity_with_pure(
-            s.state_a, s.state_b_vector, settings, return_detail=True)
-        _check_safe_support(ProductState(s.state_a, s.state_b), s.device_mode, s.name)
-    elif s.task == "purity":
-        report, detail = observables.purity(s.state_a, settings, return_detail=True)
-        _check_safe_support(ProductState(s.state_a, s.state_a), s.device_mode, s.name)
-    elif s.task == "linear_entropy":
-        report, detail = observables.linear_entropy(s.state_a, settings, return_detail=True)
-        _check_safe_support(ProductState(s.state_a, s.state_a), s.device_mode, s.name)
-    elif s.task == "hs_distance":
-        report, detail = observables.hs_distance(s.state_a, s.state_b, settings, return_detail=True)
-        _check_safe_support(ProductState(s.state_a, s.state_b), s.device_mode, s.name)
-    elif s.task == "witness":
-        report, detail = observables.witness(s.state_joint, settings, return_detail=True)
-        _check_safe_support(s.state_joint, s.device_mode, s.name)
-    else:  # repeat_check: second-pass visibility against the first
-        pair = ProductState(as_single_subsystem(s.state_a), as_single_subsystem(s.state_b))
-        _check_safe_support(pair, s.device_mode, s.name)
-        first = protocol.sweep_visibility(pair, s.phase_count, s.device_mode)
+        report = observables.fidelity_with_pure(s.state_a, s.state_b_vector, settings)
+    elif s.task in TASKS_SINGLE:
+        report = getattr(observables, s.task)(s.state_a, settings)
+    elif s.task != "repeat_check":  # overlap, hs_distance
+        report = getattr(observables, s.task)(s.state_a, s.state_b, settings)
+    else:  # second-pass visibility against the first
+        run = protocol.sweep_visibility(device_input, s.phase_count, s.device_mode)
         report = observables.ObservableReport(
             name="repeat_check",
-            device_value=first.post_visibility,
-            oracle_value=first.visibility,
-            abs_error=abs(first.post_visibility - first.visibility),
+            device_value=run.post_visibility,
+            oracle_value=run.visibility,
+            abs_error=abs(run.post_visibility - run.visibility),
             shots_used=None,
-            std_error=None,
+            run=run,
         )
-        detail = observables.MeasurementDetail(first, None, None)
 
-    run = detail.run
-    counts = detail.counts
+    run, counts = report.run, report.counts
     timestamp = _dt.datetime.now(_dt.timezone.utc).isoformat() if stamp else None
     record = ResultRecord(
         scenario=s.name,
@@ -384,28 +371,28 @@ def run_scenario(scenario: Scenario, stamp: bool = False) -> ResultRecord:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _format_scalar(value) -> str:
-    if isinstance(value, bool) or value is None or isinstance(value, (str, int)):
-        return json.dumps(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError("cannot serialize non-finite float")
-        return format(value, ".17g")
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+def format_float(x: float) -> str:
+    """17 significant digits, the format of every float in JSON and CSV output."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError("cannot serialize non-finite float")
+    return format(x, ".17g")
 
 
-def _dumps(value, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [f'{pad}  {json.dumps(k)}: {_dumps(v, indent + 1)}' for k, v in value.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        return "[" + ", ".join(_dumps(v, indent) for v in value) + "]"
-    return _format_scalar(value)
+def _dumps(doc: dict) -> str:
+    """A flat record as JSON: one field per line, each list on one line."""
+
+    def scalar(value) -> str:
+        return format_float(value) if isinstance(value, float) else json.dumps(value)
+
+    lines = []
+    for key, value in doc.items():
+        if isinstance(value, (list, tuple)):
+            value_text = "[" + ", ".join(map(scalar, value)) + "]"
+        else:
+            value_text = scalar(value)
+        lines.append(f"  {json.dumps(key)}: {value_text}")
+    return "{\n" + ",\n".join(lines) + "\n}"
 
 
 def record_to_dict(record: ResultRecord) -> dict:
@@ -436,10 +423,6 @@ def emit(record: ResultRecord, format: str = "json") -> bytes:
             )
         return ("\n".join(lines) + "\n").encode()
     raise ValueError(f"unknown format {format!r}")
-
-
-def format_float(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def write_record(record: ResultRecord, path: str | Path, format: str = "json") -> Path:

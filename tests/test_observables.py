@@ -389,3 +389,42 @@ def test_large_cutoff_hs_distance_and_repeat_check_stay_small_in_memory(mode, cu
     assert abs(second - first) < 1e-12
     # the dense post-state is 16 MiB at d = 32 and 256 MiB at d = 64
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("shots", [None, 900], ids=["exact", "shots"])
+def test_every_report_carries_its_sweep(shots):
+    d, k = 4, 6
+    settings = MeasurementSettings(mode=PHYSICAL, phase_count=k, shots=shots, seed=5)
+    # Safe sector: levels <= (d - 1) // 2, where every mode is exact.
+    a = embed_mode_state(ginibre_mixed(2, 2, 90), d)
+    b = embed_mode_state(ginibre_mixed(2, 2, 91), d)
+    joint = DensityMatrix(CompositeSpace((d, d)), np.kron(a.mat, b.mat))
+    reports = {
+        "overlap": overlap(a, b, settings),
+        "fidelity": fidelity_with_pure(a, fock_ket(1, d), settings),
+        "purity": purity(a, settings),
+        "linear_entropy": linear_entropy(a, settings),
+        "hs_distance": hs_distance(a, b, settings),
+        "witness": witness(joint, settings),
+    }
+    for name, report in reports.items():
+        assert len(report.run.phases) == k, name
+        if shots is None or name == "witness":  # the witness counts one run at the calibrated phase
+            assert report.counts is None, name
+        else:
+            per_phase = shots // 3 if name == "hs_distance" else shots
+            assert report.counts.shape == (k, 2), name
+            assert (report.counts.sum(axis=1) == per_phase).all(), name
+
+    # linear_entropy carries its purity run; hs_distance the overlap of the two recycled states
+    p = purity(a, settings)
+    assert reports["linear_entropy"].run.visibility == p.run.visibility
+    sub = [settings if shots is None else MeasurementSettings(
+        mode=PHYSICAL, phase_count=k, shots=shots // 3, seed=5 + i) for i in range(3)]
+    pa, pb = purity(a, sub[0]), purity(b, sub[1])
+    o = overlap(pa.run.reduced_post_state, pb.run.reduced_post_state, sub[2])
+    hs = reports["hs_distance"]
+    assert hs.run.visibility == o.run.visibility != pa.run.visibility
+    if shots is not None:
+        assert np.array_equal(reports["linear_entropy"].counts, p.counts)
+        assert np.array_equal(hs.counts, o.counts)

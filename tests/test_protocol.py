@@ -102,7 +102,7 @@ def test_factored_engine_matches_literal_gate_sequence(label):
 
 
 def test_compiled_branches_cached_per_mode_and_interaction_time():
-    from qoverlap.protocol import _mode_swap_operator
+    from qoverlap.protocol import _mode_swap_operator, _sectors
 
     d = 3
     rho = random_joint_state(d, 77)
@@ -123,7 +123,7 @@ def test_compiled_branches_cached_per_mode_and_interaction_time():
         info = _mode_swap_operator.cache_info()
         assert (info.misses, info.hits) == (len(modes), repeat * len(modes))
     w_up, w_dn, w_rel = _mode_swap_operator(modes[0], d)
-    for array in (w_up.blocks[1], w_dn.blocks[1], w_rel.blocks[1], w_up.sectors[1]):
+    for array in (w_up.blocks[1], w_dn.blocks[1], w_rel.blocks[1], _sectors(d)[1].idx):
         with pytest.raises(ValueError):
             array[0] = 0
     # W_rel = W_dn^dag W_up for the ion; every other mode reads W_up itself

@@ -1,11 +1,12 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qoverlap import ScenarioError, emit, parse_scenario, run_scenario
-from qoverlap.scenario import record_from_dict, record_to_dict, write_record
+from qoverlap.scenario import ResultRecord, record_from_dict, record_to_dict, write_record
 
 
 def make(**fields):
@@ -166,22 +167,25 @@ def unsafe_doc(task, device_mode):
                 state_b=None if single else hot)
 
 
+def unsafe_witness_doc(device_mode):
+    """Werner state at cutoff 2: |1,1> carries total photon number 2 > cutoff - 1."""
+    return make(task="witness", device_mode=device_mode, cutoff=2, state_a=None, state_b=None,
+                state_joint={"kind": "werner", "p": 0.5})
+
+
 UNSAFE_TASKS = ("overlap", "fidelity", "purity", "linear_entropy", "hs_distance", "repeat_check")
 
 
-@pytest.mark.parametrize("task", UNSAFE_TASKS)
+@pytest.mark.parametrize("task", UNSAFE_TASKS + ("witness",))
 def test_unsafe_support_warns_in_physical_mode(task):
+    text = unsafe_witness_doc("physical") if task == "witness" else unsafe_doc(task, "physical")
     with pytest.warns(UserWarning, match="above total photon number"):
-        run_scenario(parse_scenario(unsafe_doc(task, "physical")))
+        run_scenario(parse_scenario(text))
 
 
 @pytest.mark.parametrize("task", UNSAFE_TASKS + ("witness",))
 def test_unsafe_support_never_warns_in_ideal_mode(task, recwarn):
-    if task == "witness":  # |1,1> carries total photon number 2 > cutoff - 1
-        text = make(task="witness", cutoff=2, state_a=None, state_b=None,
-                    state_joint={"kind": "werner", "p": 0.5})
-    else:
-        text = unsafe_doc(task, "ideal")
+    text = unsafe_witness_doc("ideal") if task == "witness" else unsafe_doc(task, "ideal")
     run_scenario(parse_scenario(text))
     assert not [w for w in recwarn if "photon" in str(w.message)]
 
@@ -223,3 +227,48 @@ def test_seventeen_digit_floats_round_trip():
                                            state_b=None)))
     doc = json.loads(emit(rec).decode())
     assert doc["device_value"] == rec.device_value  # exact float reconstruction
+
+
+PINNED = ResultRecord(
+    scenario="pin", task="overlap", device_value=0.1, oracle_value=1 / 3, abs_error=1e-20,
+    std_error=None, verdict=None, seed=7, shots=12, rng="philox", timestamp=None,
+    phases=[0.0, 0.1, 1 / 3], p_up=[1.0, 0.5, 1e-20], p_down=[0.0, 0.5, 1.0],
+    count_up=[12, 6, 0], count_down=[0, 6, 12],
+)
+PINNED_HEAD = (
+    '{\n  "scenario": "pin",\n  "task": "overlap",\n  "device_value": 0.10000000000000001,\n'
+    '  "oracle_value": 0.33333333333333331,\n  "abs_error": 9.9999999999999995e-21,\n'
+    '  "std_error": null,\n  "verdict": null,\n  "seed": 7,\n'
+)
+
+
+def test_serialized_bytes_are_pinned(tmp_path):
+    assert emit(PINNED) == (
+        PINNED_HEAD
+        + '  "shots": 12,\n  "rng": "philox",\n  "timestamp": null,\n'
+        '  "phases": [0, 0.10000000000000001, 0.33333333333333331],\n'
+        '  "p_up": [1, 0.5, 9.9999999999999995e-21],\n  "p_down": [0, 0.5, 1],\n'
+        '  "count_up": [12, 6, 0],\n  "count_down": [0, 6, 12]\n}\n'
+    ).encode()
+    assert emit(PINNED, "csv") == (
+        b"phase,p_up,p_down,count_up,count_down\n0,1,0,12,0\n"
+        b"0.10000000000000001,0.5,0.5,6,6\n0.33333333333333331,9.9999999999999995e-21,1,0,12\n"
+    )
+    empty = replace(PINNED, shots=None, phases=[], p_up=[], p_down=[], count_up=None, count_down=None)
+    assert emit(empty) == (
+        PINNED_HEAD
+        + '  "shots": null,\n  "rng": "philox",\n  "timestamp": null,\n'
+        '  "phases": [],\n  "p_up": [],\n  "p_down": [],\n  "count_up": null,\n'
+        '  "count_down": null\n}\n'
+    ).encode()
+    assert emit(empty, "csv") == b"phase,p_up,p_down,count_up,count_down\n"
+    write_record(PINNED, tmp_path / "pin.csv", "csv")
+    assert (tmp_path / "pin.summary.json").read_text() == (
+        PINNED_HEAD + '  "shots": 12,\n  "rng": "philox",\n  "timestamp": null\n}\n'
+    )
+
+
+@pytest.mark.parametrize("format", ["json", "csv"])
+def test_non_finite_floats_are_refused_in_every_format(format):
+    with pytest.raises(ValueError, match="non-finite"):
+        emit(replace(PINNED, p_up=[math.nan, 0.5, 1e-20]), format)
