@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,37 +67,50 @@ def phase_shift(psi: float) -> UnitaryGate:
     return UnitaryGate(CompositeSpace((2,)), m)
 
 
-def number_sectors(cutoff: int) -> tuple[np.ndarray, ...]:
-    """Flat two-mode indices ``n0*cutoff + n1`` of each total-photon-number sector.
+class Sector(NamedTuple):
+    idx: slice  # flat two-mode indices n0*cutoff + n1
+    n0: slice  # mode-0 levels, upward
+    n1: slice  # mode-1 levels, downward
 
-    Entry N lists the basis states with n0 + n1 = N (N = 0 .. 2 cutoff - 2)
-    in order of increasing n0; sectors hold at most ``cutoff`` states.  Every
-    coupler and every Fock-diagonal phase maps each sector into itself.
+
+# Cutoffs whose sector table and coupler eigensystems are kept per process;
+# an eigensystem entry holds as many numbers as one compiled branch, O(cutoff^3).
+_CUTOFF_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=_CUTOFF_CACHE_SIZE)
+def number_sectors(cutoff: int) -> tuple[Sector, ...]:
+    """The states |n0, N - n0> of each total photon number N, as slices.
+
+    Entry N (N = 0 .. 2 cutoff - 2) lists the states in order of increasing
+    n0, at most ``cutoff`` of them; their flat indices N + n0 (cutoff - 1)
+    step by cutoff - 1, so every read of a sector is a view.  Every coupler
+    and every Fock-diagonal phase maps each sector into itself.
     """
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
     sectors = []
     for total in range(2 * cutoff - 1):
-        n0 = np.arange(max(0, total - cutoff + 1), min(total, cutoff - 1) + 1)
-        sectors.append(n0 * cutoff + (total - n0))
+        lo, hi = max(0, total - cutoff + 1), min(total, cutoff - 1)
+        sectors.append(Sector(
+            slice(total + lo * (cutoff - 1), total + hi * (cutoff - 1) + 1, cutoff - 1),
+            slice(lo, hi + 1),
+            slice(total - lo, total - hi - 1 if total > hi else None, -1),
+        ))
     return tuple(sectors)
 
 
-# Cutoffs whose sector eigensystems are kept per process; an entry holds as
-# many numbers as one compiled branch, O(cutoff^3).
-_EIGENSYSTEM_CACHE_SIZE = 8
-
-
-@functools.lru_cache(maxsize=_EIGENSYSTEM_CACHE_SIZE)
+@functools.lru_cache(maxsize=_CUTOFF_CACHE_SIZE)
 def _coupler_eigensystems(cutoff: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Eigenpairs ``(w, v)`` of the coupler generator on each number sector.
 
     The generator does not depend on the coupling angle, so every coupler
     at one cutoff shares them; cached per cutoff, as read-only arrays.
     """
+    levels = np.arange(cutoff)
     pairs = []
-    for idx in number_sectors(cutoff):
-        n0, n1 = np.divmod(idx[:-1], cutoff)
+    for sector in number_sectors(cutoff):
+        n0, n1 = levels[sector.n0][:-1], levels[sector.n1][:-1]
         # Hermitian generator h with exp(-i h theta) = exp[theta (a0^dag a1 - a1^dag a0)]:
         # <n0+1, n1-1| h |n0, n1> = i sqrt((n0+1) n1)
         h = np.diag(1j * np.sqrt((n0 + 1.0) * n1), -1)
@@ -111,7 +125,7 @@ def _coupler_eigensystems(cutoff: int) -> tuple[tuple[np.ndarray, np.ndarray], .
 def coupler_blocks(cutoff: int, theta: float) -> list[np.ndarray]:
     """Coupler ``exp[theta (a0^dag a1 - a1^dag a0)]`` as its sector blocks.
 
-    Block N acts on the states ``number_sectors(cutoff)[N]``; the coupler
+    Block N acts on the states ``number_sectors(cutoff)[N].idx``; the coupler
     has no entries between sectors.  Each block is the exponential of the
     truncated generator restricted to its sector (tridiagonal, at most
     cutoff x cutoff) from its eigensystem, so it is exactly unitary.  One
@@ -132,8 +146,8 @@ def beamsplitter(cutoff: int) -> UnitaryGate:
     sector); higher sectors see truncation leakage.
     """
     m = np.zeros((cutoff * cutoff, cutoff * cutoff), dtype=complex)
-    for idx, block in zip(number_sectors(cutoff), coupler_blocks(cutoff, math.pi / 4)):
-        m[np.ix_(idx, idx)] = block
+    for sector, block in zip(number_sectors(cutoff), coupler_blocks(cutoff, math.pi / 4)):
+        m[sector.idx, sector.idx] = block
     return UnitaryGate(CompositeSpace((cutoff, cutoff)), m)
 
 

@@ -110,7 +110,7 @@ def hs_distance_direct(rho_a: DensityMatrix, rho_b: DensityMatrix) -> float:
 
 def flip_expectation(rho_joint: DensityMatrix) -> float:
     """Tr(rho S) with S the flip operator on the two equal subsystems."""
-    d = _equal_local_dim(rho_joint)
+    d = protocol._require_mode_pair(rho_joint.space)
     return float(np.trace(rho_joint.mat @ gates.flip_operator(d)).real)
 
 
@@ -127,17 +127,10 @@ def witness_oracle(rho_joint: DensityMatrix) -> float:
     Computed through the partial transpose of the second subsystem; equals
     the flip expectation, which is what the calibrated device measures.
     """
-    d = _equal_local_dim(rho_joint)
+    d = protocol._require_mode_pair(rho_joint.space)
     pt = partial_transpose(rho_joint, 1)
     lam = max_entangled_vector(d)
     return float((lam.conj() @ pt @ lam).real)
-
-
-def _equal_local_dim(rho_joint: DensityMatrix) -> int:
-    dims = rho_joint.space.dims
-    if len(dims) != 2 or dims[0] != dims[1]:
-        raise ValueError(f"expected a bipartite state with equal local dimensions, got {dims}")
-    return dims[0]
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +224,6 @@ def witness(rho_joint: DensityMatrix, settings: MeasurementSettings = EXACT) -> 
     (ups + 2)/(shots + 4), which stays positive when every shot lands on
     one detector.
     """
-    _equal_local_dim(rho_joint)
     run = protocol.sweep_visibility(rho_joint, settings.phase_count, settings.mode)
     delta = run.delta
     if settings.shots is None:
@@ -253,6 +245,6 @@ def witness(rho_joint: DensityMatrix, settings: MeasurementSettings = EXACT) -> 
 
 def povm_expectation(rho_joint: DensityMatrix) -> float:
     """|Tr(rho (Pi_plus - Pi_minus))|, the projector-pair form of the visibility."""
-    d = _equal_local_dim(rho_joint)
+    d = protocol._require_mode_pair(rho_joint.space)
     pair = gates.povm_projectors(d)
     return abs(float(np.trace(rho_joint.mat @ (pair.pi_plus - pair.pi_minus)).real))

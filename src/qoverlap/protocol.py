@@ -51,8 +51,9 @@ per (mode, cutoff) per process: compiled branches are cached
 its Hamiltonian spec, interaction time included.  Fringes, visibility and
 delta need only the number c, computed once per run: O(d^2) for the ideal
 device (Tr(a b) on a product); for a compiled W, block by block against
-W_rel from the input's O(d^3) sector entries (gathered from the factors for
-a product).
+W_rel from the input's O(d^3) sector entries.  The sectors are the slices
+of :func:`qoverlap.gates.number_sectors`, so every sector read is a strided
+view (of each factor, for a product).
 
 What a sweep derives from its post-measurement state is built on first
 read, each from only the part it needs.
@@ -63,7 +64,7 @@ which follow from the input's: O(d^4).
 state, is a partial trace of the input for the ideal device and is
 streamed one row sector at a time for a compiled W: O(d^5) time, O(d^3)
 memory.  Only :func:`run_device` forms the dense d^2 x d^2 post-states,
-applying each branch to rows only (rho W^dag as (W rho^dag)^dag): O(d^4)
+applying each branch to rows only (W rho W'^dag as W (W' rho)^dag): O(d^4)
 for the ideal device, O(d^5) for a compiled W.
 :attr:`ProtocolRun.post_state_unconditional` is its unconditional
 post-state; no pipeline reads it.
@@ -79,7 +80,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -176,28 +176,10 @@ class ProtocolRun:
 
 _SWAP = object()  # sentinel: ideal flip, applied by index reshuffling
 
-
-class _SectorUnitary(NamedTuple):
-    """A two-mode unitary kept as its blocks on the total-photon-number sectors.
-
-    ``blocks[k]`` acts on the flat indices ``_sectors(d)[k].idx`` (those of
-    :func:`qoverlap.gates.number_sectors`); entries between sectors are 0.
-    Compiled instances are cached and shared, so their arrays are read-only.
-    """
-
-    blocks: tuple[np.ndarray, ...]
-
-
-# A branch unitary is _SWAP, a _SectorUnitary, or None for the identity.
-
-
-class _Sector(NamedTuple):
-    """One total-photon-number sector: flat indices n0 * d + n1 with n0 upward."""
-
-    idx: np.ndarray
-    n0: np.ndarray
-    n1: np.ndarray
-
+# A branch unitary is _SWAP, None for the identity, or a compiled unitary kept
+# as a tuple of blocks: block k acts on the states gates.number_sectors(d)[k]
+# and entries between sectors are 0.  Compiled blocks are cached and shared,
+# so they are read-only.
 
 # Compiled (mode, cutoff) pairs kept per process.  The device_modes benchmark
 # cycles through 15 pairs; an entry holds O(d^3) numbers (~90 KB at d = 20).
@@ -228,43 +210,12 @@ def _left(w, mat: np.ndarray, d: int) -> np.ndarray:
         # row |n0, n1> of the result is row |n1, n0> of mat
         return mat.reshape(d, d, -1).transpose(1, 0, 2).reshape(mat.shape)
     out = np.empty(mat.shape, dtype=complex)
-    for sector, block in zip(_sectors(d), w.blocks):
+    for sector, block in zip(gates.number_sectors(d), w):
         out[sector.idx] = block @ mat[sector.idx]
     return out
 
 
-def _right_dag(mat: np.ndarray, w, d: int) -> np.ndarray:
-    """mat @ w^dag = (w @ mat^dag)^dag, by rows (the identity returns ``mat`` itself)."""
-    return mat if w is None else dag(_left(w, dag(mat), d))
-
-
-@functools.lru_cache(maxsize=_COMPILE_CACHE_SIZE)
-def _sectors(d: int) -> tuple[_Sector, ...]:
-    """The sectors of :func:`qoverlap.gates.number_sectors`, read-only, cached per cutoff."""
-    sectors = []
-    for idx in gates.number_sectors(d):
-        parts = (idx, *np.divmod(idx, d))
-        for array in parts:
-            array.flags.writeable = False
-        sectors.append(_Sector(*parts))
-    return tuple(sectors)
-
-
-@functools.lru_cache(maxsize=_COMPILE_CACHE_SIZE)
-def _padded_sectors(d: int) -> np.ndarray:
-    """Flat indices of every sector in turn, each padded with 0 to d entries.
-
-    Taking these columns lays a row out as (2d - 1, d): sector, then state.
-    Read-only, cached per cutoff.
-    """
-    padded = np.zeros((2 * d - 1, d), dtype=np.intp)
-    for total, sector in enumerate(_sectors(d)):
-        padded[total, : len(sector.idx)] = sector.idx
-    padded.flags.writeable = False
-    return padded.reshape(-1)
-
-
-def _sandwich(d: int, theta: float, phi: float, on_mode: int) -> _SectorUnitary:
+def _sandwich(d: int, theta: float, phi: float, on_mode: int) -> tuple[np.ndarray, ...]:
     """Sector blocks of X^dag exp(i phi n_m) X, X the coupler at ``theta``.
 
     n_m is the photon number of mode ``on_mode``; the phase is diagonal on
@@ -272,11 +223,11 @@ def _sandwich(d: int, theta: float, phi: float, on_mode: int) -> _SectorUnitary:
     """
     phases = np.exp(1j * phi * np.arange(d))
     blocks = []
-    for sector, x in zip(_sectors(d), gates.coupler_blocks(d, theta)):
-        block = dag(x) @ (phases[(sector.n0, sector.n1)[on_mode], None] * x)
+    for sector, x in zip(gates.number_sectors(d), gates.coupler_blocks(d, theta)):
+        block = dag(x) @ (phases[(sector.n0, sector.n1)[on_mode]][:, None] * x)
         block.flags.writeable = False
         blocks.append(block)
-    return _SectorUnitary(tuple(blocks))
+    return tuple(blocks)
 
 
 @functools.lru_cache(maxsize=_COMPILE_CACHE_SIZE)
@@ -319,19 +270,18 @@ def _mode_swap_operator(mode: DeviceMode, d: int):
     return w_up, None, w_up
 
 
-def _sector_block(rho: DeviceInput, sector: _Sector) -> np.ndarray:
-    """The input's diagonal block on one sector (gathered from the factors for a product)."""
+def _sector_block(rho: DeviceInput, sector: gates.Sector) -> np.ndarray:
+    """The input's diagonal block on one sector, read through views (of both factors for a product)."""
     if isinstance(rho, ProductState):
-        n0, n1 = sector.n0, sector.n1
-        return rho.a.mat[n0[:, None], n0] * rho.b.mat[n1[:, None], n1]
-    return rho.mat[sector.idx[:, None], sector.idx]
+        return rho.a.mat[sector.n0, sector.n0] * rho.b.mat[sector.n1, sector.n1]
+    return rho.mat[sector.idx, sector.idx]
 
 
-def _sector_rows(rho: DeviceInput, sector: _Sector) -> np.ndarray:
+def _sector_rows(rho: DeviceInput, sector: gates.Sector) -> np.ndarray:
     """The input's rows on one sector, one per state (a[n0] (x) b[n1] for a product)."""
     if isinstance(rho, ProductState):
         rows = rho.a.mat[sector.n0, :, None] * rho.b.mat[sector.n1, None, :]
-        return rows.reshape(len(sector.idx), -1)
+        return rows.reshape(len(rows), -1)
     return rho.mat[sector.idx]
 
 
@@ -342,14 +292,14 @@ def _sector_conj(w, k: int, block: np.ndarray) -> np.ndarray:
     if w is _SWAP:
         # number_sectors orders n0 upward, so the flip is the anti-identity J
         return block[::-1, ::-1]
-    return w.blocks[k] @ block @ dag(w.blocks[k])
+    return w[k] @ block @ dag(w[k])
 
 
 def _sector_trace(w_rel, k: int, block: np.ndarray) -> complex:
     """Tr(W_rel,N block) on sector k."""
     if w_rel is _SWAP:
         return np.trace(block[::-1])  # Tr(J block)
-    return (w_rel.blocks[k] * block.T).sum()
+    return (w_rel[k] * block.T).sum()
 
 
 def _fringe_coefficient(rho: DeviceInput, w_rel, d: int) -> complex:
@@ -359,7 +309,7 @@ def _fringe_coefficient(rho: DeviceInput, w_rel, d: int) -> complex:
             return complex(np.sum(rho.a.mat * rho.b.mat.T))  # Tr(flip (a x b)) = Tr(a b)
         return complex(np.einsum("ijji", rho.mat.reshape(d, d, d, d)))
     c = 0j
-    for k, sector in enumerate(_sectors(d)):
+    for k, sector in enumerate(gates.number_sectors(d)):
         c += _sector_trace(w_rel, k, _sector_block(rho, sector))
     return complex(c)
 
@@ -378,24 +328,23 @@ def _reduced_branch(rho: DeviceInput, w, d: int) -> np.ndarray:
             a, b = (rho.a.mat, rho.b.mat) if w is None else (rho.b.mat, rho.a.mat)
             return np.trace(b) * a
         return np.einsum("ijkj->ik" if w is None else "jijk->ik", rho.mat.reshape(d, d, d, d))
-    sectors = _sectors(d)
-    # w_rows[j, k]: conjugate of row |k, j> of W on its sector's states, padded with 0
+    sectors = gates.number_sectors(d)
+    # w_rows[k, j, p]: conjugate of row |k, j> of W at column |p, k + j - p>, 0 off its sector
     w_rows = np.zeros((d * d, d), dtype=complex)
-    for sector, block in zip(sectors, w.blocks):
-        w_rows[sector.n1 * d + sector.n0, : len(sector.idx)] = block.conj()
+    for sector, block in zip(sectors, w):
+        w_rows[sector.idx, sector.n0] = block.conj()
     w_rows = w_rows.reshape(d, d, d)
-    padded = _padded_sectors(d)
     out = np.zeros((d, d), dtype=complex)
-    for sector, block in zip(sectors, w.blocks):
-        m, top = len(sector.idx), int(sector.n1[0])
-        w_rho = (block @ _sector_rows(rho, sector)).take(padded, axis=1)
-        # Row r of w_rho is row |n0[r], top - r> of W rho, laid out by sector.
-        # picked[r, k] is its part on sector top - r + k, where row |k, top - r>
-        # of W lives: a strided view, as that sector rises with k and falls with r.
-        row, item = w_rho.strides
-        picked = np.ndarray((m, d, d), complex, w_rho, top * d * item, (row - d * item, d * item, item))
-        mine = w_rows[top - m + 1 : top + 1][::-1]  # w_rows[n1]
-        out[sector.n0[0] : sector.n0[-1] + 1] += np.einsum("rkt,rkt->rk", picked, mine)
+    for sector, block in zip(sectors, w):
+        w_rho = block @ _sector_rows(rho, sector)
+        # Row r of w_rho is row |i, j> of W rho, with j = top - r; its column
+        # |p, k + j - p> sits at flat index k + j + p (d - 1).  picked[r, k, p]
+        # reads it as a strided view; where no such state exists it reads
+        # another state's entry, which meets a 0 of w_rows.
+        top, (row, item) = sector.n1.start, w_rho.strides
+        picked = np.ndarray((len(w_rho), d, d), complex, w_rho, top * item, (row - item, item, (d - 1) * item))
+        mine = w_rows[:, sector.n1].transpose(1, 0, 2)  # mine[r] = w_rows[:, top - r]
+        out[sector.n0] += np.einsum("rkp,rkp->rk", picked, mine)
     return out
 
 
@@ -424,7 +373,7 @@ class _DeviceKernel:
         and needs only the input's block rho_NN: O(d^4) in all.
         """
         c = 0j
-        for k, sector in enumerate(_sectors(self.d)):
+        for k, sector in enumerate(gates.number_sectors(self.d)):
             block = _sector_block(self.rho, sector)
             mixed = _sector_conj(self.w_up, k, block) + _sector_conj(self.w_dn, k, block)
             c += _sector_trace(self.w_rel, k, mixed)
@@ -432,13 +381,13 @@ class _DeviceKernel:
 
     def phase_result(self, psi: float) -> PhaseResult:
         rho, d = _dense_mat(self.rho), self.d
-        w_rho = _left(self.w_up, rho, d)
-        up = _right_dag(w_rho, self.w_up, d)
-        dn = _right_dag(_left(self.w_dn, rho, d), self.w_dn, d)
-        cross = np.exp(1j * psi) * _right_dag(w_rho, self.w_dn, d)
+        # By rows only: W rho W'^dag = W (W' rho)^dag, as rho is Hermitian.
+        up_rho = _left(self.w_up, rho, d)
+        both = _left(self.w_up, dag(up_rho), d) + _left(self.w_dn, dag(_left(self.w_dn, rho, d)), d)
+        cross = np.exp(1j * psi) * dag(_left(self.w_dn, dag(up_rho), d))
         cross += dag(cross)
-        num_up = 0.25 * (up + dn - cross)
-        num_dn = 0.25 * (up + dn + cross)
+        num_up = 0.25 * (both - cross)
+        num_dn = 0.25 * (both + cross)
         p_up = float(np.trace(num_up).real)
         p_dn = float(np.trace(num_dn).real)
 
@@ -456,7 +405,7 @@ class _DeviceKernel:
             p_down=max(p_dn, 0.0),
             post_up=_conditional(num_up, p_up),
             post_down=_conditional(num_dn, p_dn),
-            post_unconditional=_hermitian(num_up + num_dn),
+            post_unconditional=_hermitian(0.5 * both),
         )
 
 

@@ -95,17 +95,17 @@ class ResultRecord:
     count_down: list | None = None
 
 
-def _find_line(text: str, key: str) -> int | None:
-    needle = f'"{key}"'
-    for i, line in enumerate(text.splitlines(), start=1):
-        if needle in line:
-            return i
-    return None
+def _find_line(text: str, path: str) -> int | None:
+    """Line of a dotted path: each key is searched from the line of the one before it."""
+    lines, found = text.splitlines(), None
+    for key in path.split("."):  # a key that is not found is skipped
+        found = next((i for i in range(found or 0, len(lines)) if f'"{key}"' in lines[i]), found)
+    return None if found is None else found + 1
 
 
 def _require(cond: bool, message: str, path: str, text: str, key: str | None = None):
     if not cond:
-        raise ScenarioError(message, path, _find_line(text, key or path.split(".")[-1]))
+        raise ScenarioError(message, path, _find_line(text, key or path))
 
 
 def _as_complex(value, path: str, text: str) -> complex:
@@ -113,7 +113,7 @@ def _as_complex(value, path: str, text: str) -> complex:
         return complex(value)
     if isinstance(value, list) and len(value) == 2 and all(isinstance(x, (int, float)) for x in value):
         return complex(value[0], value[1])
-    raise ScenarioError("expected a number or a [re, im] pair", path, _find_line(text, path.split(".")[-1]))
+    raise ScenarioError("expected a number or a [re, im] pair", path, _find_line(text, path))
 
 
 def _build_state(spec, cutoff: int, slot: str, text: str):
@@ -129,14 +129,14 @@ def _build_state(spec, cutoff: int, slot: str, text: str):
         raise ScenarioError(
             f"unknown state constructor {kind!r} for {slot} (known: {known})",
             f"{path}.kind",
-            _find_line(text, "kind"),
+            _find_line(text, f"{path}.kind"),
         )
     params = {k: v for k, v in spec.items() if k != "kind"}
 
     def _take(name, default=None, required=False):
         if required and name not in params:
             raise ScenarioError(f"constructor {kind!r} requires parameter {name!r}", f"{path}.{name}",
-                                _find_line(text, kind))
+                                _find_line(text, f"{path}.{kind}"))
         return params.pop(name, default)
 
     try:
@@ -169,25 +169,25 @@ def _build_state(spec, cutoff: int, slot: str, text: str):
             amps = _take("amplitudes", required=True)
             if not isinstance(amps, list):
                 raise ScenarioError("amplitudes must be a list", f"{path}.amplitudes",
-                                    _find_line(text, "amplitudes"))
+                                    _find_line(text, f"{path}.amplitudes"))
             vec = np.array([_as_complex(x, f"{path}.amplitudes", text) for x in amps])
             want = cutoff * cutoff if joint else cutoff
             if vec.size != want:
                 raise ScenarioError(
                     f"amplitude count {vec.size} does not match cutoff (expected {want})",
-                    f"{path}.amplitudes", _find_line(text, "amplitudes"))
+                    f"{path}.amplitudes", _find_line(text, f"{path}.amplitudes"))
             dims = (cutoff, cutoff) if joint else None
             built = states.pure(vec, dims=dims)
             ket = vec / np.linalg.norm(vec)
     except ScenarioError:
         raise
     except (ValueError, TypeError) as exc:
-        raise ScenarioError(str(exc), path, _find_line(text, kind)) from exc
+        raise ScenarioError(str(exc), path, _find_line(text, f"{path}.{kind}")) from exc
 
     if params:
         extra = sorted(params)
         raise ScenarioError(f"unknown parameter(s) {extra} for constructor {kind!r}",
-                            f"{path}.{extra[0]}", _find_line(text, extra[0]))
+                            f"{path}.{extra[0]}", _find_line(text, f"{path}.{extra[0]}"))
     return built, ket
 
 
@@ -411,7 +411,7 @@ def emit(record: ResultRecord, format: str = "json") -> bytes:
     empty in exact mode).
     """
     if format == "json":
-        return (_dumps(record_to_dict(record)) + "\n").encode()
+        return (_dumps(vars(record)) + "\n").encode()
     if format == "csv":
         lines = ["phase,p_up,p_down,count_up,count_down"]
         for k in range(len(record.phases)):
@@ -431,7 +431,7 @@ def write_record(record: ResultRecord, path: str | Path, format: str = "json") -
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(emit(record, format))
     if format == "csv":
-        summary = {k: v for k, v in record_to_dict(record).items()
+        summary = {k: v for k, v in vars(record).items()
                    if k not in ("phases", "p_up", "p_down", "count_up", "count_down")}
         sidecar = path.with_suffix(".summary.json")
         sidecar.write_text(_dumps(summary) + "\n")

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,11 +9,14 @@ SCENARIOS = REPO / "scenarios"
 
 
 def run_cli(*args):
+    # This checkout's package first, ahead of any installed copy.
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "qoverlap", *args],
         capture_output=True,
         text=True,
         cwd=REPO,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 

@@ -104,17 +104,23 @@ def test_beamsplitter_unitary():
     assert np.abs(u.conj().T @ u - np.eye(49)).max() < 1e-10
 
 
-@pytest.mark.parametrize("d", range(2, 11))
+@pytest.mark.parametrize("d", range(2, 13))
 def test_sector_coupler_matches_expm_of_dense_generator(d):
     a = annihilation(d)
     ad = a.conj().T
     generator = tensor(ad, a) - tensor(a, ad)
-    sectors = number_sectors(d)
-    assert sorted(np.concatenate(sectors)) == list(range(d * d))
+    flat, levels = np.arange(d * d), np.arange(d)
+    sectors = [(flat[s.idx], levels[s.n0], levels[s.n1]) for s in number_sectors(d)]
+    assert len(sectors) == 2 * d - 1
+    for total, (idx, n0, n1) in enumerate(sectors):
+        assert np.array_equal(idx, n0 * d + n1)
+        assert np.all(n0 + n1 == total)
+        assert np.array_equal(n0, np.arange(n0[0], n0[0] + len(n0)))
+    assert sorted(np.concatenate([idx for idx, _, _ in sectors])) == list(range(d * d))
     total = np.add.outer(np.arange(d), np.arange(d)).ravel()
     between = total[:, None] != total[None, :]
     off_angle = np.zeros((d * d, d * d), dtype=complex)
-    for idx, block in zip(sectors, coupler_blocks(d, 0.37)):
+    for (idx, _, _), block in zip(sectors, coupler_blocks(d, 0.37)):
         off_angle[np.ix_(idx, idx)] = block
     for theta, u in ((np.pi / 4, beamsplitter(d).mat), (0.37, off_angle)):
         assert np.abs(u - scipy.linalg.expm(theta * generator)).max() < 1e-12
@@ -130,9 +136,9 @@ def test_couplers_at_one_cutoff_share_one_eigensolve_per_sector(monkeypatch):
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda h: solved.append(h.shape) or eigh(h))
     for theta in (np.pi / 4, -np.pi / 4, 0.37, np.pi / 8):
-        for idx, block in zip(number_sectors(d), coupler_blocks(d, theta)):
+        for sector, block in zip(number_sectors(d), coupler_blocks(d, theta)):
             # the same numbers as a fresh solve of the sector's generator
-            n0, n1 = np.divmod(idx[:-1], d)
+            n0, n1 = np.divmod(np.arange(d * d)[sector.idx][:-1], d)
             h = np.diag(1j * np.sqrt((n0 + 1.0) * n1), -1)
             w, v = eigh(h + h.conj().T)
             assert np.array_equal(block, (v * np.exp(-1j * theta * w)) @ v.conj().T)

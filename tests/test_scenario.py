@@ -51,6 +51,21 @@ def test_unknown_constructor_named_in_error():
         parse_scenario(make(state_a={"kind": "squeezed", "r": 1.0}))
 
 
+@pytest.mark.parametrize("spec, marker", [
+    ({"kind": "squeezed", "r": 1.0}, '"squeezed"'),
+    ({"kind": "fock", "n": 9}, '"fock"'),
+    ({"kind": "coherent", "alpha": "large"}, '"alpha"'),
+])
+def test_error_inside_a_state_reports_the_line_in_that_state(spec, marker):
+    text = make(state_b=spec)
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    lines = text.splitlines()
+    assert err.value.path.startswith("state_b")
+    assert marker in lines[err.value.line - 1]
+    assert err.value.line > next(i for i, line in enumerate(lines, 1) if '"state_b"' in line)
+
+
 def test_joint_constructor_rejected_in_single_slot():
     with pytest.raises(ScenarioError, match="werner"):
         parse_scenario(make(state_a={"kind": "werner", "p": 0.5}))
