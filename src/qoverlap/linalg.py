@@ -12,6 +12,7 @@ products are plain Kronecker products in the same order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +54,7 @@ class CompositeSpace:
     @property
     def dim(self) -> int:
         """Total dimension (product of subsystem dimensions)."""
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     @property
     def n_subsystems(self) -> int:
@@ -67,7 +68,7 @@ def _as_complex_matrix(m) -> np.ndarray:
     mat = np.asarray(m, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat.view(float))):
+    if not np.isfinite(mat).all():  # both parts of every entry
         raise ValueError("matrix contains non-finite entries")
     return mat
 
@@ -94,7 +95,8 @@ class DensityMatrix:
             )
         if np.abs(mat - dag(mat)).max() > ATOL_ALGEBRA:
             raise ValueError("density matrix is not Hermitian within 1e-10")
-        if abs(np.trace(mat).real - 1.0) > ATOL_ALGEBRA or abs(np.trace(mat).imag) > ATOL_ALGEBRA:
+        trace = mat.trace()
+        if abs(trace.real - 1.0) > ATOL_ALGEBRA or abs(trace.imag) > ATOL_ALGEBRA:
             raise ValueError("density matrix trace differs from 1 by more than 1e-10")
 
     @property

@@ -232,7 +232,8 @@ def witness(rho_joint: DensityMatrix, settings: MeasurementSettings = EXACT) -> 
     else:
         # One counting run at the calibrated phase, where p_up = (1 + delta)/2.
         p_up = min(max(0.5 * (1.0 + delta), 0.0), 1.0)
-        rng = np.random.Generator(np.random.Philox(key=[int(settings.seed) % 2**64, 0]))
+        key = np.array([int(settings.seed) % 2**64, 0], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
         ups = int(rng.binomial(settings.shots, p_up))
         delta = 2.0 * ups / settings.shots - 1.0
         # Plus-four proportion: stays inside (0, 1), so the error is never 0

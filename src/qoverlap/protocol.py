@@ -63,11 +63,12 @@ which follow from the input's: O(d^4).
 :attr:`ProtocolRun.reduced_post_state`, the post-state's mode-0 reduced
 state, is a partial trace of the input for the ideal device and is
 streamed one row sector at a time for a compiled W: O(d^5) time, O(d^3)
-memory.  Only :func:`run_device` forms the dense d^2 x d^2 post-states,
-applying each branch to rows only (W rho W'^dag as W (W' rho)^dag): O(d^4)
-for the ideal device, O(d^5) for a compiled W.
-:attr:`ProtocolRun.post_state_unconditional` is its unconditional
-post-state; no pipeline reads it.
+memory.  Only :func:`run_device` and
+:attr:`ProtocolRun.post_state_unconditional` form dense d^2 x d^2
+post-states, applying each branch to rows only (W rho W'^dag as
+W (W' rho)^dag): O(d^4) for the ideal device, O(d^5) for a compiled W.
+The latter forms the unconditional post-state alone, with no cross term
+and no conditional states; no pipeline reads it.
 
 Detector convention: with the asymmetric ancilla rotation used here, the
 "dn" detector carries the (1 + cos)-type fringe for positive overlap; only
@@ -163,7 +164,7 @@ class ProtocolRun:
 
     @functools.cached_property
     def post_state_unconditional(self) -> DensityMatrix:
-        return self._kernel.phase_result(0.0).post_unconditional
+        return self._kernel.post_unconditional()
 
     @functools.cached_property
     def reduced_post_state(self) -> DensityMatrix:
@@ -379,11 +380,26 @@ class _DeviceKernel:
             c += _sector_trace(self.w_rel, k, mixed)
         return float(abs(0.5 * c))
 
+    def _branch_sum(self, rho: np.ndarray, up_rho: np.ndarray) -> np.ndarray:
+        """W_up rho W_up^dag + W_dn rho W_dn^dag from rho and W_up rho.
+
+        By rows only: W rho W'^dag = W (W' rho)^dag, as rho is Hermitian.
+        """
+        d = self.d
+        return _left(self.w_up, dag(up_rho), d) + _left(self.w_dn, dag(_left(self.w_dn, rho, d)), d)
+
+    def _hermitian(self, m: np.ndarray) -> DensityMatrix:
+        return DensityMatrix(self.rho.space, 0.5 * (m + dag(m)))
+
+    def post_unconditional(self) -> DensityMatrix:
+        """The unconditional post-state (W_up rho W_up^dag + W_dn rho W_dn^dag)/2."""
+        rho = _dense_mat(self.rho)
+        return self._hermitian(0.5 * self._branch_sum(rho, _left(self.w_up, rho, self.d)))
+
     def phase_result(self, psi: float) -> PhaseResult:
         rho, d = _dense_mat(self.rho), self.d
-        # By rows only: W rho W'^dag = W (W' rho)^dag, as rho is Hermitian.
         up_rho = _left(self.w_up, rho, d)
-        both = _left(self.w_up, dag(up_rho), d) + _left(self.w_dn, dag(_left(self.w_dn, rho, d)), d)
+        both = self._branch_sum(rho, up_rho)
         cross = np.exp(1j * psi) * dag(_left(self.w_dn, dag(up_rho), d))
         cross += dag(cross)
         num_up = 0.25 * (both - cross)
@@ -391,13 +407,10 @@ class _DeviceKernel:
         p_up = float(np.trace(num_up).real)
         p_dn = float(np.trace(num_dn).real)
 
-        def _hermitian(m: np.ndarray) -> DensityMatrix:
-            return DensityMatrix(self.rho.space, 0.5 * (m + dag(m)))
-
         def _conditional(num: np.ndarray, p: float) -> DensityMatrix | None:
             # Normalized by its own trace, so the state's trace is 1 even
             # when p is tiny and known only to a large relative error.
-            return _hermitian(num / p) if p > MIN_CONDITION_PROB else None
+            return self._hermitian(num / p) if p > MIN_CONDITION_PROB else None
 
         return PhaseResult(
             psi=float(psi),
@@ -405,7 +418,7 @@ class _DeviceKernel:
             p_down=max(p_dn, 0.0),
             post_up=_conditional(num_up, p_up),
             post_down=_conditional(num_dn, p_dn),
-            post_unconditional=_hermitian(0.5 * both),
+            post_unconditional=self._hermitian(0.5 * both),
         )
 
 
@@ -493,19 +506,27 @@ def witness_delta(rho_joint: DeviceInput, mode: DeviceMode = IDEAL) -> float:
 def sample_shots(run: ProtocolRun, shots_per_phase: int, seed: int) -> np.ndarray:
     """Simulate finite counting statistics for a swept run.
 
-    For each phase k an independent Philox stream keyed by (seed, k) draws
-    ``shots_per_phase`` Bernoulli trials with success probability p_up; the
-    per-phase keying makes the result independent of evaluation order.
+    For each phase k an independent Philox stream keyed by (seed mod 2**64,
+    k) draws ``shots_per_phase`` Bernoulli trials with success probability
+    p_up; the per-phase keying makes the result independent of evaluation
+    order, and negative seeds are streams of their own.  One generator is
+    re-keyed from phase to phase: a Philox stream is fixed by its key, and
+    each phase starts at counter 0 with an empty buffer, so it draws what a
+    fresh generator per phase would.
 
     Returns an integer array of shape (K, 2) with columns (count_up,
     count_down).
     """
     if shots_per_phase < 1:
         raise ValueError("shots_per_phase must be at least 1")
-    key = int(seed) % 2**64
+    bits = np.random.Philox(key=np.array([int(seed) % 2**64, 0], dtype=np.uint64))
+    fresh = bits.state
+    rng = np.random.Generator(bits)
     counts = np.empty((len(run.phases), 2), dtype=np.int64)
     for k, p in enumerate(run.p_up):
-        rng = np.random.Generator(np.random.Philox(key=[key, k]))
+        if k:
+            fresh["state"]["key"][1] = k
+            bits.state = fresh
         up = int(rng.binomial(shots_per_phase, min(max(float(p), 0.0), 1.0)))
         counts[k, 0] = up
         counts[k, 1] = shots_per_phase - up
@@ -521,14 +542,18 @@ def estimate_visibility(counts: np.ndarray, phases: np.ndarray) -> tuple[float, 
     method); at a fringe null, where the gradient degenerates, a
     conservative isotropic scale is reported instead.  ``counts`` may be
     float-valued frequencies; rows must sum to a positive total.
+    ``phases`` must step by 2 pi / K: every spacing within
+    1e-9 + 1e-5 (2 pi / K) of it, the bound ``np.allclose`` would apply
+    with ``atol=1e-9``; a NaN phase is rejected.
     """
     counts = np.asarray(counts, dtype=float)
     phases = np.asarray(phases, dtype=float)
     k = len(phases)
     if k < 3 or counts.shape != (k, 2):
         raise ValueError("need counts of shape (K, 2) for K >= 3 phases")
-    spacing = np.diff(phases)
-    if not np.allclose(spacing, 2.0 * math.pi / k, atol=1e-9):
+    step = 2.0 * math.pi / k
+    # allclose's test with rtol 1e-5 and atol 1e-9, written so that NaN fails it
+    if not np.abs(np.diff(phases) - step).max() <= 1e-9 + 1e-5 * step:
         raise ValueError("phase grid is not uniform")
     totals = counts.sum(axis=1)
     if np.any(totals <= 0):

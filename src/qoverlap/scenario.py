@@ -12,6 +12,7 @@ from __future__ import annotations
 import datetime as _dt
 import json
 import math
+import re
 import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -96,10 +97,15 @@ class ResultRecord:
 
 
 def _find_line(text: str, path: str) -> int | None:
-    """Line of a dotted path: each key is searched from the line of the one before it."""
+    """Line of a dotted path: each key is searched from the line of the one before it.
+
+    A key matches only as a key, ``"key"`` followed by ``:``, so a string
+    value equal to a key name is passed over.
+    """
     lines, found = text.splitlines(), None
     for key in path.split("."):  # a key that is not found is skipped
-        found = next((i for i in range(found or 0, len(lines)) if f'"{key}"' in lines[i]), found)
+        pattern = re.compile(rf'"{re.escape(key)}"\s*:')
+        found = next((i for i in range(found or 0, len(lines)) if pattern.search(lines[i])), found)
     return None if found is None else found + 1
 
 
@@ -136,7 +142,7 @@ def _build_state(spec, cutoff: int, slot: str, text: str):
     def _take(name, default=None, required=False):
         if required and name not in params:
             raise ScenarioError(f"constructor {kind!r} requires parameter {name!r}", f"{path}.{name}",
-                                _find_line(text, f"{path}.{kind}"))
+                                _find_line(text, f"{path}.kind"))
         return params.pop(name, default)
 
     try:
@@ -182,7 +188,7 @@ def _build_state(spec, cutoff: int, slot: str, text: str):
     except ScenarioError:
         raise
     except (ValueError, TypeError) as exc:
-        raise ScenarioError(str(exc), path, _find_line(text, f"{path}.{kind}")) from exc
+        raise ScenarioError(str(exc), path, _find_line(text, f"{path}.kind")) from exc
 
     if params:
         extra = sorted(params)
@@ -379,19 +385,35 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _scalar(value) -> str:
+    """One JSON value.
+
+    Floats go through :func:`format_float`; None and exact ints (not bools)
+    are written directly; strings, escaped, and bools go through
+    ``json.dumps``.
+    """
+    if isinstance(value, float):
+        return format_float(value)
+    if value is None:
+        return "null"
+    if type(value) is int:
+        return str(value)
+    return json.dumps(value)
+
+
 def _dumps(doc: dict) -> str:
-    """A flat record as JSON: one field per line, each list on one line."""
+    """A flat record as JSON: one field per line, each list on one line.
 
-    def scalar(value) -> str:
-        return format_float(value) if isinstance(value, float) else json.dumps(value)
-
+    The keys are the record's field names, identifiers that JSON quotes
+    without escapes.
+    """
     lines = []
     for key, value in doc.items():
         if isinstance(value, (list, tuple)):
-            value_text = "[" + ", ".join(map(scalar, value)) + "]"
+            value_text = "[" + ", ".join(map(_scalar, value)) + "]"
         else:
-            value_text = scalar(value)
-        lines.append(f"  {json.dumps(key)}: {value_text}")
+            value_text = _scalar(value)
+        lines.append(f'  "{key}": {value_text}')
     return "{\n" + ",\n".join(lines) + "\n}"
 
 

@@ -202,6 +202,18 @@ def test_density_matrix_invariants_enforced():
         DensityMatrix(space, np.array([[1.5, 0.0], [0.0, -0.5]])).validate()  # negative
 
 
+def test_density_matrix_checks_matrices_in_any_memory_order():
+    space = CompositeSpace((3,))
+    m = np.eye(3, dtype=complex) / 3
+    m[0, 1], m[1, 0] = 0.1j, -0.1j
+    assert np.array_equal(DensityMatrix(space, m.conj().T).mat, m.conj().T)  # Fortran-ordered view
+    for bad in (complex(np.nan, 0.0), complex(1 / 3, np.inf)):
+        broken = m.copy()
+        broken[2, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(space, broken.T)
+
+
 def test_composite_space_validation():
     with pytest.raises(ValueError):
         CompositeSpace((1, 2))

@@ -174,6 +174,16 @@ def test_witness_verdicts():
     assert w50.verdict == "entangled"
 
 
+@pytest.mark.filterwarnings("error")
+def test_shot_witness_seed_is_taken_mod_2_64():
+    def value(seed):
+        return witness(werner(0.5), MeasurementSettings(shots=10**5, seed=seed)).device_value
+
+    assert len({value(s) for s in (-1, -2, 0)}) == 3
+    assert value(-1) == value(2**64 - 1)
+    assert value(2**53) != value(2**53 + 1)
+
+
 def test_witness_oracle_identity_chain():
     for d in (2, 3):
         for seed in range(5):

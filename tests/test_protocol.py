@@ -328,6 +328,39 @@ def test_sample_shots_deterministic_and_splittable():
     assert not np.array_equal(c1, sample_shots(run, 1000, seed=12))
 
 
+@pytest.mark.filterwarnings("error")
+def test_sample_shots_seed_is_taken_mod_2_64():
+    run = sweep_visibility(random_joint_state(2, 8))
+
+    def draw(seed):
+        return sample_shots(run, 1000, seed).tolist()
+
+    assert len({str(draw(s)) for s in (-1, -2, 0)}) == 3
+    for s in (0, 5, -1, 2**53 + 1):
+        assert draw(s) == draw(s + 2**64)
+    assert draw(2**53) != draw(2**53 + 1)
+
+
+def _per_phase_oracle(run, shots, seed):
+    """One fresh Philox generator per phase, keyed by (seed mod 2**64, k)."""
+    counts = []
+    for k, p in enumerate(run.p_up):
+        key = np.array([seed % 2**64, k], dtype=np.uint64)
+        up = int(np.random.Generator(np.random.Philox(key=key)).binomial(shots, np.clip(p, 0.0, 1.0)))
+        counts.append([up, shots - up])
+    return np.array(counts)
+
+
+@pytest.mark.parametrize("phase_count", [3, 8, 13])
+@pytest.mark.parametrize("shots", [1, 10, 10**5])
+def test_sample_shots_is_keyed_per_phase(phase_count, shots):
+    run = sweep_visibility(random_joint_state(2, 31), phase_count)
+    for seed in (0, 7, 2**40 + 3, 2**63 + 5, -1):
+        counts = sample_shots(run, shots, seed)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, _per_phase_oracle(run, shots, seed))
+
+
 def test_estimate_visibility_consistency_on_exact_frequencies():
     run = sweep_visibility(random_joint_state(3, 9))
     fake_counts = np.column_stack([run.p_up, run.p_down]) * 1e6
@@ -363,6 +396,22 @@ def test_estimate_visibility_rejects_bad_grids():
         estimate_visibility(counts, np.array([0.0, 0.1, 0.2, 0.3]))
     with pytest.raises(ValueError):
         estimate_visibility(np.ones((2, 2)), np.array([0.0, np.pi]))
+
+
+def test_estimate_visibility_grid_tolerance():
+    # allclose's bound on each spacing: 1e-9 + 1e-5 * (2 pi / 8), about 7.85e-6
+    counts = np.ones((8, 2))
+    grid = 2 * np.pi * np.arange(8) / 8
+    shifted = grid.copy()
+    shifted[3:] += 7e-6
+    estimate_visibility(counts, shifted)
+    shifted[3:] += 2e-6
+    with pytest.raises(ValueError, match="not uniform"):
+        estimate_visibility(counts, shifted)
+    with_nan = grid.copy()
+    with_nan[5] = np.nan
+    with pytest.raises(ValueError, match="not uniform"):
+        estimate_visibility(counts, with_nan)
 
 
 def test_repeat_measurement_identical_inputs():

@@ -4,9 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qoverlap import ScenarioError, emit, parse_scenario, run_scenario
-from qoverlap.scenario import ResultRecord, record_from_dict, record_to_dict, write_record
+from qoverlap.scenario import ALL_TASKS, ResultRecord, format_float, record_from_dict, record_to_dict, write_record
 
 
 def make(**fields):
@@ -64,6 +66,14 @@ def test_error_inside_a_state_reports_the_line_in_that_state(spec, marker):
     assert err.value.path.startswith("state_b")
     assert marker in lines[err.value.line - 1]
     assert err.value.line > next(i for i, line in enumerate(lines, 1) if '"state_b"' in line)
+
+
+def test_error_line_passes_over_a_value_equal_to_a_key():
+    text = make(name="state_b", state_b={"kind": "squeezed"})
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert err.value.path == "state_b.kind"
+    assert '"kind": "squeezed"' in text.splitlines()[err.value.line - 1]
 
 
 def test_joint_constructor_rejected_in_single_slot():
@@ -287,3 +297,44 @@ def test_serialized_bytes_are_pinned(tmp_path):
 def test_non_finite_floats_are_refused_in_every_format(format):
     with pytest.raises(ValueError, match="non-finite"):
         emit(replace(PINNED, p_up=[math.nan, 0.5, 1e-20]), format)
+
+
+def _reference_dumps(doc: dict) -> str:
+    """The plain record writer: every key and every non-float value through json.dumps."""
+
+    def scalar(value) -> str:
+        return format_float(value) if isinstance(value, float) else json.dumps(value)
+
+    lines = []
+    for key, value in doc.items():
+        if isinstance(value, (list, tuple)):
+            value_text = "[" + ", ".join(map(scalar, value)) + "]"
+        else:
+            value_text = scalar(value)
+        lines.append(f"  {json.dumps(key)}: {value_text}")
+    return "{\n" + ",\n".join(lines) + "\n}"
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NAMES = st.sampled_from(['say "hi"', "back\\slash\\", "naïve ünïcødé ✓ 量子", "tab\tnew\nline", ""]) | st.text()
+
+
+@st.composite
+def _records(draw):
+    k = draw(st.integers(0, 5))
+    floats = st.lists(_FINITE, min_size=k, max_size=k)
+    counts = st.none() | st.lists(st.integers(0, 10**9), min_size=k, max_size=k)
+    return ResultRecord(
+        scenario=draw(_NAMES), task=draw(st.sampled_from(ALL_TASKS)), device_value=draw(_FINITE),
+        oracle_value=draw(_FINITE), abs_error=draw(_FINITE), std_error=draw(st.none() | _FINITE),
+        verdict=draw(st.none() | _NAMES), seed=draw(st.integers()), shots=draw(st.none() | st.integers(1)),
+        rng=draw(_NAMES), timestamp=draw(st.none() | _NAMES), phases=draw(floats), p_up=draw(floats),
+        p_down=draw(floats), count_up=draw(counts), count_down=draw(counts),
+    )
+
+
+@given(_records())
+def test_record_writer_round_trips_and_matches_the_reference_writer(record):
+    text = emit(record)
+    assert json.loads(text) == record_to_dict(record)
+    assert text == (_reference_dumps(vars(record)) + "\n").encode()

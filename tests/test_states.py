@@ -73,6 +73,18 @@ def test_ginibre_seed_determinism():
     assert np.abs(a.mat - c.mat).max() > 1e-3
 
 
+@pytest.mark.filterwarnings("error")
+def test_ginibre_seed_is_taken_mod_2_64():
+    # A scalar Philox key is converted exactly, so every integer seed is its own stream.
+    def mat(seed):
+        return ginibre_mixed(3, 2, seed).mat
+
+    assert np.array_equal(mat(-1), mat(2**64 - 1))
+    assert np.array_equal(mat(2**53 + 1), mat(2**53 + 1 + 2**64))
+    for a, b in ((-1, 0), (-1, -2), (2**53, 2**53 + 1)):
+        assert not np.array_equal(mat(a), mat(b))
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         fock(4, 4)
