@@ -559,11 +559,13 @@ def estimate_visibility(counts: np.ndarray, phases: np.ndarray) -> tuple[float, 
     if np.any(totals <= 0):
         raise ValueError("every phase needs a positive total count")
     p_dn = counts[:, 1] / totals
-    coeff = fourier_coefficient(p_dn, phases)
+    # one rotation serves the coefficient (fourier_coefficient's sum) and its gradient
+    rotation = np.exp(-1j * phases)
+    coeff = complex((4.0 / k) * np.sum(p_dn * rotation))
     v_hat = abs(coeff)
     var_p = p_dn * (1.0 - p_dn) / totals
     if v_hat > 1e-12:
-        grad = (4.0 / k) * (np.conj(coeff) * np.exp(-1j * phases)).real / v_hat
+        grad = (4.0 / k) * (np.conj(coeff) * rotation).real / v_hat
         var_v = float(np.sum(grad**2 * var_p))
     else:
         var_v = float((8.0 / k**2) * np.sum(var_p))
