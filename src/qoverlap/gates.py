@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -74,8 +74,9 @@ class Sector(NamedTuple):
 
 
 # Cutoffs whose sector table and coupler eigensystems are kept per process;
-# an eigensystem entry holds as many numbers as one compiled branch, O(cutoff^3).
+# the eigensystems of all sectors hold (2 cutoff^2 + 1) cutoff / 3 real numbers.
 _CUTOFF_CACHE_SIZE = 8
+
 
 
 @functools.lru_cache(maxsize=_CUTOFF_CACHE_SIZE)
@@ -101,39 +102,94 @@ def number_sectors(cutoff: int) -> tuple[Sector, ...]:
 
 
 @functools.lru_cache(maxsize=_CUTOFF_CACHE_SIZE)
-def _coupler_eigensystems(cutoff: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Eigenpairs ``(w, v)`` of the coupler generator on each number sector.
+def _coupler_eigensystems(cutoff: int) -> list[tuple[np.ndarray, np.ndarray] | None]:
+    """One slot per number sector for the coupler generator's eigenpairs.
 
-    The generator does not depend on the coupling angle, so every coupler
-    at one cutoff shares them; cached per cutoff, as read-only arrays.
+    :func:`_coupler_eigensystem` solves a sector on first use and fills its
+    slot; cached per cutoff.
     """
-    levels = np.arange(cutoff)
-    pairs = []
-    for sector in number_sectors(cutoff):
+    return [None] * (2 * cutoff - 1)
+
+
+def _coupler_eigensystem(cutoff: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs ``(w, v)`` of the coupler generator on number sector k.
+
+    On a sector the Hermitian generator h, with exp(-i h theta) =
+    exp[theta (a0^dag a1 - a1^dag a0)], is D T D^dag: D = diag(i^j) and T
+    real symmetric tridiagonal, <n0+1, n1-1| T |n0, n1> = sqrt((n0+1) n1).
+    ``(w, v)`` are T's, so ``v`` is real.  The generator does not depend on
+    the coupling angle, so every coupler at one cutoff shares them; each is
+    solved once, on first use, and kept as read-only arrays.
+    """
+    slots = _coupler_eigensystems(cutoff)
+    if slots[k] is None:
+        sector = number_sectors(cutoff)[k]
+        levels = np.arange(cutoff)
         n0, n1 = levels[sector.n0][:-1], levels[sector.n1][:-1]
-        # Hermitian generator h with exp(-i h theta) = exp[theta (a0^dag a1 - a1^dag a0)]:
-        # <n0+1, n1-1| h |n0, n1> = i sqrt((n0+1) n1)
-        h = np.diag(1j * np.sqrt((n0 + 1.0) * n1), -1)
-        h += dag(h)
-        w, v = np.linalg.eigh(h)
+        w, v = _mirror_eigh(np.sqrt((n0 + 1.0) * n1))
         w.flags.writeable = False
         v.flags.writeable = False
-        pairs.append((w, v))
-    return tuple(pairs)
+        slots[k] = (w, v)
+    return slots[k]
 
 
-def coupler_blocks(cutoff: int, theta: float) -> list[np.ndarray]:
+def _tridiagonal(off: np.ndarray) -> np.ndarray:
+    return np.diag(off, -1) + np.diag(off, 1)
+
+
+def _mirror_eigh(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of T, symmetric tridiagonal with zero diagonal and ``off`` beside it.
+
+    ``off`` reads the same backwards (on a sector, n0 <-> n1 maps
+    (n0 + 1) n1 onto itself), so T commutes with the reversal J and its
+    eigenvectors are [u; J u] and [u; -J u] over sqrt(2), with a middle
+    entry in the first kind when the size is odd: two eigensolves of half
+    the size, a quarter of the work of one.
+    """
+    half = (len(off) + 1) // 2
+    if not half:
+        return np.zeros(1), np.ones((1, 1))
+    inner = _tridiagonal(off[:half - 1])  # T's leading half x half block
+    if len(off) % 2:  # even size: the two middle states couple through J
+        corner = np.zeros((half, half))
+        corner[-1, -1] = off[half - 1]
+        w_plus, u_plus = np.linalg.eigh(inner + corner)
+        w_minus, u_minus = np.linalg.eigh(inner - corner)
+        middle = np.zeros((0, len(off) + 1))
+    else:  # odd size: the middle state couples to both halves
+        w_plus, u_plus = np.linalg.eigh(_tridiagonal(np.append(off[:half - 1], math.sqrt(2) * off[half - 1])))
+        w_minus, u_minus = np.linalg.eigh(inner)
+        middle = np.hstack([u_plus[half:], np.zeros((1, half))])
+        u_plus = u_plus[:half]
+    top = np.hstack([u_plus, u_minus]) / math.sqrt(2)
+    bottom = np.hstack([u_plus[::-1], -u_minus[::-1]]) / math.sqrt(2)
+    return np.concatenate([w_plus, w_minus]), np.vstack([top, middle, bottom])
+
+
+def coupler_blocks(cutoff: int, theta: float, sectors: range | None = None) -> Iterator[np.ndarray]:
     """Coupler ``exp[theta (a0^dag a1 - a1^dag a0)]`` as its sector blocks.
 
     Block N acts on the states ``number_sectors(cutoff)[N].idx``; the coupler
-    has no entries between sectors.  Each block is the exponential of the
-    truncated generator restricted to its sector (tridiagonal, at most
-    cutoff x cutoff) from its eigensystem, so it is exactly unitary.  One
-    eigensolve per sector serves every ``theta`` at a cutoff (a lossless
-    coupler is an SU(2) rotation whose eigenvectors do not depend on the
-    angle).  ``-theta`` gives the inverse coupler.
+    has no entries between sectors.  ``sectors`` picks the blocks returned
+    (all 2 cutoff - 1 by default), and only those sectors are solved.  Each
+    block is the exponential of the truncated generator restricted to its
+    sector (tridiagonal, at most cutoff x cutoff) from its eigensystem, so it
+    is exactly unitary, and real: the generator is real.  One eigensolve per
+    sector serves every ``theta`` at a cutoff (a lossless coupler is an
+    SU(2) rotation whose eigenvectors do not depend on the angle).
+    ``-theta`` gives the inverse coupler.  Blocks are made one at a time, as
+    the caller iterates.
     """
-    return [(v * np.exp(-1j * theta * w)) @ dag(v) for w, v in _coupler_eigensystems(cutoff)]
+    for k in range(2 * cutoff - 1) if sectors is None else sectors:
+        w, v = _coupler_eigensystem(cutoff, k)
+        # The real part of D v exp(-i theta w) v^T D^dag, D = diag(i^j): with
+        # i^j = (-1)^(j // 2) i^(j % 2) and u = diag((-1)^(j // 2)) v it is
+        # u cos(theta w) u^T, plus (j_a % 2 - j_b % 2) u sin(theta w) u^T
+        # between states of opposite parity (T couples only those).
+        j = np.arange(len(w))
+        u = v * (1 - 2 * (j // 2 % 2))[:, None]
+        parity = j % 2
+        yield (u * np.cos(theta * w)) @ u.T + np.subtract.outer(parity, parity) * ((u * np.sin(theta * w)) @ u.T)
 
 
 def beamsplitter(cutoff: int) -> UnitaryGate:

@@ -6,9 +6,10 @@ Hamiltonian-compiled), a final ancilla rotation, and reads out the ancilla.
 
 Every supported controlled step has the exact form
 ``P_up (x) W_up + P_dn (x) W_dn`` with mode-only unitaries.  W_dn is the
-identity for every mode but the trapped-ion layout.  W_up is the exact flip
+identity for every mode but the trapped-ion layout away from its default
+time.  W_up is the exact flip
 for the ideal device; every other branch is X^dag exp(i phi n_m) X, a coupler
-X at angle theta around a phase phi per photon on mode m (:func:`_sandwich`).
+X at angle theta around a phase phi per photon on mode m (:func:`_compile`).
 Commuting the ancilla gates through that structure collapses the whole
 sequence into two Kraus operators acting on the modes alone,
 
@@ -40,35 +41,46 @@ with c = Tr(W_dn^dag W_up rho) = Tr(W_rel rho):
 
 Cost model.  The device input is either a dense joint ``DensityMatrix`` or a
 :class:`~qoverlap.linalg.ProductState` ``a (x) b`` kept as its factors; the
-input's type picks the path.  Every non-ideal branch unitary is a coupler,
-a per-photon phase and the inverse coupler, so it conserves the total
-photon number N = n0 + n1 and is kept as its 2d - 1 sector blocks (each at
-most d x d, O(d^3) numbers in all); no d^2 x d^2 W is ever formed.
-Compiling one costs O(d^4) block products; the sector eigensolves of the
-coupler are shared by every coupling angle at a cutoff.  It happens once
-per (mode, cutoff) per process: compiled branches are cached
-(``_COMPILE_CACHE_SIZE`` entries, read-only arrays), keyed by the mode with
-its Hamiltonian spec, interaction time included.  Fringes, visibility and
-delta need only the number c, computed once per run: O(d^2) for the ideal
-device (Tr(a b) on a product); for a compiled W, block by block against
-W_rel from the input's O(d^3) sector entries.  The sectors are the slices
-of :func:`qoverlap.gates.number_sectors`, so every sector read is a strided
-view (of each factor, for a product).
+input's type picks the path.  Every branch unitary conserves the total
+photon number N = n0 + n1 and has one form (:class:`_Branch`): a base, the
+flip S or the identity, plus compiled blocks on a set P of patched sectors,
+the slices of :func:`qoverlap.gates.number_sectors` (so every sector read
+is a strided view, of each factor for a product); no d^2 x d^2 W is ever
+formed.  W_up has the base S and W_dn the identity, so every mode is the
+ideal device plus patches.  The ideal device has none.  A coupler,
+per-photon phase and inverse coupler is the exact swap on every complete
+sector N <= d - 1 at its default time, so ``physical`` and each
+Hamiltonian mode at its default time patch only the d - 1 incomplete
+sectors N >= d; any other interaction time patches all 2d - 1.
+
+Every quantity is the base's closed form plus a sum over P:
+c = Tr(S rho) + sum_{N in P} Tr((W_rel,N - J) rho_NN), Tr(S rho) being
+Tr(a b) on a product, O(d^2).  A patched sector on which the input's rows
+are all 0 adds exactly nothing and is skipped; for a product the zero rows
+follow from the factors' in O(d^2).  Patches are compiled on the first run
+that needs one, for their sectors only: O(d^4) block products and one
+eigensolve per sector, shared by every coupling angle at a cutoff.  They
+are cached per process by branch and cutoff (``_COMPILE_CACHE_SIZE``
+entries, read-only arrays).  So a safe input (no population above total
+photon number d - 1) in a default-time mode compiles nothing and costs
+what the ideal device costs, at every cutoff; other inputs pay the patched
+sectors' O(d^3) entries for c.
 
 What a sweep derives from its post-measurement state is built on first
 read, each from only the part it needs.
 :attr:`ProtocolRun.post_visibility`, the visibility of a second sweep on
-the unconditional post-state, reads that state's sector-diagonal blocks,
-which follow from the input's: O(d^4).
-:attr:`ProtocolRun.reduced_post_state`, the post-state's mode-0 reduced
-state, is a partial trace of the input for the ideal device and is
-streamed one row sector at a time for a compiled W: O(d^5) time, O(d^3)
-memory.  Only :func:`run_device` and
-:attr:`ProtocolRun.post_state_unconditional` form dense d^2 x d^2
-post-states, applying each branch to rows only (W rho W'^dag as
-W (W' rho)^dag): O(d^4) for the ideal device, O(d^5) for a compiled W.
-The latter forms the unconditional post-state alone, with no cross term
-and no conditional states; no pipeline reads it.
+the unconditional post-state, is Tr(S rho) plus one O(d^3) block product
+per live patched sector.  :attr:`ProtocolRun.reduced_post_state`, the
+post-state's mode-0 reduced state, is a partial trace of the input plus,
+per branch, Tr_1(Delta rho B^dag) + Tr_1(Delta rho W^dag)^dag with
+Delta = W - B, streamed over the live patched row sectors only: O(d^3)
+memory, and O(d^5) time when every sector is live.  Only
+:func:`run_device` and :attr:`ProtocolRun.post_state_unconditional` form
+dense d^2 x d^2 post-states, applying each branch to rows only
+(W rho W'^dag as W (W' rho)^dag): the base reshuffles rows in O(d^4), and
+each live patched sector costs O(d^2) per entry of its block.  The latter
+forms the unconditional post-state alone, with no cross term and no
+conditional states; no pipeline reads it.
 
 Detector convention: with the asymmetric ancilla rotation used here, the
 "dn" detector carries the (1 + cos)-type fringe for positive overlap; only
@@ -175,15 +187,38 @@ class ProtocolRun:
         return self._kernel.post_visibility()
 
 
-_SWAP = object()  # sentinel: ideal flip, applied by index reshuffling
+@dataclass(frozen=True)
+class _Branch:
+    """A branch unitary W: a base B, the flip S or the identity, plus patches.
 
-# A branch unitary is _SWAP, None for the identity, or a compiled unitary kept
-# as a tuple of blocks: block k acts on the states gates.number_sectors(d)[k]
-# and entries between sectors are 0.  Compiled blocks are cached and shared,
-# so they are read-only.
+    W equals B outside the sectors ``patched`` (indices into
+    ``gates.number_sectors(d)``).  On each patched sector W is the block
+    X^dag exp(i phi n_m) X given by ``sandwich = (theta, phi, m)``, X the
+    coupler at theta and n_m the photon number of mode m; :func:`_compile`
+    builds the patches Delta_N = W_N - B_N on first use.
+    """
 
-# Compiled (mode, cutoff) pairs kept per process.  The device_modes benchmark
-# cycles through 15 pairs; an entry holds O(d^3) numbers (~90 KB at d = 20).
+    flip: bool
+    patched: range = range(0)
+    sandwich: tuple[float, float, int] = ()
+
+
+_FLIP = _Branch(True)
+_IDENTITY = _Branch(False)
+
+# Each Hamiltonian kind's default coupling * time.  A product within
+# _DEFAULT_ULPS ulps of it counts as the default: xi * (pi / (4 xi)) is pi / 4
+# only to within an ulp.
+_DEFAULT_ANGLE = {"linear_coupling": math.pi / 4, "dispersive_cps": math.pi, "ion_qnd": math.pi / 2}
+_DEFAULT_ULPS = 4
+
+# Compiled branches kept per process, keyed by (branch, cutoff), and as many
+# row tables, post-state patches and resolved modes.  A default-time branch
+# holds its d - 1 incomplete-sector patches, (d - 1) d (2 d - 1) / 6 real
+# numbers (~20 KB at d = 20, 45 MB at d = 256); a branch patched on every
+# sector holds (2 d^2 + 1) d / 3 numbers (~85 KB at d = 20 when complex).  A
+# row table holds d^3 complex numbers.  Safe inputs at the default time
+# compile nothing.
 _COMPILE_CACHE_SIZE = 32
 
 
@@ -203,72 +238,158 @@ def _dense_mat(rho: DeviceInput) -> np.ndarray:
     return rho.mat
 
 
-def _left(w, mat: np.ndarray, d: int) -> np.ndarray:
-    """w @ mat for a branch unitary w (the identity returns ``mat`` itself)."""
-    if w is None:
-        return mat
-    if w is _SWAP:
-        # row |n0, n1> of the result is row |n1, n0> of mat
-        return mat.reshape(d, d, -1).transpose(1, 0, 2).reshape(mat.shape)
-    out = np.empty(mat.shape, dtype=complex)
-    for sector, block in zip(gates.number_sectors(d), w):
-        out[sector.idx] = block @ mat[sector.idx]
-    return out
-
-
-def _sandwich(d: int, theta: float, phi: float, on_mode: int) -> tuple[np.ndarray, ...]:
-    """Sector blocks of X^dag exp(i phi n_m) X, X the coupler at ``theta``.
-
-    n_m is the photon number of mode ``on_mode``; the phase is diagonal on
-    each sector, D_N, so the block is X_N^dag D_N X_N.
-    """
-    phases = np.exp(1j * phi * np.arange(d))
-    blocks = []
-    for sector, x in zip(gates.number_sectors(d), gates.coupler_blocks(d, theta)):
-        block = dag(x) @ (phases[(sector.n0, sector.n1)[on_mode]][:, None] * x)
-        block.flags.writeable = False
-        blocks.append(block)
-    return tuple(blocks)
-
-
 @functools.lru_cache(maxsize=_COMPILE_CACHE_SIZE)
-def _mode_swap_operator(mode: DeviceMode, d: int):
+def _mode_swap_operator(mode: DeviceMode, d: int) -> tuple[_Branch, _Branch, _Branch]:
     """Resolve the branch unitaries (W_up, W_dn, W_rel) of the controlled step.
 
-    W_up is the sentinel ``_SWAP`` for the ideal device, otherwise the
-    sector blocks of a coupler / per-photon phase / inverse coupler
-    sandwich (:func:`_sandwich`); W_dn is None (the identity) except for
-    ``ion_qnd``.  W_rel = W_dn^dag W_up, the one unitary that c reads, is
-    W_up itself unless W_dn is compiled.  The controlled phase targets
-    mode 1 (module docstring of :mod:`qoverlap.gates`), the ion interaction
-    mode 0.  Cached per (mode, cutoff); the mode's Hamiltonian spec,
-    interaction time included, is part of the key.
+    Every mode is the ideal device, W_up = S and W_dn = 1, plus patches, and
+    W_rel = W_dn^dag W_up, the one unitary c reads, has the base S.  At its
+    default interaction time a sandwich is the exact swap on every complete
+    sector (N <= d - 1), so ``physical`` and each Hamiltonian mode at its
+    default time patch only the incomplete sectors N >= d; there W_dn is the
+    identity and W_rel is W_up.  Any other time patches every sector.  The
+    controlled phase targets mode 1 (module docstring of
+    :mod:`qoverlap.gates`), the ion interaction mode 0.  Nothing is compiled
+    here; a Hamiltonian spec must match the cutoff d.
     """
     if mode.kind == "ideal":
-        return _SWAP, None, _SWAP
+        return _FLIP, _IDENTITY, _FLIP
+    incomplete, every = range(d, 2 * d - 1), range(2 * d - 1)
+    default = _Branch(True, incomplete, (math.pi / 4, math.pi, 1))
     if mode.kind == "physical":
-        w_up = _sandwich(d, math.pi / 4, math.pi, 1)
-        return w_up, None, w_up
+        return default, _IDENTITY, default
     spec = mode.hamiltonian
     if spec.cutoff != d:
         raise ValueError(f"Hamiltonian cutoff {spec.cutoff} does not match mode cutoff {d}")
     angle = spec.coupling * spec.interaction_time
+    target = _DEFAULT_ANGLE[spec.kind]
+    at_default = abs(angle - target) <= _DEFAULT_ULPS * math.ulp(target)
+    if spec.kind == "ion_qnd":
+        # W_up, W_dn and W_rel of the module docstring; the coupler at -pi/4 is B^dag
+        if at_default:
+            w_up = _Branch(True, incomplete, (-math.pi / 4, math.pi, 0))
+            return w_up, _IDENTITY, w_up
+        return (
+            _Branch(True, every, (-math.pi / 4, math.pi / 2 + angle, 0)),
+            _Branch(False, every, (-math.pi / 4, math.pi / 2 - angle, 0)),
+            _Branch(True, every, (-math.pi / 4, 2 * angle, 0)),
+        )
+    if at_default:
+        # the coupler and the controlled phase of the physical sandwich
+        return default, _IDENTITY, default
     if spec.kind == "linear_coupling":
         # evolving under i xi (a0^dag a1 - a1^dag a0) for t is the coupler at xi t
-        w_up = _sandwich(d, angle, math.pi, 1)
-    elif spec.kind == "dispersive_cps":
-        # the |up> block of exp(-i kappa t n (x) |up><up|)
-        w_up = _sandwich(d, math.pi / 4, -angle, 1)
-    elif spec.kind == "ion_qnd":
-        # W_up, W_dn and W_rel of the module docstring; the coupler at -pi/4 is B^dag
-        return (
-            _sandwich(d, -math.pi / 4, math.pi / 2 + angle, 0),
-            _sandwich(d, -math.pi / 4, math.pi / 2 - angle, 0),
-            _sandwich(d, -math.pi / 4, 2 * angle, 0),
-        )
+        w_up = _Branch(True, every, (angle, math.pi, 1))
     else:
-        raise ValueError(f"device mode does not support Hamiltonian kind {spec.kind!r}")
-    return w_up, None, w_up
+        # dispersive_cps: the |up> block of exp(-i kappa t n (x) |up><up|)
+        w_up = _Branch(True, every, (math.pi / 4, -angle, 1))
+    return w_up, _IDENTITY, w_up
+
+
+@functools.lru_cache(maxsize=_COMPILE_CACHE_SIZE)
+def _compile(w: _Branch, d: int) -> dict[int, np.ndarray]:
+    """The patches Delta_N = W_N - B_N of branch w, keyed by sector index.
+
+    W_N is X_N^T D_N X_N, with X_N the real coupler block and D_N the phase
+    exp(i phi n_m) on the sector's states; a pi-per-photon phase is (-1)^n
+    exactly, so every default-time patch is real.  B_N is the anti-identity
+    J for the flip (number_sectors orders n0 upward) and 1 for the identity.
+    Cached per (branch, cutoff), as read-only arrays.
+    """
+    theta, phi, on_mode = w.sandwich
+    levels = np.arange(d)
+    phases = (-1.0) ** levels if phi == math.pi else np.exp(1j * phi * levels)
+    patches = {}
+    for k, x in zip(w.patched, gates.coupler_blocks(d, theta, w.patched)):
+        sector = gates.number_sectors(d)[k]
+        patch = x.T @ (phases[(sector.n0, sector.n1)[on_mode]][:, None] * x)
+        patch -= np.eye(len(x))[::-1] if w.flip else np.eye(len(x))
+        patch.flags.writeable = False
+        patches[k] = patch
+    return patches
+
+
+@functools.lru_cache(maxsize=_COMPILE_CACHE_SIZE)
+def _row_table(w: _Branch, d: int) -> np.ndarray:
+    """rows[k, j, p]: conjugate of row |k, j> of W + B at column |p, k + j - p>.
+
+    W + B is 2 B plus the patches, and row |k, j> of the base B is 1 at
+    p = j (the flip) or p = k (the identity).  Entries off the row's sector
+    are 0.  Built once per compiled branch, read-only.
+    """
+    rows = np.zeros((d, d, d), dtype=complex)
+    diag = np.arange(d)
+    if w.flip:
+        rows[:, diag, diag] = 2.0
+    else:
+        rows[diag, :, diag] = 2.0
+    flat = rows.reshape(d * d, d)
+    for k, patch in _compile(w, d).items():
+        sector = gates.number_sectors(d)[k]
+        flat[sector.idx, sector.n0] += patch.conj()
+    rows.flags.writeable = False
+    return rows
+
+
+@functools.lru_cache(maxsize=_COMPILE_CACHE_SIZE)
+def _post_patches(w_up: _Branch, w_dn: _Branch, w_rel: _Branch, d: int) -> dict[int, np.ndarray]:
+    """Patches Pi_N - J of the operator a second sweep reads off the post-state.
+
+    On (W_up rho W_up^dag + W_dn rho W_dn^dag)/2 that sweep reads
+    c' = Tr(Pi rho), Pi = (W_up^dag W_rel W_up + W_dn^dag W_rel W_dn)/2,
+    which is S off W_rel's patched sectors.  With W_dn = 1, Pi = W_rel =
+    W_up, so c' = c; only the ion away from its default time compiles Pi.
+    """
+    if not w_dn.patched:
+        return _compile(w_rel, d)
+    patches = {}
+    for k, delta in _compile(w_rel, d).items():
+        one = np.eye(len(delta))
+        up, dn, rel = _compile(w_up, d)[k] + one[::-1], _compile(w_dn, d)[k] + one, delta + one[::-1]
+        patch = 0.5 * (dag(up) @ rel @ up + dag(dn) @ rel @ dn) - one[::-1]
+        patch.flags.writeable = False
+        patches[k] = patch
+    return patches
+
+
+def _live_sectors(rho: DeviceInput, patched: range, d: int, rows: bool = False) -> list[int]:
+    """The sectors in ``patched`` where the input's diagonal block is not all 0.
+
+    With ``rows`` they are the sectors where one of the input's rows is not
+    all 0.  On every other sector a patch meets exact zeros, so it is
+    skipped.  For a product the zero rows decide both: row |n0, n1> of
+    a (x) b is a[n0] (x) b[n1], nonzero only if both factor rows are, which
+    the factors tell in O(d^2).  Populations would not tell it:
+    DensityMatrix does not check positivity.  When every sector is patched
+    the input reaches some, so all are compiled anyway and none is checked.
+    """
+    if len(patched) in (0, 2 * d - 1):
+        return list(patched)
+    if isinstance(rho, ProductState):
+        pairs = np.convolve(rho.a.mat.any(axis=1), rho.b.mat.any(axis=1))
+        return [k for k in patched if pairs[k]]
+    sectors = gates.number_sectors(d)
+    return [k for k in patched if rho.mat[sectors[k].idx, slice(None) if rows else sectors[k].idx].any()]
+
+
+def _left(w: _Branch, mat: np.ndarray, d: int) -> np.ndarray:
+    """w @ mat for a branch unitary w (the unpatched identity returns ``mat`` itself).
+
+    The base reshuffles rows; a patched sector adds its patch times its
+    rows of ``mat``, unless those are all 0.
+    """
+    sectors = gates.number_sectors(d)
+    live = [k for k in w.patched if mat[sectors[k].idx].any()]
+    if w.flip:
+        # row |n0, n1> of the result is row |n1, n0> of mat
+        out = mat.reshape(d, d, -1).transpose(1, 0, 2).reshape(mat.shape)
+    elif live:
+        out = mat.copy()
+    else:
+        return mat
+    for k in live:
+        out[sectors[k].idx] += _compile(w, d)[k] @ mat[sectors[k].idx]
+    return out
 
 
 def _sector_block(rho: DeviceInput, sector: gates.Sector) -> np.ndarray:
@@ -286,64 +407,46 @@ def _sector_rows(rho: DeviceInput, sector: gates.Sector) -> np.ndarray:
     return rho.mat[sector.idx]
 
 
-def _sector_conj(w, k: int, block: np.ndarray) -> np.ndarray:
-    """W_N block W_N^dag on sector k for a branch unitary w."""
-    if w is None:
-        return block
-    if w is _SWAP:
-        # number_sectors orders n0 upward, so the flip is the anti-identity J
-        return block[::-1, ::-1]
-    return w[k] @ block @ dag(w[k])
+def _flip_trace(rho: DeviceInput, d: int) -> complex:
+    """Tr(S rho), the ideal device's c, without any d^2 x d^2 matrix product."""
+    if isinstance(rho, ProductState):
+        return complex(np.sum(rho.a.mat * rho.b.mat.T))  # Tr(S (a x b)) = Tr(a b)
+    return complex(np.einsum("ijji", rho.mat.reshape(d, d, d, d)))
 
 
-def _sector_trace(w_rel, k: int, block: np.ndarray) -> complex:
-    """Tr(W_rel,N block) on sector k."""
-    if w_rel is _SWAP:
-        return np.trace(block[::-1])  # Tr(J block)
-    return (w_rel[k] * block.T).sum()
+def _reduced_branch(rho: DeviceInput, w: _Branch, d: int) -> np.ndarray:
+    """Tr_1(W rho W^dag) up to an anti-Hermitian part, as a fresh d x d array.
 
-
-def _fringe_coefficient(rho: DeviceInput, w_rel, d: int) -> complex:
-    """c = Tr(W_rel rho), without any d^2 x d^2 matrix product."""
-    if w_rel is _SWAP:
-        if isinstance(rho, ProductState):
-            return complex(np.sum(rho.a.mat * rho.b.mat.T))  # Tr(flip (a x b)) = Tr(a b)
-        return complex(np.einsum("ijji", rho.mat.reshape(d, d, d, d)))
-    c = 0j
-    for k, sector in enumerate(gates.number_sectors(d)):
-        c += _sector_trace(w_rel, k, _sector_block(rho, sector))
-    return complex(c)
-
-
-def _reduced_branch(rho: DeviceInput, w, d: int) -> np.ndarray:
-    """Tr_1(W rho W^dag) for a branch unitary w, as a fresh d x d array.
-
-    The identity and the flip leave a partial trace of the input (Tr(b) a
-    and Tr(a) b on a product).  A compiled W is streamed one row sector of
-    W rho at a time: row |i, j> of W rho W^dag meets column |k, j> as the
-    dot product of that row with row |k, j> of W, which lives on the sector
-    of total photon number k + j.  O(d^5) time and O(d^3) memory.
+    With Delta = W - B, Tr_1(W rho W^dag) = Tr_1(B rho B^dag) +
+    Tr_1(Delta rho B^dag) + Tr_1(Delta rho W^dag)^dag; the caller keeps the
+    Hermitian part, so the last term may enter undaggered, and the two
+    Delta terms are Tr_1(Delta rho (W + B)^dag).  The base term is a
+    partial trace of the input (Tr(b) a and Tr(a) b on a product).  Delta
+    rho lives on the patched sectors' rows that are not all 0 and is
+    streamed one row sector at a time: row |i, j> meets column |k, j> of
+    (W + B)^dag as the dot product with row |k, j> of W + B, which lives
+    on the sector of total photon number k + j (:func:`_row_table`).
+    O(d^3) memory, and O(d^3) time per row.
     """
-    if w is None or w is _SWAP:
-        if isinstance(rho, ProductState):
-            a, b = (rho.a.mat, rho.b.mat) if w is None else (rho.b.mat, rho.a.mat)
-            return np.trace(b) * a
-        return np.einsum("ijkj->ik" if w is None else "jijk->ik", rho.mat.reshape(d, d, d, d))
-    sectors = gates.number_sectors(d)
-    # w_rows[k, j, p]: conjugate of row |k, j> of W at column |p, k + j - p>, 0 off its sector
-    w_rows = np.zeros((d * d, d), dtype=complex)
-    for sector, block in zip(sectors, w):
-        w_rows[sector.idx, sector.n0] = block.conj()
-    w_rows = w_rows.reshape(d, d, d)
-    out = np.zeros((d, d), dtype=complex)
-    for sector, block in zip(sectors, w):
-        w_rho = block @ _sector_rows(rho, sector)
-        # Row r of w_rho is row |i, j> of W rho, with j = top - r; its column
-        # |p, k + j - p> sits at flat index k + j + p (d - 1).  picked[r, k, p]
-        # reads it as a strided view; where no such state exists it reads
-        # another state's entry, which meets a 0 of w_rows.
-        top, (row, item) = sector.n1.start, w_rho.strides
-        picked = np.ndarray((len(w_rho), d, d), complex, w_rho, top * item, (row - item, item, (d - 1) * item))
+    if isinstance(rho, ProductState):
+        a, b = (rho.b.mat, rho.a.mat) if w.flip else (rho.a.mat, rho.b.mat)
+        out = np.trace(b) * a
+    else:
+        out = np.einsum("jijk->ik" if w.flip else "ijkj->ik", rho.mat.reshape(d, d, d, d))
+    live = _live_sectors(rho, w.patched, d, rows=True)
+    if not live:
+        return out
+    patches, w_rows = _compile(w, d), _row_table(w, d)
+    for k in live:
+        sector = gates.number_sectors(d)[k]
+        rows = _sector_rows(rho, sector)
+        delta_rho = patches[k] @ rows
+        # Row r of delta_rho is row |i, j> of Delta rho, with j = top - r; its
+        # column |p, k + j - p> sits at flat index k + j + p (d - 1).
+        # picked[r, k, p] reads it as a strided view; where no such state
+        # exists it reads another state's entry, which meets a 0 of w_rows.
+        top, (row, item) = sector.n1.start, delta_rho.strides
+        picked = np.ndarray((len(rows), d, d), complex, delta_rho, top * item, (row - item, item, (d - 1) * item))
         mine = w_rows[:, sector.n1].transpose(1, 0, 2)  # mine[r] = w_rows[:, top - r]
         out[sector.n0] += np.einsum("rkp,rkp->rk", picked, mine)
     return out
@@ -356,7 +459,18 @@ class _DeviceKernel:
         self.rho = rho
         self.d = _require_mode_pair(rho.space)
         self.w_up, self.w_dn, self.w_rel = _mode_swap_operator(mode, self.d)
-        self.c = _fringe_coefficient(rho, self.w_rel, self.d)
+        # W_rel patches every sector another branch patches; the live ones
+        # are those whose blocks c and post_visibility read
+        self.live = _live_sectors(rho, self.w_rel.patched, self.d)
+        self.c = self._ideal_plus(_compile(self.w_rel, self.d) if self.live else {})
+
+    def _ideal_plus(self, patches: dict[int, np.ndarray]) -> complex:
+        """Tr(S rho) plus Tr(patch_N rho_NN) on each live sector."""
+        c = _flip_trace(self.rho, self.d)
+        sectors = gates.number_sectors(self.d)
+        for k in self.live:
+            c += (patches[k] * _sector_block(self.rho, sectors[k]).T).sum()
+        return complex(c)
 
     def reduced_post(self) -> DensityMatrix:
         """Mode-0 state of the unconditional post-state (W_up rho W_up^dag + W_dn rho W_dn^dag)/2."""
@@ -367,18 +481,13 @@ class _DeviceKernel:
         return DensityMatrix(CompositeSpace((self.d,)), mixed)
 
     def post_visibility(self) -> float:
-        """|c| of the unconditional post-state, from its sector-diagonal blocks.
+        """|c'| of the unconditional post-state, c' = Tr(Pi rho) (:func:`_post_patches`).
 
-        W_up and W_dn conserve the photon number, so the post-state's block
-        on sector N is (W_up,N rho_NN W_up,N^dag + W_dn,N rho_NN W_dn,N^dag)/2
-        and needs only the input's block rho_NN: O(d^4) in all.
+        Pi conserves the photon number, so c' needs only the input's
+        sector-diagonal blocks: Tr(S rho) plus the live sectors' patches.
         """
-        c = 0j
-        for k, sector in enumerate(gates.number_sectors(self.d)):
-            block = _sector_block(self.rho, sector)
-            mixed = _sector_conj(self.w_up, k, block) + _sector_conj(self.w_dn, k, block)
-            c += _sector_trace(self.w_rel, k, mixed)
-        return float(abs(0.5 * c))
+        post = _post_patches(self.w_up, self.w_dn, self.w_rel, self.d) if self.live else {}
+        return float(abs(self._ideal_plus(post)))
 
     def _branch_sum(self, rho: np.ndarray, up_rho: np.ndarray) -> np.ndarray:
         """W_up rho W_up^dag + W_dn rho W_dn^dag from rho and W_up rho.

@@ -90,6 +90,23 @@ def _literal_controlled_step(mode, d: int) -> np.ndarray:
     return on_modes(coupler) @ phase_fix @ tensor(gate, np.eye(d)) @ on_modes(coupler.conj().T)
 
 
+def _ancilla_basis(mode) -> np.ndarray:
+    """Columns: the ancilla states read as "up" and "dn" (|-> and |+> for the ion layout)."""
+    if mode.kind == "hamiltonian" and mode.hamiltonian.kind == "ion_qnd":
+        return np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2)
+    return np.eye(2)
+
+
+def literal_branches(mode, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The dense d^2 x d^2 branches (W_up, W_dn) of the literal controlled step.
+
+    The step is P_up (x) W_up + P_dn (x) W_dn in the layout's ancilla basis,
+    so each branch is the step's block between one basis state and itself.
+    """
+    blocks = _literal_controlled_step(mode, d).reshape(2, d * d, 2, d * d)
+    return tuple(np.einsum("a,aibj,b->ij", v.conj(), blocks, v) for v in _ancilla_basis(mode).T)
+
+
 def literal_device_run(rho_joint, psi: float, mode, controlled_step: bool = True) -> LiteralRun:
     """One device run by literal conjugation of the full ancilla (x) modes state.
 
@@ -103,9 +120,7 @@ def literal_device_run(rho_joint, psi: float, mode, controlled_step: bool = True
     """
     mat = tensor(rho_joint.a.mat, rho_joint.b.mat) if isinstance(rho_joint, ProductState) else rho_joint.mat
     d = rho_joint.space.dims[0]
-    ion = mode.kind == "hamiltonian" and mode.hamiltonian.kind == "ion_qnd"
-    # columns: the ancilla states read as "up" and "dn"
-    basis = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2) if ion else np.eye(2)
+    basis = _ancilla_basis(mode)
     rot = basis @ hadamard().mat @ basis.conj().T
     phase = basis @ phase_shift(psi).mat @ basis.conj().T
     step = _literal_controlled_step(mode, d) if controlled_step else np.eye(2 * d * d)

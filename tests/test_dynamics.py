@@ -173,6 +173,17 @@ def test_ion_spec_validation():
         run_device(joint, 0.0, hamiltonian_mode(ion_qnd(1.0, 5)))
 
 
+@pytest.mark.parametrize("make", [linear_coupling, dispersive_cps], ids=["linear_coupling", "dispersive_cps"])
+def test_spec_cutoff_is_checked_on_safe_inputs(make):
+    # A safe input at the default time compiles nothing; the spec is still checked.
+    joint = tensor_states(fock(0, 4), fock(0, 4))
+    for mode in (hamiltonian_mode(make(1.0, 5)), hamiltonian_mode(make(1.0, 3))):
+        with pytest.raises(ValueError, match="does not match"):
+            run_device(joint, 0.0, mode)
+        with pytest.raises(ValueError, match="does not match"):
+            sweep_visibility(joint, mode=mode)
+
+
 def test_all_hamiltonian_realizations_match_ideal_visibility():
     a, b, joint = safe_pair(3, 8, 820, 821)
     v_ideal = sweep_visibility(joint, mode=IDEAL).visibility

@@ -136,13 +136,26 @@ def test_couplers_at_one_cutoff_share_one_eigensolve_per_sector(monkeypatch):
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda h: solved.append(h.shape) or eigh(h))
     for theta in (np.pi / 4, -np.pi / 4, 0.37, np.pi / 8):
-        for sector, block in zip(number_sectors(d), coupler_blocks(d, theta)):
-            # the same numbers as a fresh solve of the sector's generator
+        for k, (sector, block) in enumerate(zip(number_sectors(d), coupler_blocks(d, theta))):
+            # the sector's one eigensystem (w, v) of the real generator T,
+            # h = D T D^dag with D = diag(i^j): block = D v exp(-i theta w) v^T D^dag
+            w, v = gates._coupler_eigensystem(d, k)
             n0, n1 = np.divmod(np.arange(d * d)[sector.idx][:-1], d)
-            h = np.diag(1j * np.sqrt((n0 + 1.0) * n1), -1)
-            w, v = eigh(h + h.conj().T)
-            assert np.array_equal(block, (v * np.exp(-1j * theta * w)) @ v.conj().T)
-    assert len(solved) == 2 * d - 1
+            off = np.sqrt((n0 + 1.0) * n1)
+            generator = np.diag(off, -1) + np.diag(off, 1)
+            assert np.abs(generator @ v - v * w).max() < 1e-12
+            assert np.abs(v.T @ v - np.eye(len(w))).max() < 1e-12
+            j = np.arange(len(w))
+            u = v * (1 - 2 * (j // 2 % 2))[:, None]
+            parity = np.subtract.outer(j % 2, j % 2)
+            assert np.array_equal(block, (u * np.cos(theta * w)) @ u.T + parity * ((u * np.sin(theta * w)) @ u.T))
+            dv = np.array([1, 1j, -1, -1j])[j % 4][:, None] * v
+            assert np.abs(block - (dv * np.exp(-1j * theta * w)) @ dv.conj().T).max() < 1e-12
+    # each sector of m states is solved once, as two eigenproblems of half its size
+    # (a single state needs none)
+    halves = sorted(size for m in range(2, d + 1) for size in (m // 2, (m + 1) // 2) for _ in range(1 + (m < d)))
+    assert sorted(shape[0] for shape in solved) == halves
+    assert all(slot is not None for slot in gates._coupler_eigensystems(d))
 
 
 def test_cps_passive_branch_untouched(rng):

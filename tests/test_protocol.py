@@ -32,8 +32,9 @@ from qoverlap import (
     werner,
     witness_delta,
 )
+from qoverlap.gates import number_sectors
 from qoverlap.observables import flip_expectation, overlap_direct, purity_direct
-from conftest import literal_device_run, random_joint_state
+from conftest import embed_mode_state, literal_branches, literal_device_run, random_joint_state
 
 
 def product_input(d, seed_a, seed_b, rank_a=None, rank_b=None):
@@ -101,8 +102,17 @@ def test_factored_engine_matches_literal_gate_sequence(label):
             assert abs(run.delta - (star.p_up - star.p_down)) < 1e-12
 
 
+def sector_unitary(w, k, d):
+    """Block k of a branch unitary: the base's (J or 1), plus its patch if compiled."""
+    from qoverlap.protocol import _compile
+
+    size = len(range(d * d)[number_sectors(d)[k].idx])
+    base = np.eye(size)[::-1] if w.flip else np.eye(size)
+    return base + _compile(w, d)[k] if k in w.patched else base
+
+
 def test_compiled_branches_cached_per_mode_and_interaction_time():
-    from qoverlap.protocol import _mode_swap_operator
+    from qoverlap.protocol import _compile, _mode_swap_operator
 
     d = 3
     rho = random_joint_state(d, 77)
@@ -112,7 +122,11 @@ def test_compiled_branches_cached_per_mode_and_interaction_time():
         (linear_coupling(1.0, d), linear_coupling(1.0, d, interaction_time=np.pi / 8)),
     ]
     modes = [hamiltonian_mode(spec) for pair in pairs for spec in pair]
-    _mode_swap_operator.cache_clear()
+    # the ion at its default time compiles W_up (= W_rel), at 0.83 t all three
+    # branches, and linear coupling one W_up at each time
+    compiled = 1 + 3 + 1 + 1
+    _compile.cache_clear()
+    hits = []
     for repeat in range(2):
         for mode in modes:
             r = run_device(rho, 0.9, mode)
@@ -120,29 +134,37 @@ def test_compiled_branches_cached_per_mode_and_interaction_time():
             assert abs(r.p_up - lit.p_up) < 1e-12
             assert np.abs(r.post_up.mat - lit.post_up).max() < 1e-12
         # a repeated (mode, cutoff) is served from the cache, never recompiled
-        info = _mode_swap_operator.cache_info()
-        assert (info.misses, info.hits) == (len(modes), repeat * len(modes))
-    w_up, w_dn, w_rel = _mode_swap_operator(modes[0], d)
-    for array in (w_up[1], w_dn[1], w_rel[1]):
-        with pytest.raises(ValueError):
-            array[0] = 0
-    # W_rel = W_dn^dag W_up for the ion; every other mode reads W_up itself
-    for k in range(2 * d - 1):
-        assert np.abs(w_rel[k] - w_dn[k].conj().T @ w_up[k]).max() < 1e-12
+        info = _compile.cache_info()
+        hits.append(info.hits)
+        assert info.misses == compiled
+    assert hits[1] > hits[0]
+    for mode in modes[:2]:
+        branches = [w for w in _mode_swap_operator(mode, d) if w.patched]
+        assert branches
+        for w in branches:
+            for array in _compile(w, d).values():
+                with pytest.raises(ValueError):
+                    array[0] = 0
+        # W_rel = W_dn^dag W_up for the ion, on every sector
+        w_up, w_dn, w_rel = _mode_swap_operator(mode, d)
+        for k in range(2 * d - 1):
+            want = sector_unitary(w_dn, k, d).conj().T @ sector_unitary(w_up, k, d)
+            assert np.abs(sector_unitary(w_rel, k, d) - want).max() < 1e-12
+    # every other mode reads W_up itself, and W_dn is the identity
     w_up, w_dn, w_rel = _mode_swap_operator(modes[2], d)
-    assert w_dn is None and w_rel is w_up
+    assert not w_dn.flip and not w_dn.patched and w_rel is w_up
 
 
 def test_device_never_compiles_through_time_evolution(monkeypatch):
     from qoverlap import dynamics, linalg
-    from qoverlap.protocol import _mode_swap_operator
+    from qoverlap.protocol import _compile
 
     def refuse(*args, **kwargs):
         raise AssertionError("compiled a branch by evolving a dense Hamiltonian")
 
     monkeypatch.setattr(dynamics, "realize_gate", refuse)
     monkeypatch.setattr(linalg, "exp_unitary", refuse)
-    _mode_swap_operator.cache_clear()
+    _compile.cache_clear()
     d = 4
     a, b, product = product_input(d, 41, 42)
     for make in ORACLE_MODES.values():
@@ -546,3 +568,149 @@ def test_post_state_quantities_match_the_dense_post_state(label, d, seeds, ranks
     assert reduced.space.dims == (d,)
     assert np.abs(reduced.mat - partial_trace(dense, 0).mat).max() < 1e-12
     assert abs(run.post_visibility - sweep_visibility(dense, mode=mode).visibility) < 1e-12
+
+
+# Every mode is the ideal device plus patches on the sectors it changes.
+
+DEFAULT_TIME_MODES = {
+    "physical": lambda d: PHYSICAL,
+    "hamiltonian:linear_coupling": lambda d: hamiltonian_mode(linear_coupling(1.0, d)),
+    "hamiltonian:dispersive_cps": lambda d: hamiltonian_mode(dispersive_cps(1.0, d)),
+    "hamiltonian:ion_qnd": lambda d: hamiltonian_mode(ion_qnd(1.0, d)),
+}
+
+
+def sandwich_oracle(rho, mode):
+    """c, post_visibility, the reduced and the unconditional post-state from the dense branches."""
+    d = rho.space.dims[0]
+    mat = tensor(rho.a.mat, rho.b.mat) if isinstance(rho, ProductState) else rho.mat
+    w_up, w_dn = literal_branches(mode, d)
+    w_rel = w_dn.conj().T @ w_up
+    post = 0.5 * (w_up @ mat @ w_up.conj().T + w_dn @ mat @ w_dn.conj().T)
+    reduced = np.einsum("ijkj->ik", post.reshape(d, d, d, d))
+    return np.trace(w_rel @ mat), abs(np.trace(w_rel @ post)), reduced, post
+
+
+def unsafe_population(rho):
+    d = rho.space.dims[0]
+    if isinstance(rho, ProductState):
+        pops = np.outer(np.diag(rho.a.mat).real, np.diag(rho.b.mat).real)
+    else:
+        pops = np.diag(rho.mat).real.reshape(d, d)
+    return pops[np.add.outer(np.arange(d), np.arange(d)) > d - 1].sum()
+
+
+@pytest.mark.parametrize("label", list(DEFAULT_TIME_MODES))
+@settings(max_examples=15, deadline=None)
+@given(
+    d=st.integers(2, 8),
+    seeds=st.tuples(st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1)),
+    as_product=st.booleans(),
+)
+def test_unsafe_inputs_match_the_full_sandwich(label, d, seeds, as_product):
+    # Full-support Ginibre states reach every incomplete sector N >= d.
+    if as_product:
+        rho = ProductState(ginibre_mixed(d, d, seeds[0]), ginibre_mixed(d, d, seeds[1]))
+    else:
+        rho = random_joint_state(d, seeds[0])
+    mode = DEFAULT_TIME_MODES[label](d)
+    run = sweep_visibility(rho, mode=mode)
+    c, post_visibility, reduced, post = sandwich_oracle(rho, mode)
+    assert abs(run._kernel.c - c) < 1e-12
+    assert abs(run.post_visibility - post_visibility) < 1e-12
+    assert np.abs(run.reduced_post_state.mat - reduced).max() < 1e-12
+    assert np.abs(run.post_state_unconditional.mat - post).max() < 1e-12
+    # the patches are the model's whole truncation error
+    assert abs(run._kernel.c - sweep_visibility(rho)._kernel.c) <= 2 * unsafe_population(rho) + 1e-12
+
+
+def count_eigh(monkeypatch):
+    solved = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: solved.append(h.shape) or eigh(h))
+    return solved
+
+
+@pytest.mark.parametrize("label", list(DEFAULT_TIME_MODES))
+def test_safe_inputs_compile_nothing_at_the_default_time(monkeypatch, label):
+    from qoverlap import gates
+    from qoverlap.protocol import _compile
+
+    d = 9
+    # Safe sector: levels <= (d - 1) // 2, where every mode is exact.
+    a = embed_mode_state(ginibre_mixed(5, 5, 120), d)
+    b = embed_mode_state(ginibre_mixed(5, 3, 121), d)
+    joint = tensor_states(a, b)
+    mode = DEFAULT_TIME_MODES[label](d)
+    _compile.cache_clear()
+    gates._coupler_eigensystems.cache_clear()
+    solved = count_eigh(monkeypatch)
+    for rho in (ProductState(a, b), joint):
+        run, ideal = sweep_visibility(rho, mode=mode), sweep_visibility(rho)
+        # the ideal device's numbers, not merely close to them
+        assert run._kernel.c == ideal._kernel.c
+        assert run.post_visibility == ideal.post_visibility
+        assert np.array_equal(run.reduced_post_state.mat, ideal.reduced_post_state.mat)
+    assert hs_distance(a, b, MeasurementSettings(mode=mode)).abs_error < 1e-12
+    assert _compile.cache_info().misses == 0
+    assert solved == []
+
+
+def test_unsafe_input_solves_exactly_the_incomplete_sectors(monkeypatch):
+    from qoverlap import gates
+    from qoverlap.protocol import _compile
+
+    d = 6
+    _compile.cache_clear()
+    gates._coupler_eigensystems.cache_clear()
+    solved = count_eigh(monkeypatch)
+    rho = ProductState(ginibre_mixed(d, d, 130), ginibre_mixed(d, d, 131))
+    run = sweep_visibility(rho, mode=PHYSICAL)
+    run.post_visibility, run.reduced_post_state, run.post_state_unconditional
+    slots = gates._coupler_eigensystems(d)
+    assert [k for k, slot in enumerate(slots) if slot is not None] == list(range(d, 2 * d - 1))
+    # sectors N = d .. 2d - 2 hold d - 1 .. 1 states, each solved as two halves
+    halves = [size for m in range(d - 1, 1, -1) for size in ((m + 1) // 2, m // 2)]
+    assert [shape[0] for shape in solved] == halves
+
+
+def test_reduced_reads_build_the_row_table_once():
+    from qoverlap.protocol import _row_table
+
+    d = 5
+    _row_table.cache_clear()
+    for seed in (140, 141):
+        rho = ProductState(ginibre_mixed(d, d, seed), ginibre_mixed(d, d, seed + 10))
+        run = sweep_visibility(rho, mode=PHYSICAL)
+        _, _, reduced, _ = sandwich_oracle(rho, PHYSICAL)
+        assert np.abs(run.reduced_post_state.mat - reduced).max() < 1e-12
+    # one compiled branch (W_up; W_dn is the identity), one table
+    info = _row_table.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "make, default",
+    [(linear_coupling, np.pi / 4), (dispersive_cps, np.pi), (ion_qnd, np.pi / 2)],
+    ids=["linear_coupling", "dispersive_cps", "ion_qnd"],
+)
+def test_default_time_tolerance_from_both_sides(make, default):
+    from qoverlap.protocol import _mode_swap_operator
+
+    d = 4
+    rho = random_joint_state(d, 150)
+    incomplete, every = range(d, 2 * d - 1), range(2 * d - 1)
+    for time, patched in (
+        (np.nextafter(default, 0.0), incomplete),
+        (np.nextafter(default, 4.0), incomplete),
+        (default * (1 - 1e-9), every),
+        (default * (1 + 1e-9), every),
+    ):
+        mode = hamiltonian_mode(make(1.0, d, interaction_time=time))
+        assert _mode_swap_operator(mode, d)[0].patched == patched
+        run = sweep_visibility(rho, mode=mode)
+        c, post_visibility, reduced, post = sandwich_oracle(rho, mode)
+        assert abs(run._kernel.c - c) < 1e-12
+        assert abs(run.post_visibility - post_visibility) < 1e-12
+        assert np.abs(run.reduced_post_state.mat - reduced).max() < 1e-12
+        assert np.abs(run.post_state_unconditional.mat - post).max() < 1e-12
