@@ -78,7 +78,6 @@ class Sector(NamedTuple):
 _CUTOFF_CACHE_SIZE = 8
 
 
-
 @functools.lru_cache(maxsize=_CUTOFF_CACHE_SIZE)
 def number_sectors(cutoff: int) -> tuple[Sector, ...]:
     """The states |n0, N - n0> of each total photon number N, as slices.

@@ -7,9 +7,9 @@ Hamiltonian-compiled), a final ancilla rotation, and reads out the ancilla.
 Every supported controlled step has the exact form
 ``P_up (x) W_up + P_dn (x) W_dn`` with mode-only unitaries.  W_dn is the
 identity for every mode but the trapped-ion layout away from its default
-time.  W_up is the exact flip
-for the ideal device; every other branch is X^dag exp(i phi n_m) X, a coupler
-X at angle theta around a phase phi per photon on mode m (:func:`_compile`).
+time.  W_up is the exact flip for the ideal device; every other branch is
+X^dag exp(i phi n_m) X, a coupler X at angle theta around a phase phi per
+photon on mode m (:func:`_compile`).
 Commuting the ancilla gates through that structure collapses the whole
 sequence into two Kraus operators acting on the modes alone,
 
@@ -41,46 +41,45 @@ with c = Tr(W_dn^dag W_up rho) = Tr(W_rel rho):
 
 Cost model.  The device input is either a dense joint ``DensityMatrix`` or a
 :class:`~qoverlap.linalg.ProductState` ``a (x) b`` kept as its factors; the
-input's type picks the path.  Every branch unitary conserves the total
-photon number N = n0 + n1 and has one form (:class:`_Branch`): a base, the
-flip S or the identity, plus compiled blocks on a set P of patched sectors,
-the slices of :func:`qoverlap.gates.number_sectors` (so every sector read
-is a strided view, of each factor for a product); no d^2 x d^2 W is ever
-formed.  W_up has the base S and W_dn the identity, so every mode is the
-ideal device plus patches.  The ideal device has none.  A coupler,
-per-photon phase and inverse coupler is the exact swap on every complete
-sector N <= d - 1 at its default time, so ``physical`` and each
+input's type picks the path.  Every branch conserves the total photon
+number N = n0 + n1 and has one form (:class:`_Branch`): a base B, the flip
+S for W_up and W_rel and the identity for W_dn, plus patches
+Delta_N = W_N - B_N on a set P of sectors, the slices of
+:func:`qoverlap.gates.number_sectors` (every sector read is a strided view,
+of each factor for a product); no d^2 x d^2 W is ever formed.  So every
+mode is the ideal device plus patches, and the ideal device has none.  At
+its default time a coupler, per-photon phase and inverse coupler is the
+exact swap on every complete sector N <= d - 1, so ``physical`` and each
 Hamiltonian mode at its default time patch only the d - 1 incomplete
 sectors N >= d; any other interaction time patches all 2d - 1.
 
-Every quantity is the base's closed form plus a sum over P:
-c = Tr(S rho) + sum_{N in P} Tr((W_rel,N - J) rho_NN), Tr(S rho) being
-Tr(a b) on a product, O(d^2).  A patched sector on which the input's rows
-are all 0 adds exactly nothing and is skipped; for a product the zero rows
-follow from the factors' in O(d^2).  Patches are compiled on the first run
-that needs one, for their sectors only: O(d^4) block products and one
-eigensolve per sector, shared by every coupling angle at a cutoff.  They
-are cached per process by branch and cutoff (``_COMPILE_CACHE_SIZE``
-entries, read-only arrays).  So a safe input (no population above total
-photon number d - 1) in a default-time mode compiles nothing and costs
-what the ideal device costs, at every cutoff; other inputs pay the patched
-sectors' O(d^3) entries for c.
+Every quantity is the ideal closed form plus a sum over P.  The fringe
+number is c = Tr(S rho) + sum_{N in P} Tr(Delta_N rho_NN), with Tr(S rho) =
+Tr(a b) on a product, O(d^2).  A patched sector whose input block is all 0
+adds exactly nothing and is skipped (for a product, whose input rows are
+all 0, which the factors tell in O(d^2)).  Patches are compiled on the
+first run that needs one, for their sectors only: O(d^4) block products
+and one eigensolve per sector, shared by every coupling angle at a cutoff,
+cached per process (``_COMPILE_CACHE_SIZE`` entries, read-only arrays).  A
+safe input (no population above total photon number d - 1) in a
+default-time mode therefore compiles nothing and costs what the ideal
+device costs, at every cutoff; any other input pays O(d^3) for c.
 
 What a sweep derives from its post-measurement state is built on first
 read, each from only the part it needs.
 :attr:`ProtocolRun.post_visibility`, the visibility of a second sweep on
-the unconditional post-state, is Tr(S rho) plus one O(d^3) block product
-per live patched sector.  :attr:`ProtocolRun.reduced_post_state`, the
-post-state's mode-0 reduced state, is a partial trace of the input plus,
-per branch, Tr_1(Delta rho B^dag) + Tr_1(Delta rho W^dag)^dag with
-Delta = W - B, streamed over the live patched row sectors only: O(d^3)
-memory, and O(d^5) time when every sector is live.  Only
-:func:`run_device` and :attr:`ProtocolRun.post_state_unconditional` form
-dense d^2 x d^2 post-states, applying each branch to rows only
-(W rho W'^dag as W (W' rho)^dag): the base reshuffles rows in O(d^4), and
-each live patched sector costs O(d^2) per entry of its block.  The latter
-forms the unconditional post-state alone, with no cross term and no
-conditional states; no pipeline reads it.
+the unconditional post-state, is Tr(Pi rho) for an operator Pi compiled
+the same way (Pi = W_rel when W_dn = 1), so it costs what c costs.
+:attr:`ProtocolRun.reduced_post_state`, the post-state's mode-0 reduced
+state, is a partial trace of the input plus, per branch, a correction
+streamed over the patched sectors' nonzero input rows: O(d^3) memory, and
+O(d^5) time when every sector is reached.  Only :func:`run_device` and
+:attr:`ProtocolRun.post_state_unconditional` form dense d^2 x d^2
+post-states, applying each branch to rows only (W rho W'^dag as
+W (W' rho)^dag): the base reshuffles rows in O(d^4), and each patched
+sector with nonzero rows adds its patch times them.  The latter forms the
+unconditional post-state alone, with no cross term and no conditional
+states; no pipeline reads it.
 
 Detector convention: with the asymmetric ancilla rotation used here, the
 "dn" detector carries the (1 + cos)-type fringe for positive overlap; only

@@ -714,3 +714,24 @@ def test_default_time_tolerance_from_both_sides(make, default):
         assert abs(run.post_visibility - post_visibility) < 1e-12
         assert np.abs(run.reduced_post_state.mat - reduced).max() < 1e-12
         assert np.abs(run.post_state_unconditional.mat - post).max() < 1e-12
+
+
+def test_rows_outside_the_diagonal_blocks_still_reach_the_patches():
+    # DensityMatrix does not check positivity: this input couples the empty
+    # states |1, d-1> and |d-1, d-1> of sectors d and 2d - 2, so every
+    # patched sector's diagonal block is 0 but two of their rows are not.
+    from qoverlap import CompositeSpace
+
+    d = 4
+    a = embed_mode_state(ginibre_mixed(2, 2, 160), d)
+    mat = np.kron(a.mat, a.mat)
+    mat[d + d - 1, -1] = mat[-1, d + d - 1] = 0.05
+    rho = DensityMatrix(CompositeSpace((d, d)), mat)
+    for label, make in DEFAULT_TIME_MODES.items():
+        mode = make(d)
+        run = sweep_visibility(rho, mode=mode)
+        c, post_visibility, reduced, post = sandwich_oracle(rho, mode)
+        assert abs(run._kernel.c - c) < 1e-12, label
+        assert abs(run.post_visibility - post_visibility) < 1e-12, label
+        assert np.abs(run.reduced_post_state.mat - reduced).max() < 1e-12, label
+        assert np.abs(run.post_state_unconditional.mat - post).max() < 1e-12, label
