@@ -386,8 +386,9 @@ def _left(w: _Branch, mat: np.ndarray, d: int) -> np.ndarray:
         out = mat.copy()
     else:
         return mat
+    patches = _compile(w, d) if live else {}
     for k in live:
-        out[sectors[k].idx] += _compile(w, d)[k] @ mat[sectors[k].idx]
+        out[sectors[k].idx] += patches[k] @ mat[sectors[k].idx]
     return out
 
 
