@@ -125,44 +125,12 @@ def _coupler_eigensystem(cutoff: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         sector = number_sectors(cutoff)[k]
         levels = np.arange(cutoff)
         n0, n1 = levels[sector.n0][:-1], levels[sector.n1][:-1]
-        w, v = _mirror_eigh(np.sqrt((n0 + 1.0) * n1))
+        off = np.sqrt((n0 + 1.0) * n1)
+        w, v = np.linalg.eigh(np.diag(off, -1) + np.diag(off, 1))
         w.flags.writeable = False
         v.flags.writeable = False
         slots[k] = (w, v)
     return slots[k]
-
-
-def _tridiagonal(off: np.ndarray) -> np.ndarray:
-    return np.diag(off, -1) + np.diag(off, 1)
-
-
-def _mirror_eigh(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of T, symmetric tridiagonal with zero diagonal and ``off`` beside it.
-
-    ``off`` reads the same backwards (on a sector, n0 <-> n1 maps
-    (n0 + 1) n1 onto itself), so T commutes with the reversal J and its
-    eigenvectors are [u; J u] and [u; -J u] over sqrt(2), with a middle
-    entry in the first kind when the size is odd: two eigensolves of half
-    the size, a quarter of the work of one.
-    """
-    half = (len(off) + 1) // 2
-    if not half:
-        return np.zeros(1), np.ones((1, 1))
-    inner = _tridiagonal(off[:half - 1])  # T's leading half x half block
-    if len(off) % 2:  # even size: the two middle states couple through J
-        corner = np.zeros((half, half))
-        corner[-1, -1] = off[half - 1]
-        w_plus, u_plus = np.linalg.eigh(inner + corner)
-        w_minus, u_minus = np.linalg.eigh(inner - corner)
-        middle = np.zeros((0, len(off) + 1))
-    else:  # odd size: the middle state couples to both halves
-        w_plus, u_plus = np.linalg.eigh(_tridiagonal(np.append(off[:half - 1], math.sqrt(2) * off[half - 1])))
-        w_minus, u_minus = np.linalg.eigh(inner)
-        middle = np.hstack([u_plus[half:], np.zeros((1, half))])
-        u_plus = u_plus[:half]
-    top = np.hstack([u_plus, u_minus]) / math.sqrt(2)
-    bottom = np.hstack([u_plus[::-1], -u_minus[::-1]]) / math.sqrt(2)
-    return np.concatenate([w_plus, w_minus]), np.vstack([top, middle, bottom])
 
 
 def coupler_blocks(cutoff: int, theta: float, sectors: range | None = None) -> Iterator[np.ndarray]:

@@ -68,8 +68,7 @@ device costs, at every cutoff; any other input pays O(d^3) for c.
 What a sweep derives from its post-measurement state is built on first
 read, each from only the part it needs.
 :attr:`ProtocolRun.post_visibility`, the visibility of a second sweep on
-the unconditional post-state, is Tr(Pi rho) for an operator Pi compiled
-the same way (Pi = W_rel when W_dn = 1), so it costs what c costs.
+the unconditional post-state, is |c| and costs nothing (see there).
 :attr:`ProtocolRun.reduced_post_state`, the post-state's mode-0 reduced
 state, is a partial trace of the input plus, per branch, a correction
 streamed over the patched sectors' nonzero input rows: O(d^3) memory, and
@@ -161,9 +160,9 @@ class ProtocolRun:
     and the quantities derived from the post-measurement state are built on
     first read; later reads return the same object.
     ``post_state_unconditional`` is the full d^2 x d^2 state;
-    ``reduced_post_state`` is its mode-0 reduced state and ``post_visibility``
-    the visibility a second sweep on it would extract, both computed without
-    the d^2 x d^2 matrix.
+    ``reduced_post_state`` is its mode-0 reduced state, computed without the
+    d^2 x d^2 matrix, and ``post_visibility`` the visibility a second sweep
+    on it would extract.
     """
 
     phases: np.ndarray
@@ -181,9 +180,17 @@ class ProtocolRun:
     def reduced_post_state(self) -> DensityMatrix:
         return self._kernel.reduced_post()
 
-    @functools.cached_property
+    @property
     def post_visibility(self) -> float:
-        return self._kernel.post_visibility()
+        """|c'| of the unconditional post-state, which equals the visibility.
+
+        A second sweep on (W_up rho W_up^dag + W_dn rho W_dn^dag)/2 reads
+        c' = Tr(Pi rho), Pi = (W_up^dag W_rel W_up + W_dn^dag W_rel W_dn)/2.
+        In every mode the three branches commute: W_dn is the identity, or
+        (the ion) all three are functions of B n_0 B^dag.  So Pi = W_rel and
+        c' = c: the measurement is nondemolition for the overlap.
+        """
+        return self.visibility
 
 
 @dataclass(frozen=True)
@@ -212,13 +219,16 @@ _DEFAULT_ANGLE = {"linear_coupling": math.pi / 4, "dispersive_cps": math.pi, "io
 _DEFAULT_ULPS = 4
 
 # Compiled branches kept per process, keyed by (branch, cutoff), and as many
-# row tables, post-state patches and resolved modes.  A default-time branch
-# holds its d - 1 incomplete-sector patches, (d - 1) d (2 d - 1) / 6 real
-# numbers (~20 KB at d = 20, 45 MB at d = 256); a branch patched on every
-# sector holds (2 d^2 + 1) d / 3 numbers (~85 KB at d = 20 when complex).  A
-# row table holds d^3 complex numbers.  Safe inputs at the default time
-# compile nothing.
+# resolved modes.  A default-time branch holds its d - 1 incomplete-sector
+# patches, (d - 1) d (2 d - 1) / 6 real numbers (~20 KB at d = 20, 45 MB at
+# d = 256); a branch patched on every sector holds (2 d^2 + 1) d / 3 numbers
+# (~85 KB at d = 20 when complex).  Safe inputs at the default time compile
+# nothing.
 _COMPILE_CACHE_SIZE = 32
+
+# Row tables kept per process: the two branches of one run.  A table holds
+# d^3 complex numbers (128 KB at d = 20, 268 MB at d = 256).
+_ROW_TABLE_CACHE_SIZE = 2
 
 
 def _require_mode_pair(space: CompositeSpace) -> int:
@@ -308,13 +318,14 @@ def _compile(w: _Branch, d: int) -> dict[int, np.ndarray]:
     return patches
 
 
-@functools.lru_cache(maxsize=_COMPILE_CACHE_SIZE)
+@functools.lru_cache(maxsize=_ROW_TABLE_CACHE_SIZE)
 def _row_table(w: _Branch, d: int) -> np.ndarray:
     """rows[k, j, p]: conjugate of row |k, j> of W + B at column |p, k + j - p>.
 
     W + B is 2 B plus the patches, and row |k, j> of the base B is 1 at
     p = j (the flip) or p = k (the identity).  Entries off the row's sector
-    are 0.  Built once per compiled branch, read-only.
+    are 0.  Built once per compiled branch and kept for the last
+    ``_ROW_TABLE_CACHE_SIZE`` branches, read-only.
     """
     rows = np.zeros((d, d, d), dtype=complex)
     diag = np.arange(d)
@@ -328,27 +339,6 @@ def _row_table(w: _Branch, d: int) -> np.ndarray:
         flat[sector.idx, sector.n0] += patch.conj()
     rows.flags.writeable = False
     return rows
-
-
-@functools.lru_cache(maxsize=_COMPILE_CACHE_SIZE)
-def _post_patches(w_up: _Branch, w_dn: _Branch, w_rel: _Branch, d: int) -> dict[int, np.ndarray]:
-    """Patches Pi_N - J of the operator a second sweep reads off the post-state.
-
-    On (W_up rho W_up^dag + W_dn rho W_dn^dag)/2 that sweep reads
-    c' = Tr(Pi rho), Pi = (W_up^dag W_rel W_up + W_dn^dag W_rel W_dn)/2,
-    which is S off W_rel's patched sectors.  With W_dn = 1, Pi = W_rel =
-    W_up, so c' = c; only the ion away from its default time compiles Pi.
-    """
-    if not w_dn.patched:
-        return _compile(w_rel, d)
-    patches = {}
-    for k, delta in _compile(w_rel, d).items():
-        one = np.eye(len(delta))
-        up, dn, rel = _compile(w_up, d)[k] + one[::-1], _compile(w_dn, d)[k] + one, delta + one[::-1]
-        patch = 0.5 * (dag(up) @ rel @ up + dag(dn) @ rel @ dn) - one[::-1]
-        patch.flags.writeable = False
-        patches[k] = patch
-    return patches
 
 
 def _live_sectors(rho: DeviceInput, patched: range, d: int, rows: bool = False) -> list[int]:
@@ -392,11 +382,11 @@ def _left(w: _Branch, mat: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def _sector_block(rho: DeviceInput, sector: gates.Sector) -> np.ndarray:
-    """The input's diagonal block on one sector, read through views (of both factors for a product)."""
+def _sector_trace(rho: DeviceInput, patch: np.ndarray, sector: gates.Sector) -> complex:
+    """Tr(patch rho_NN) on one sector, read through views (of both factors for a product)."""
     if isinstance(rho, ProductState):
-        return rho.a.mat[sector.n0, sector.n0] * rho.b.mat[sector.n1, sector.n1]
-    return rho.mat[sector.idx, sector.idx]
+        return np.einsum("ij,ji,ji->", patch, rho.a.mat[sector.n0, sector.n0], rho.b.mat[sector.n1, sector.n1])
+    return np.dot(patch.T.ravel(), rho.mat[sector.idx, sector.idx].ravel())
 
 
 def _sector_rows(rho: DeviceInput, sector: gates.Sector) -> np.ndarray:
@@ -407,11 +397,21 @@ def _sector_rows(rho: DeviceInput, sector: gates.Sector) -> np.ndarray:
     return rho.mat[sector.idx]
 
 
-def _flip_trace(rho: DeviceInput, d: int) -> complex:
-    """Tr(S rho), the ideal device's c, without any d^2 x d^2 matrix product."""
+def _fringe_coefficient(rho: DeviceInput, w_rel: _Branch, d: int) -> complex:
+    """c = Tr(W_rel rho), without any d^2 x d^2 matrix product.
+
+    Tr(S rho), the ideal device's c, plus Tr(Delta_N rho_NN) on each
+    patched sector the input reaches.
+    """
     if isinstance(rho, ProductState):
-        return complex(np.sum(rho.a.mat * rho.b.mat.T))  # Tr(S (a x b)) = Tr(a b)
-    return complex(np.einsum("ijji", rho.mat.reshape(d, d, d, d)))
+        c = np.sum(rho.a.mat * rho.b.mat.T)  # Tr(S (a x b)) = Tr(a b)
+    else:
+        c = np.einsum("ijji", rho.mat.reshape(d, d, d, d))
+    live = _live_sectors(rho, w_rel.patched, d)
+    patches = _compile(w_rel, d) if live else {}
+    for k in live:
+        c += _sector_trace(rho, patches[k], gates.number_sectors(d)[k])
+    return complex(c)
 
 
 def _reduced_branch(rho: DeviceInput, w: _Branch, d: int) -> np.ndarray:
@@ -459,18 +459,7 @@ class _DeviceKernel:
         self.rho = rho
         self.d = _require_mode_pair(rho.space)
         self.w_up, self.w_dn, self.w_rel = _mode_swap_operator(mode, self.d)
-        # W_rel patches every sector another branch patches; the live ones
-        # are those whose blocks c and post_visibility read
-        self.live = _live_sectors(rho, self.w_rel.patched, self.d)
-        self.c = self._ideal_plus(_compile(self.w_rel, self.d) if self.live else {})
-
-    def _ideal_plus(self, patches: dict[int, np.ndarray]) -> complex:
-        """Tr(S rho) plus Tr(patch_N rho_NN) on each live sector."""
-        c = _flip_trace(self.rho, self.d)
-        sectors = gates.number_sectors(self.d)
-        for k in self.live:
-            c += (patches[k] * _sector_block(self.rho, sectors[k]).T).sum()
-        return complex(c)
+        self.c = _fringe_coefficient(rho, self.w_rel, self.d)
 
     def reduced_post(self) -> DensityMatrix:
         """Mode-0 state of the unconditional post-state (W_up rho W_up^dag + W_dn rho W_dn^dag)/2."""
@@ -479,15 +468,6 @@ class _DeviceKernel:
         mixed += dag(mixed)
         mixed *= 0.25
         return DensityMatrix(CompositeSpace((self.d,)), mixed)
-
-    def post_visibility(self) -> float:
-        """|c'| of the unconditional post-state, c' = Tr(Pi rho) (:func:`_post_patches`).
-
-        Pi conserves the photon number, so c' needs only the input's
-        sector-diagonal blocks: Tr(S rho) plus the live sectors' patches.
-        """
-        post = _post_patches(self.w_up, self.w_dn, self.w_rel, self.d) if self.live else {}
-        return float(abs(self._ideal_plus(post)))
 
     def _branch_sum(self, rho: np.ndarray, up_rho: np.ndarray) -> np.ndarray:
         """W_up rho W_up^dag + W_dn rho W_dn^dag from rho and W_up rho.
@@ -529,16 +509,6 @@ class _DeviceKernel:
             post_down=_conditional(num_dn, p_dn),
             post_unconditional=self._hermitian(0.5 * both),
         )
-
-
-def fourier_coefficient(values: np.ndarray, phases: np.ndarray) -> complex:
-    """First-harmonic coefficient ``(4/K) sum_k values_k exp(-i psi_k)``.
-
-    For samples of ``(1 + Re[exp(i psi) c]) / 2`` on a uniform grid of K >= 3
-    phases, this returns ``c`` exactly.
-    """
-    k = len(phases)
-    return complex((4.0 / k) * np.sum(np.asarray(values) * np.exp(-1j * np.asarray(phases))))
 
 
 def visibility_minmax(p_values: np.ndarray) -> float:
@@ -668,7 +638,9 @@ def estimate_visibility(counts: np.ndarray, phases: np.ndarray) -> tuple[float, 
     if np.any(totals <= 0):
         raise ValueError("every phase needs a positive total count")
     p_dn = counts[:, 1] / totals
-    # one rotation serves the coefficient (fourier_coefficient's sum) and its gradient
+    # The first-harmonic coefficient (4/K) sum_k p_k exp(-i psi_k): for samples
+    # of (1 + Re[exp(i psi) c]) / 2 on a uniform grid of K >= 3 phases it is
+    # c exactly.  One rotation serves it and its gradient.
     rotation = np.exp(-1j * phases)
     coeff = complex((4.0 / k) * np.sum(p_dn * rotation))
     v_hat = abs(coeff)
@@ -688,9 +660,8 @@ def repeat_measurement_check(
 
     The first sweep runs on the product ``rho_a (x) rho_b``; the second value
     is the visibility of a sweep on the first's unconditional post-state,
-    :attr:`ProtocolRun.post_visibility`, which reads only that state's
-    sector-diagonal blocks.  The measurement is nondemolition for the
-    overlap, so both values agree in ideal mode.
+    :attr:`ProtocolRun.post_visibility`.  The measurement is nondemolition
+    for the overlap, so both values agree in every mode.
     """
     pair = ProductState(as_single_subsystem(rho_a), as_single_subsystem(rho_b))
     first = sweep_visibility(pair, mode=mode)

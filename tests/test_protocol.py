@@ -313,12 +313,13 @@ def test_witness_delta_equals_flip_expectation():
 def test_witness_delta_invariant_under_detector_relabeling():
     # declaring the other detector "up" and recalibrating gives the same
     # probability difference: the calibration anchors the sign, not the label
-    from qoverlap.protocol import _uniform_phases, fourier_coefficient
+    from qoverlap.protocol import _uniform_phases
 
     rho = random_joint_state(2, 5151)
     phases = _uniform_phases(8)
     p_other = np.array([literal_device_run(rho, p, IDEAL, controlled_step=False).p_down for p in phases])
-    psi_star = (-np.angle(fourier_coefficient(p_other, phases))) % (2 * np.pi)
+    # the fringe's first harmonic peaks where its phase cancels
+    psi_star = (-np.angle(np.sum(p_other * np.exp(-1j * phases)))) % (2 * np.pi)
     r = run_device(rho, psi_star)
     assert abs((r.p_down - r.p_up) - witness_delta(rho)) < 1e-10
 
@@ -669,9 +670,8 @@ def test_unsafe_input_solves_exactly_the_incomplete_sectors(monkeypatch):
     run.post_visibility, run.reduced_post_state, run.post_state_unconditional
     slots = gates._coupler_eigensystems(d)
     assert [k for k, slot in enumerate(slots) if slot is not None] == list(range(d, 2 * d - 1))
-    # sectors N = d .. 2d - 2 hold d - 1 .. 1 states, each solved as two halves
-    halves = [size for m in range(d - 1, 1, -1) for size in ((m + 1) // 2, m // 2)]
-    assert [shape[0] for shape in solved] == halves
+    # sectors N = d .. 2d - 2 hold d - 1 .. 1 states, one eigensolve each
+    assert [shape[0] for shape in solved] == list(range(d - 1, 0, -1))
 
 
 def test_reduced_reads_build_the_row_table_once():
