@@ -9,7 +9,6 @@ witness, each cross-checked against a direct-trace oracle.
 from .dynamics import (
     HamiltonianSpec,
     build_hamiltonian,
-    cavity_dispersive_rate,
     dispersive_cps,
     ion_qnd,
     linear_coupling,
@@ -22,23 +21,18 @@ from .gates import (
     controlled_swap_ideal,
     cps,
     flip_operator,
-    hadamard,
     number_op,
     number_phase,
-    phase_shift,
     povm_projectors,
 )
 from .linalg import (
     CompositeSpace,
     DensityMatrix,
     ProductState,
-    SpectralDecomposition,
     UnitaryGate,
     as_single_subsystem,
     exp_unitary,
-    partial_trace,
     partial_transpose,
-    spectral_decompose,
     tensor,
     tensor_states,
 )
@@ -64,16 +58,12 @@ from .protocol import (
     IDEAL,
     PHYSICAL,
     DeviceMode,
-    PhaseResult,
     ProtocolRun,
-    calibrate_phase,
     estimate_visibility,
     hamiltonian_mode,
     repeat_measurement_check,
-    run_device,
     sample_shots,
     sweep_visibility,
-    visibility_minmax,
     witness_delta,
 )
 from .scenario import (

@@ -73,17 +73,6 @@ def ion_qnd(omega: float, cutoff: int, interaction_time: float | None = None) ->
     return HamiltonianSpec("ion_qnd", omega, cutoff, t)
 
 
-def cavity_dispersive_rate(rabi_coupling: float, detuning: float) -> float:
-    """Effective dispersive rate from vacuum Rabi coupling and detuning.
-
-    Taken as an opaque input relation (rate = coupling / detuning); the
-    validity conditions of the dispersive limit are not modeled here.
-    """
-    if detuning == 0:
-        raise ValueError("detuning must be nonzero")
-    return rabi_coupling / detuning
-
-
 def build_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
     """Hermitian generator of the interaction, in angular-frequency units.
 

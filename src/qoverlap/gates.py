@@ -24,13 +24,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .linalg import (
-    ATOL_ALGEBRA,
-    CompositeSpace,
-    UnitaryGate,
-    dag,
-    tensor,
-)
+from .linalg import CompositeSpace, UnitaryGate, tensor
 
 
 def annihilation(cutoff: int) -> np.ndarray:
@@ -48,23 +42,6 @@ def number_op(cutoff: int) -> np.ndarray:
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
     return np.diag(np.arange(cutoff, dtype=float)).astype(complex)
-
-
-def hadamard() -> UnitaryGate:
-    """Ancilla rotation: |up> -> (|up>+|dn>)/sqrt(2), |dn> -> (|dn>-|up>)/sqrt(2).
-
-    Note the asymmetry: the |dn> column carries -|up>.  This makes the gate a
-    proper rotation (determinant +1) rather than the symmetric Hadamard, and
-    fixes which detector shows which fringe downstream.
-    """
-    m = np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex) / math.sqrt(2)
-    return UnitaryGate(CompositeSpace((2,)), m)
-
-
-def phase_shift(psi: float) -> UnitaryGate:
-    """Ancilla phase gate ``diag(exp(i psi), 1)`` in (|up>, |dn>) order."""
-    m = np.diag([np.exp(1j * psi), 1.0]).astype(complex)
-    return UnitaryGate(CompositeSpace((2,)), m)
 
 
 class Sector(NamedTuple):
@@ -239,15 +216,6 @@ class PovmPair:
 
     pi_plus: np.ndarray
     pi_minus: np.ndarray
-
-    def validate(self, atol: float = ATOL_ALGEBRA) -> "PovmPair":
-        d2 = self.pi_plus.shape[0]
-        for p in (self.pi_plus, self.pi_minus):
-            if np.abs(p - dag(p)).max() > atol or np.abs(p @ p - p).max() > atol:
-                raise ValueError("POVM element is not an orthogonal projector")
-        if np.abs(self.pi_plus + self.pi_minus - np.eye(d2)).max() > atol:
-            raise ValueError("POVM elements do not sum to the identity")
-        return self
 
 
 def povm_projectors(d: int) -> PovmPair:

@@ -28,11 +28,6 @@ def dag(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
-def is_hermitian(m: np.ndarray, atol: float = ATOL_ALGEBRA) -> bool:
-    """Entrywise check ``max|M - M^dag| <= atol``."""
-    return m.shape[0] == m.shape[1] and np.abs(m - dag(m)).max() <= atol
-
-
 @dataclass(frozen=True)
 class CompositeSpace:
     """Ordered list of subsystem dimensions fixing the tensor index layout.
@@ -60,9 +55,6 @@ class CompositeSpace:
     def n_subsystems(self) -> int:
         return len(self.dims)
 
-    def subspace(self, keep: tuple[int, ...]) -> "CompositeSpace":
-        return CompositeSpace(tuple(self.dims[k] for k in keep))
-
 
 def _as_complex_matrix(m) -> np.ndarray:
     mat = np.asarray(m, dtype=complex)
@@ -79,8 +71,9 @@ class DensityMatrix:
 
     Construction checks Hermiticity and unit trace (cheap, O(d^2)).  The
     positivity floor (min eigenvalue >= -1e-9) costs a full eigensolve and is
-    checked by :meth:`validate`, which constructors and tests call on the
-    states they hand out.
+    checked only by :meth:`validate`, which no constructor calls; the tests
+    call it on the states the constructors hand out.  The device refuses an
+    input whose fringe coefficient |Tr(W_rel rho)| exceeds 1.
     """
 
     space: CompositeSpace
@@ -130,27 +123,6 @@ class UnitaryGate:
     def dim(self) -> int:
         return self.space.dim
 
-    def validate(self, atol: float = ATOL_ALGEBRA) -> "UnitaryGate":
-        """Check unitarity ``max|U^dag U - I| <= atol``; returns self."""
-        err = np.abs(dag(self.mat) @ self.mat - np.eye(self.dim)).max()
-        if err > atol:
-            raise ValueError(f"gate is not unitary: max|U^dag U - I| = {err:.3e}")
-        return self
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (descending) and matching eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        """Rebuild ``sum_k w_k v_k v_k^dag``."""
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ dag(v)
-
-
 def tensor(*ops: np.ndarray) -> np.ndarray:
     """Kronecker product of two or more matrices, leftmost factor slowest."""
     if len(ops) < 2:
@@ -194,46 +166,6 @@ def as_single_subsystem(rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(CompositeSpace((rho.space.dim,)), rho.mat)
 
 
-def _partial_trace_mat(mat: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
-    n = len(dims)
-    tensor_form = mat.reshape(dims + dims)
-    remaining = list(range(n))
-    for ax in sorted(set(range(n)) - set(keep), reverse=True):
-        pos = remaining.index(ax)
-        tensor_form = np.trace(tensor_form, axis1=pos, axis2=pos + len(remaining))
-        remaining.pop(pos)
-    d = int(np.prod([dims[k] for k in keep]))
-    return tensor_form.reshape(d, d)
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out every subsystem not listed in ``keep``.
-
-    Parameters
-    ----------
-    rho : DensityMatrix
-        State on a composite space.
-    keep : int or iterable of int
-        Indices of the subsystems to retain, in their original order.
-
-    Returns
-    -------
-    DensityMatrix
-        Reduced state on the kept subsystems; the trace is preserved.
-    """
-    if isinstance(keep, int):
-        keep = (keep,)
-    keep = tuple(sorted(set(int(k) for k in keep)))
-    n = rho.space.n_subsystems
-    if not keep:
-        raise ValueError("keep must name at least one subsystem")
-    if any(k < 0 or k >= n for k in keep):
-        raise ValueError(f"subsystem index out of range for {n} subsystems: {keep}")
-    reduced = _partial_trace_mat(rho.mat, rho.space.dims, keep)
-    reduced = 0.5 * (reduced + dag(reduced))
-    return DensityMatrix(rho.space.subspace(keep), reduced)
-
-
 def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:
     """Transpose the indices of one subsystem only.
 
@@ -253,21 +185,6 @@ def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:
     return np.ascontiguousarray(swapped.reshape(rho.space.dim, rho.space.dim))
 
 
-def spectral_decompose(m: np.ndarray, atol: float = ATOL_ALGEBRA) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
-
-    Raises ``ValueError`` if the input is not Hermitian within ``atol``.
-    Degenerate eigenvalues may come with any orthonormal basis of their
-    eigenspace; downstream quantities are basis independent.
-    """
-    m = _as_complex_matrix(m)
-    if not is_hermitian(m, atol):
-        raise ValueError("spectral_decompose requires a Hermitian matrix")
-    w, v = np.linalg.eigh(m)
-    order = np.argsort(w)[::-1]
-    return SpectralDecomposition(np.ascontiguousarray(w[order]), np.ascontiguousarray(v[:, order]))
-
-
 def exp_unitary(h: np.ndarray, t: float, space: CompositeSpace | None = None) -> UnitaryGate:
     """Unitary ``exp(-i h t)`` of a Hermitian generator, via eigendecomposition.
 
@@ -279,16 +196,18 @@ def exp_unitary(h: np.ndarray, t: float, space: CompositeSpace | None = None) ->
     Parameters
     ----------
     h : ndarray
-        Hermitian generator.
+        Hermitian generator, within 1e-10 entrywise (else ``ValueError``).
     t : float
         Evolution time.
     space : CompositeSpace, optional
         Space tag for the returned gate; defaults to a single subsystem of
         the matrix dimension.
     """
-    dec = spectral_decompose(h)
-    phases = np.exp(-1j * dec.eigenvalues * float(t))
-    u = (dec.eigenvectors * phases) @ dag(dec.eigenvectors)
+    h = _as_complex_matrix(h)
+    if np.abs(h - dag(h)).max() > ATOL_ALGEBRA:
+        raise ValueError("exp_unitary requires a Hermitian generator within 1e-10")
+    w, v = np.linalg.eigh(h)
+    u = (v * np.exp(-1j * w * float(t))) @ dag(v)
     if space is None:
         space = CompositeSpace((h.shape[0],))
     return UnitaryGate(space, u)

@@ -72,13 +72,13 @@ the unconditional post-state, is |c| and costs nothing (see there).
 :attr:`ProtocolRun.reduced_post_state`, the post-state's mode-0 reduced
 state, is a partial trace of the input plus, per branch, a correction
 streamed over the patched sectors' nonzero input rows: O(d^3) memory, and
-O(d^5) time when every sector is reached.  Only :func:`run_device` and
-:attr:`ProtocolRun.post_state_unconditional` form dense d^2 x d^2
-post-states, applying each branch to rows only (W rho W'^dag as
-W (W' rho)^dag): the base reshuffles rows in O(d^4), and each patched
-sector with nonzero rows adds its patch times them.  The latter forms the
-unconditional post-state alone, with no cross term and no conditional
-states; no pipeline reads it.
+O(d^5) time when every sector is reached.  Only
+:attr:`ProtocolRun.post_state_unconditional` forms the dense d^2 x d^2
+post-state, applying each branch to rows only (W rho W^dag as
+W (W rho)^dag): the base reshuffles rows in O(d^4), and each patched
+sector with nonzero rows adds its patch times them.  No pipeline reads it.
+Conditional post-states are not formed at all; the tests' literal circuit
+has them.
 
 Detector convention: with the asymmetric ancilla rotation used here, the
 "dn" detector carries the (1 + cos)-type fringe for positive overlap; only
@@ -104,9 +104,6 @@ from .linalg import (
     dag,
     tensor,
 )
-
-# Conditioning probabilities below this are reported as undefined outcomes.
-MIN_CONDITION_PROB = 1e-12
 
 # What the device accepts: a dense joint state, or a product kept as factors.
 DeviceInput = DensityMatrix | ProductState
@@ -138,18 +135,6 @@ PHYSICAL = DeviceMode("physical")
 
 def hamiltonian_mode(spec: HamiltonianSpec) -> DeviceMode:
     return DeviceMode("hamiltonian", spec)
-
-
-@dataclass(frozen=True)
-class PhaseResult:
-    """Single-phase device output: detector probabilities and post-states."""
-
-    psi: float
-    p_up: float
-    p_down: float
-    post_up: DensityMatrix | None
-    post_down: DensityMatrix | None
-    post_unconditional: DensityMatrix
 
 
 @dataclass(frozen=True)
@@ -238,13 +223,6 @@ def _require_mode_pair(space: CompositeSpace) -> int:
     if d0 != d1:
         raise ValueError(f"both modes must share one cutoff, got {d0} and {d1}")
     return d0
-
-
-def _dense_mat(rho: DeviceInput) -> np.ndarray:
-    """The d^2 x d^2 matrix of the input, unvalidated for a product."""
-    if isinstance(rho, ProductState):
-        return tensor(rho.a.mat, rho.b.mat)
-    return rho.mat
 
 
 @functools.lru_cache(maxsize=_COMPILE_CACHE_SIZE)
@@ -460,6 +438,11 @@ class _DeviceKernel:
         self.d = _require_mode_pair(rho.space)
         self.w_up, self.w_dn, self.w_rel = _mode_swap_operator(mode, self.d)
         self.c = _fringe_coefficient(rho, self.w_rel, self.d)
+        # |Tr(W_rel rho)| <= 1 for every state; the fringes' floor at 0 and the
+        # sampler's clamp into [0, 1] only absorb rounding.  DensityMatrix
+        # does not check positivity, so a non-positive input stops here.
+        if abs(self.c) > 1.0 + 1e-12:
+            raise ValueError(f"input is not positive: |Tr(W_rel rho)| = {abs(self.c):.6g} exceeds 1")
 
     def reduced_post(self) -> DensityMatrix:
         """Mode-0 state of the unconditional post-state (W_up rho W_up^dag + W_dn rho W_dn^dag)/2."""
@@ -469,86 +452,22 @@ class _DeviceKernel:
         mixed *= 0.25
         return DensityMatrix(CompositeSpace((self.d,)), mixed)
 
-    def _branch_sum(self, rho: np.ndarray, up_rho: np.ndarray) -> np.ndarray:
-        """W_up rho W_up^dag + W_dn rho W_dn^dag from rho and W_up rho.
-
-        By rows only: W rho W'^dag = W (W' rho)^dag, as rho is Hermitian.
-        """
-        d = self.d
-        return _left(self.w_up, dag(up_rho), d) + _left(self.w_dn, dag(_left(self.w_dn, rho, d)), d)
-
-    def _hermitian(self, m: np.ndarray) -> DensityMatrix:
-        return DensityMatrix(self.rho.space, 0.5 * (m + dag(m)))
-
     def post_unconditional(self) -> DensityMatrix:
-        """The unconditional post-state (W_up rho W_up^dag + W_dn rho W_dn^dag)/2."""
-        rho = _dense_mat(self.rho)
-        return self._hermitian(0.5 * self._branch_sum(rho, _left(self.w_up, rho, self.d)))
+        """The unconditional post-state (W_up rho W_up^dag + W_dn rho W_dn^dag)/2.
 
-    def phase_result(self, psi: float) -> PhaseResult:
-        rho, d = _dense_mat(self.rho), self.d
-        up_rho = _left(self.w_up, rho, d)
-        both = self._branch_sum(rho, up_rho)
-        cross = np.exp(1j * psi) * dag(_left(self.w_dn, dag(up_rho), d))
-        cross += dag(cross)
-        num_up = 0.25 * (both - cross)
-        num_dn = 0.25 * (both + cross)
-        p_up = float(np.trace(num_up).real)
-        p_dn = float(np.trace(num_dn).real)
-
-        def _conditional(num: np.ndarray, p: float) -> DensityMatrix | None:
-            # Normalized by its own trace, so the state's trace is 1 even
-            # when p is tiny and known only to a large relative error.
-            return self._hermitian(num / p) if p > MIN_CONDITION_PROB else None
-
-        return PhaseResult(
-            psi=float(psi),
-            p_up=max(p_up, 0.0),
-            p_down=max(p_dn, 0.0),
-            post_up=_conditional(num_up, p_up),
-            post_down=_conditional(num_dn, p_dn),
-            post_unconditional=self._hermitian(0.5 * both),
-        )
-
-
-def visibility_minmax(p_values: np.ndarray) -> float:
-    """Literal fringe contrast (p_max - p_min)/(p_max + p_min), for cross-checks."""
-    p = np.asarray(p_values, dtype=float)
-    hi, lo = p.max(), p.min()
-    if hi + lo == 0.0:
-        return 0.0
-    return float((hi - lo) / (hi + lo))
+        By rows only: W rho W^dag = W (W rho)^dag, as rho is Hermitian.
+        """
+        rho, d = self.rho, self.d
+        mat = tensor(rho.a.mat, rho.b.mat) if isinstance(rho, ProductState) else rho.mat
+        up = _left(self.w_up, dag(_left(self.w_up, mat, d)), d)
+        both = up + _left(self.w_dn, dag(_left(self.w_dn, mat, d)), d)
+        return DensityMatrix(rho.space, 0.25 * (both + dag(both)))
 
 
 def _uniform_phases(phase_count: int) -> np.ndarray:
     if phase_count < 3:
         raise ValueError("phase sweep needs at least 3 phases")
     return 2.0 * math.pi * np.arange(phase_count) / phase_count
-
-
-def run_device(rho_joint: DeviceInput, psi: float, mode: DeviceMode = IDEAL) -> PhaseResult:
-    """Run the device once at ancilla phase ``psi``.
-
-    ``rho_joint`` is a dense two-mode state or a :class:`ProductState`.
-    Returns detector probabilities, the conditional post-states (None when
-    the outcome probability is below 1e-12), and the unconditional
-    post-state of the modes.
-    """
-    return _DeviceKernel(rho_joint, mode).phase_result(psi)
-
-
-def calibrate_phase(rho_joint: DeviceInput, mode: DeviceMode = IDEAL, phase_count: int = 8) -> float:
-    """Phase at which the no-controlled-swap interferometer gives p_up = 1.
-
-    With the controlled step replaced by the identity (the two couplers
-    cancel exactly) the fringe is p_up = (1 - cos psi)/2 for every state and
-    every mode, the rotated-basis ion layout included, so the maximizer is
-    pi on any grid.  The input must still live on two equal modes and the
-    grid must have at least 3 phases.
-    """
-    _uniform_phases(phase_count)
-    _require_mode_pair(rho_joint.space)
-    return math.pi
 
 
 def sweep_visibility(

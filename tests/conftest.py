@@ -1,3 +1,4 @@
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -13,9 +14,7 @@ from qoverlap import (
     cps,
     exp_unitary,
     ginibre_mixed,
-    hadamard,
     number_phase,
-    phase_shift,
     realize_gate,
     tensor,
 )
@@ -44,6 +43,47 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 def random_joint_state(d: int, seed: int, rank: int | None = None) -> DensityMatrix:
     """Random correlated state on two d-dimensional subsystems."""
     return ginibre_mixed(d * d, rank or d * d, seed, dims=(d, d))
+
+
+def assert_unitary(u: np.ndarray, atol: float = 1e-10):
+    """max|U^dag U - I| <= atol."""
+    assert np.abs(u.conj().T @ u - np.eye(len(u))).max() <= atol
+
+
+def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
+    """Trace out every subsystem not listed in ``keep`` (an index or indices, kept in order)."""
+    if isinstance(keep, int):
+        keep = (keep,)
+    keep = tuple(sorted(set(int(k) for k in keep)))
+    dims = rho.space.dims
+    if not keep:
+        raise ValueError("keep must name at least one subsystem")
+    if any(k < 0 or k >= len(dims) for k in keep):
+        raise ValueError(f"subsystem index out of range for {len(dims)} subsystems: {keep}")
+    tensor_form = rho.mat.reshape(dims + dims)
+    remaining = list(range(len(dims)))
+    for ax in sorted(set(remaining) - set(keep), reverse=True):
+        pos = remaining.index(ax)
+        tensor_form = np.trace(tensor_form, axis1=pos, axis2=pos + len(remaining))
+        remaining.pop(pos)
+    d = math.prod(dims[k] for k in keep)
+    reduced = tensor_form.reshape(d, d)
+    return DensityMatrix(CompositeSpace(tuple(dims[k] for k in keep)), 0.5 * (reduced + reduced.conj().T))
+
+
+def hadamard() -> np.ndarray:
+    """Ancilla rotation: |up> -> (|up>+|dn>)/sqrt(2), |dn> -> (|dn>-|up>)/sqrt(2).
+
+    Note the asymmetry: the |dn> column carries -|up>.  This makes the gate a
+    proper rotation (determinant +1) rather than the symmetric Hadamard, and
+    fixes which detector shows which fringe downstream.
+    """
+    return np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex) / math.sqrt(2)
+
+
+def phase_shift(psi: float) -> np.ndarray:
+    """Ancilla phase gate ``diag(exp(i psi), 1)`` in (|up>, |dn>) order."""
+    return np.diag([np.exp(1j * psi), 1.0]).astype(complex)
 
 
 def embed_on_modes(gate_2d: np.ndarray, d: int) -> np.ndarray:
@@ -121,8 +161,8 @@ def literal_device_run(rho_joint, psi: float, mode, controlled_step: bool = True
     mat = tensor(rho_joint.a.mat, rho_joint.b.mat) if isinstance(rho_joint, ProductState) else rho_joint.mat
     d = rho_joint.space.dims[0]
     basis = _ancilla_basis(mode)
-    rot = basis @ hadamard().mat @ basis.conj().T
-    phase = basis @ phase_shift(psi).mat @ basis.conj().T
+    rot = basis @ hadamard() @ basis.conj().T
+    phase = basis @ phase_shift(psi) @ basis.conj().T
     step = _literal_controlled_step(mode, d) if controlled_step else np.eye(2 * d * d)
     ident = np.eye(d * d)
     u = tensor(rot, ident) @ step @ tensor(phase, ident) @ tensor(rot, ident)

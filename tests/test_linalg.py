@@ -8,12 +8,11 @@ from qoverlap import (
     exp_unitary,
     ginibre_mixed,
     bell_singlet,
-    partial_trace,
     partial_transpose,
-    spectral_decompose,
     tensor,
     tensor_states,
 )
+from conftest import partial_trace
 
 
 def test_tensor_identity():
@@ -119,32 +118,38 @@ def test_partial_transpose_invalid_subsystem():
         partial_transpose(bell_singlet(), 2)
 
 
+# exp_unitary decomposes its generator spectrally: exp(-i w t) on each eigenvector.
+
+
 def test_spectral_decompose_identity():
-    dec = spectral_decompose(np.eye(2, dtype=complex))
-    assert np.allclose(dec.eigenvalues, [1.0, 1.0])
+    # a degenerate spectrum, so any eigenbasis serves
+    assert np.abs(exp_unitary(np.eye(2), 0.4).mat - np.exp(-0.4j) * np.eye(2)).max() < 1e-15
 
 
 def test_spectral_decompose_plus_projector():
     plus = np.array([1.0, 1.0]) / np.sqrt(2)
-    dec = spectral_decompose(np.outer(plus, plus))
-    assert np.allclose(dec.eigenvalues, [1.0, 0.0], atol=1e-12)
-    top = dec.eigenvectors[:, 0]
-    # top eigenvector proportional to (1, 1)/sqrt(2)
-    assert abs(abs(top @ plus) - 1.0) < 1e-12
+    minus = np.array([1.0, -1.0]) / np.sqrt(2)
+    u = exp_unitary(np.outer(plus, plus), 0.4).mat
+    assert np.abs(u @ plus - np.exp(-0.4j) * plus).max() < 1e-12
+    assert np.abs(u @ minus - minus).max() < 1e-12
 
 
 def test_spectral_decompose_reconstruction():
     for seed in range(5):
         rho = ginibre_mixed(8, 5, 20 + seed)
-        dec = spectral_decompose(rho.mat)
-        assert np.abs(dec.reconstruct() - rho.mat).max() <= 1e-9
-        assert abs(dec.eigenvalues.sum() - 1.0) <= 1e-9
-        assert np.all(np.diff(dec.eigenvalues) <= 1e-12)
+        w, v = np.linalg.eigh(rho.mat)
+        assert abs(w.sum() - 1.0) <= 1e-9
+        u = exp_unitary(rho.mat, 0.4).mat
+        # v^dag U v is the diagonal of phases exp(-i w t)
+        assert np.abs(v.conj().T @ u @ v - np.diag(np.exp(-0.4j * w))).max() <= 1e-9
 
 
 def test_spectral_decompose_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    near = np.array([[0.0, 1.0], [1.0 + 1e-11, 0.0]])
+    exp_unitary(near, 1.0)  # within the 1e-10 Hermiticity tolerance
+    near[1, 0] = 1.0 + 1e-9
+    with pytest.raises(ValueError, match="Hermitian"):
+        exp_unitary(near, 1.0)
 
 
 def test_exp_unitary_zero_generator():

@@ -342,10 +342,10 @@ GUARD_MODES = {
 
 @pytest.mark.parametrize("label", list(GUARD_MODES))
 def test_no_pipeline_builds_the_dense_post_state(monkeypatch, label):
-    def refuse(self, psi):
-        raise AssertionError("built the d^2 x d^2 post-states")
+    def refuse(self):
+        raise AssertionError("built the d^2 x d^2 post-state")
 
-    monkeypatch.setattr(_DeviceKernel, "phase_result", refuse)
+    monkeypatch.setattr(_DeviceKernel, "post_unconditional", refuse)
     d = 6
     mode = GUARD_MODES[label](d)
     settings = MeasurementSettings(mode=mode)

@@ -9,8 +9,8 @@ from qoverlap import (
     DensityMatrix,
     MeasurementSettings,
     ProductState,
+    CompositeSpace,
     bell_singlet,
-    calibrate_phase,
     classical_correlated,
     dispersive_cps,
     estimate_visibility,
@@ -21,20 +21,18 @@ from qoverlap import (
     hs_distance,
     ion_qnd,
     linear_coupling,
-    partial_trace,
+    overlap,
     repeat_measurement_check,
-    run_device,
     sample_shots,
     sweep_visibility,
     tensor,
     tensor_states,
-    visibility_minmax,
     werner,
     witness_delta,
 )
 from qoverlap.gates import number_sectors
 from qoverlap.observables import flip_expectation, overlap_direct, purity_direct
-from conftest import embed_mode_state, literal_branches, literal_device_run, random_joint_state
+from conftest import embed_mode_state, literal_branches, literal_device_run, partial_trace, random_joint_state
 
 
 def product_input(d, seed_a, seed_b, rank_a=None, rank_b=None):
@@ -45,18 +43,16 @@ def product_input(d, seed_a, seed_b, rank_a=None, rank_b=None):
 
 def test_vacuum_pair_fringe_is_cosine():
     joint = tensor_states(fock(0, 3), fock(0, 3))
-    for psi in np.linspace(0, 2 * np.pi, 9):
-        r = run_device(joint, psi)
-        assert abs(r.p_down - 0.5 * (1 + np.cos(psi))) < 1e-12
-        assert abs(r.p_up + r.p_down - 1.0) < 1e-12
+    run = sweep_visibility(joint, 9)
+    assert np.abs(run.p_down - 0.5 * (1 + np.cos(run.phases))).max() < 1e-12
+    assert np.abs(run.p_up + run.p_down - 1.0).max() < 1e-12
 
 
 def test_orthogonal_pair_fringe_is_flat():
     joint = tensor_states(fock(0, 3), fock(1, 3))
-    for psi in np.linspace(0, 2 * np.pi, 7):
-        r = run_device(joint, psi)
-        assert abs(r.p_up - 0.5) < 1e-12
-        assert abs(r.p_down - 0.5) < 1e-12
+    run = sweep_visibility(joint, 7)
+    assert np.abs(run.p_up - 0.5).max() < 1e-12
+    assert np.abs(run.p_down - 0.5).max() < 1e-12
 
 
 ORACLE_MODES = {
@@ -82,24 +78,18 @@ def test_factored_engine_matches_literal_gate_sequence(label):
         mode = ORACLE_MODES[label](d)
         a, b, product = product_input(d, 31 + d, 32 + d)
         for rho in (product, ProductState(a, b), random_joint_state(d, 33 + d)):
-            for psi in (0.0, 0.9, np.pi, 4.4):
-                lit = literal_device_run(rho, psi, mode)
-                r = run_device(rho, psi, mode)
-                assert abs(r.p_up - lit.p_up) < 1e-12
-                assert abs(r.p_down - lit.p_down) < 1e-12
-                for name in ("post_up", "post_down", "post_unconditional"):
-                    got, want = getattr(r, name), getattr(lit, name)
-                    assert (got is None) == (want is None)
-                    if got is not None:
-                        assert np.abs(got.mat - want).max() < 1e-12
             # the closed-form sweep and witness, read off the literal circuit
-            run = sweep_visibility(rho, 5, mode)
-            lits = [literal_device_run(rho, psi, mode) for psi in run.phases]
-            assert np.abs(run.p_up - [lit.p_up for lit in lits]).max() < 1e-12
-            assert np.abs(run.p_down - [lit.p_down for lit in lits]).max() < 1e-12
-            star = literal_device_run(rho, calibrate_phase(rho, mode), mode)
+            star = literal_device_run(rho, np.pi, mode)
             assert abs(witness_delta(rho, mode) - (star.p_up - star.p_down)) < 1e-12
-            assert abs(run.delta - (star.p_up - star.p_down)) < 1e-12
+            for phase_count in (4, 5):
+                run = sweep_visibility(rho, phase_count, mode)
+                lits = [literal_device_run(rho, psi, mode) for psi in run.phases]
+                assert np.abs(run.p_up - [lit.p_up for lit in lits]).max() < 1e-12
+                assert np.abs(run.p_down - [lit.p_down for lit in lits]).max() < 1e-12
+                assert abs(run.delta - (star.p_up - star.p_down)) < 1e-12
+                # the unconditional post-state does not depend on the phase
+                for lit in lits:
+                    assert np.abs(run.post_state_unconditional.mat - lit.post_unconditional).max() < 1e-12
 
 
 def sector_unitary(w, k, d):
@@ -129,10 +119,10 @@ def test_compiled_branches_cached_per_mode_and_interaction_time():
     hits = []
     for repeat in range(2):
         for mode in modes:
-            r = run_device(rho, 0.9, mode)
-            lit = literal_device_run(rho, 0.9, mode)
-            assert abs(r.p_up - lit.p_up) < 1e-12
-            assert np.abs(r.post_up.mat - lit.post_up).max() < 1e-12
+            run = sweep_visibility(rho, 4, mode)
+            lit = literal_device_run(rho, run.phases[1], mode)
+            assert abs(run.p_up[1] - lit.p_up) < 1e-12
+            assert np.abs(run.post_state_unconditional.mat - lit.post_unconditional).max() < 1e-12
         # a repeated (mode, cutoff) is served from the cache, never recompiled
         info = _compile.cache_info()
         hits.append(info.hits)
@@ -170,25 +160,27 @@ def test_device_never_compiles_through_time_evolution(monkeypatch):
     for make in ORACLE_MODES.values():
         mode = make(d)
         sweep_visibility(ProductState(a, b), 5, mode)
-        run_device(product, 0.9, mode)
+        sweep_visibility(product, 5, mode).post_state_unconditional
         hs_distance(a, b, MeasurementSettings(mode=mode))
 
 
 def test_unconditional_post_state_mixes_the_inputs():
     a, b, joint = product_input(4, 33, 34, rank_a=2)
-    r = run_device(joint, 0.35)
     expected = 0.5 * (tensor(a.mat, b.mat) + tensor(b.mat, a.mat))
-    assert np.abs(r.post_unconditional.mat - expected).max() < 1e-10
-    r2 = run_device(joint, 2.5)
-    assert np.abs(r2.post_unconditional.mat - expected).max() < 1e-10
+    for rho in (joint, ProductState(a, b)):
+        post = sweep_visibility(rho).post_state_unconditional
+        assert np.abs(post.mat - expected).max() < 1e-10
+
+
+# Conditional post-states exist only in the literal circuit.
 
 
 def test_conditional_post_states_undefined_at_zero_probability():
     joint = tensor_states(fock(0, 3), fock(0, 3))
-    r = run_device(joint, 0.0)  # p_up = 0 exactly
+    r = literal_device_run(joint, 0.0, IDEAL)  # p_up = 0 exactly
     assert r.post_up is None
     assert r.post_down is not None
-    r.post_down.validate()
+    DensityMatrix(joint.space, r.post_down).validate()
 
 
 @pytest.mark.parametrize("as_product", [False, True])
@@ -197,11 +189,26 @@ def test_conditional_post_states_valid_at_tiny_probability(as_product):
     # closed form (1 - cos psi) / 2 loses ~1e-6 of it to cancellation.
     a, b = fock(0, 3), fock(0, 3)
     joint = ProductState(a, b) if as_product else tensor_states(a, b)
-    r = run_device(joint, 1e-5)
+    r = literal_device_run(joint, 1e-5, IDEAL)
     assert 1e-12 < r.p_up < 1e-10
-    assert abs(np.trace(r.post_up.mat) - 1.0) < 1e-10
-    r.post_up.validate()
-    r.post_down.validate()
+    assert abs(np.trace(r.post_up) - 1.0) < 1e-10
+    DensityMatrix(joint.space, r.post_up).validate()
+    DensityMatrix(joint.space, r.post_down).validate()
+
+
+def test_non_positive_inputs_are_refused():
+    # DensityMatrix checks Hermiticity and trace only.  Exactly, this pair reads
+    # an overlap of 2.5 and p_down = 1.75 at psi = 0; sampled, a clamped 1.207.
+    a = DensityMatrix(CompositeSpace((2,)), np.diag([1.5, -0.5]))
+    for call in (
+        lambda: sweep_visibility(ProductState(a, a)),
+        lambda: sweep_visibility(tensor_states(a, a), mode=PHYSICAL),
+        lambda: overlap(a, a),
+        lambda: overlap(a, a, MeasurementSettings(shots=100, seed=1)),
+        lambda: witness_delta(tensor_states(a, a)),
+    ):
+        with pytest.raises(ValueError, match="not positive"):
+            call()
 
 
 def test_witness_delta_nearly_antisymmetric_werner():
@@ -248,7 +255,8 @@ def test_visibility_symmetric_under_swap_of_inputs():
 
 def test_fourier_estimator_matches_minmax_on_cosine_fringe():
     run = sweep_visibility(tensor_states(ginibre_mixed(3, 2, 90), ginibre_mixed(3, 3, 91)), 16)
-    assert abs(run.visibility - visibility_minmax(run.p_down)) < 1e-9
+    hi, lo = run.p_down.max(), run.p_down.min()
+    assert abs(run.visibility - (hi - lo) / (hi + lo)) < 1e-9
 
 
 def test_sweep_requires_three_phases():
@@ -259,31 +267,33 @@ def test_sweep_requires_three_phases():
 def test_device_rejects_mismatched_cutoffs():
     bad = ginibre_mixed(6, 3, 1, dims=(2, 3))
     with pytest.raises(ValueError):
-        run_device(bad, 0.0)
+        sweep_visibility(bad)
+
+
+# The calibrated phase is pi: there the gate-free interferometer closes.
 
 
 def test_calibration_closes_the_empty_interferometer():
     for seed in (0, 1):
         _, _, joint = product_input(3, 10 + seed, 20 + seed)
         for mode in (IDEAL, hamiltonian_mode(ion_qnd(1.0, 3))):
-            psi_star = calibrate_phase(joint, mode)
             # without the controlled gate p_up is 1; with it, p_up = (1+delta)/2
-            assert literal_device_run(joint, psi_star, mode, controlled_step=False).p_up >= 1.0 - 1e-9
-            opposite = literal_device_run(joint, psi_star + np.pi, mode, controlled_step=False)
+            assert literal_device_run(joint, np.pi, mode, controlled_step=False).p_up >= 1.0 - 1e-9
+            opposite = literal_device_run(joint, 0.0, mode, controlled_step=False)
             assert opposite.p_up <= 1e-9
-            assert run_device(joint, psi_star, mode).p_up <= 1.0
+            p_up = (1 + witness_delta(joint, mode)) / 2
+            assert p_up <= 1.0
+            assert abs(literal_device_run(joint, np.pi, mode).p_up - p_up) < 1e-12
 
 
 def test_calibration_state_independent_and_grid_robust():
-    psi_a = calibrate_phase(tensor_states(fock(0, 4), fock(2, 4)))
-    psi_b = calibrate_phase(random_joint_state(3, 3))
-    assert abs(psi_a - psi_b) < 1e-12
-    # grids without a point at the fringe maximum still calibrate exactly
+    for rho in (tensor_states(fock(0, 4), fock(2, 4)), random_joint_state(3, 3)):
+        assert literal_device_run(rho, np.pi, IDEAL, controlled_step=False).p_up >= 1.0 - 1e-9
+    # grids without a point at the fringe maximum still report delta at pi
     rho = random_joint_state(2, 4)
+    star = literal_device_run(rho, np.pi, IDEAL)
     for k in (3, 5, 7):
-        psi = calibrate_phase(rho, phase_count=k)
-        assert literal_device_run(rho, psi, IDEAL, controlled_step=False).p_up >= 1.0 - 1e-9
-        assert literal_device_run(rho, psi + np.pi, IDEAL, controlled_step=False).p_up <= 1e-9
+        assert abs(sweep_visibility(rho, k).delta - (star.p_up - star.p_down)) < 1e-12
 
 
 def test_witness_delta_singlet():
@@ -320,7 +330,7 @@ def test_witness_delta_invariant_under_detector_relabeling():
     p_other = np.array([literal_device_run(rho, p, IDEAL, controlled_step=False).p_down for p in phases])
     # the fringe's first harmonic peaks where its phase cancels
     psi_star = (-np.angle(np.sum(p_other * np.exp(-1j * phases)))) % (2 * np.pi)
-    r = run_device(rho, psi_star)
+    r = literal_device_run(rho, psi_star, IDEAL)
     assert abs((r.p_down - r.p_up) - witness_delta(rho)) < 1e-10
 
 
@@ -523,16 +533,9 @@ def test_product_input_matches_dense_joint(label, d, seeds, ranks, phase_count, 
     assert abs(by_factors.delta - dense.delta) < 1e-12
     post_diff = by_factors.post_state_unconditional.mat - dense.post_state_unconditional.mat
     assert np.abs(post_diff).max() < 1e-12
-
-    one_factored = run_device(ProductState(a, b), psi, mode)
-    one_dense = run_device(tensor_states(a, b), psi, mode)
-    assert abs(one_factored.p_up - one_dense.p_up) < 1e-12
-    for name in ("post_up", "post_down", "post_unconditional"):
-        x, y = getattr(one_factored, name), getattr(one_dense, name)
-        assert (x is None) == (y is None)
-        if x is not None:
-            assert np.abs(x.mat - y.mat).max() < 1e-12
-
+    # the fringe off the grid, at psi, read off the literal circuit
+    lit = literal_device_run(ProductState(a, b), psi, mode)
+    assert abs(0.5 * (1 - (np.exp(1j * psi) * by_factors._kernel.c).real) - lit.p_up) < 1e-12
 
 
 POST_STATE_MODES = {

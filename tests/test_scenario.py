@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,6 +132,22 @@ def test_records_are_byte_identical_across_runs():
     r2 = run_scenario(parse_scenario(text))
     assert emit(r1) == emit(r2)
     assert emit(r1, "csv") == emit(r2, "csv")
+
+
+# SHA-256 of every bundled record, json then csv, documents in sorted order.
+BUNDLED_RECORDS_SHA256 = "5476eeae3eb22f291e00da3f9085cc61a6889bd67c85d7fe5299806769d24016"
+
+
+def test_bundled_records_are_pinned():
+    digest = hashlib.sha256()
+    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+    for path in sorted(scenarios.glob("*.json")):
+        if path.name == "scenario.schema.json":
+            continue
+        record = run_scenario(parse_scenario(path.read_text()))
+        digest.update(emit(record, "json"))
+        digest.update(emit(record, "csv"))
+    assert digest.hexdigest() == BUNDLED_RECORDS_SHA256
 
 
 def test_json_round_trip():
