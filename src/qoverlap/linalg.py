@@ -12,6 +12,7 @@ products are plain Kronecker products in the same order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -151,7 +152,7 @@ class ProductState:
     a: DensityMatrix
     b: DensityMatrix
 
-    @property
+    @functools.cached_property
     def space(self) -> CompositeSpace:
         return CompositeSpace(self.a.space.dims + self.b.space.dims)
 

@@ -30,6 +30,7 @@ from .linalg import (
     partial_transpose,
 )
 from .protocol import IDEAL, DeviceInput, DeviceMode, ProtocolRun
+from .states import _keyed
 
 # Exact-mode witness verdict threshold; shot-noise runs use 3 standard errors.
 WITNESS_EXACT_THRESHOLD = 1e-9
@@ -222,7 +223,8 @@ def witness(rho_joint: DensityMatrix, settings: MeasurementSettings = EXACT) -> 
     standard errors (shot-noise mode), otherwise "inconclusive".  In
     shot-noise mode the standard error is that of the plus-four proportion
     (ups + 2)/(shots + 4), which stays positive when every shot lands on
-    one detector.
+    one detector.  The counts are drawn from the Philox stream keyed by
+    (seed mod 2**64, 0), the stream of phase 0 in :func:`protocol.sample_shots`.
     """
     run = protocol.sweep_visibility(rho_joint, settings.phase_count, settings.mode)
     delta = run.delta
@@ -232,9 +234,7 @@ def witness(rho_joint: DensityMatrix, settings: MeasurementSettings = EXACT) -> 
     else:
         # One counting run at the calibrated phase, where p_up = (1 + delta)/2.
         p_up = min(max(0.5 * (1.0 + delta), 0.0), 1.0)
-        key = np.array([int(settings.seed) % 2**64, 0], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        ups = int(rng.binomial(settings.shots, p_up))
+        ups = int(_keyed(settings.seed).binomial(settings.shots, p_up))
         delta = 2.0 * ups / settings.shots - 1.0
         # Plus-four proportion: stays inside (0, 1), so the error is never 0
         # when every shot lands on one detector.

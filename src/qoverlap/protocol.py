@@ -91,6 +91,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,6 +105,7 @@ from .linalg import (
     dag,
     tensor,
 )
+from .states import _keyed
 
 # What the device accepts: a dense joint state, or a product kept as factors.
 DeviceInput = DensityMatrix | ProductState
@@ -210,6 +212,11 @@ _DEFAULT_ULPS = 4
 # (~85 KB at d = 20 when complex).  Safe inputs at the default time compile
 # nothing.
 _COMPILE_CACHE_SIZE = 32
+
+# Phase grids are kept per process for phase counts up to this bound, one per
+# K, 40 K bytes each (83 KB for all of them); larger grids are built per call.
+_GRID_MAX_CACHED = 64
+_GRIDS: dict[int, _Grid] = {}
 
 # Row tables kept per process: the two branches of one run.  A table holds
 # d^3 complex numbers (128 KB at d = 20, 268 MB at d = 256).
@@ -464,10 +471,31 @@ class _DeviceKernel:
         return DensityMatrix(rho.space, 0.25 * (both + dag(both)))
 
 
-def _uniform_phases(phase_count: int) -> np.ndarray:
+class _Grid(NamedTuple):
+    """A uniform phase grid psi_k = 2 pi k / K and its two rotations."""
+
+    phases: np.ndarray
+    forward: np.ndarray  # exp(+i psi)
+    backward: np.ndarray  # exp(-i psi)
+
+
+def _grid(phase_count: int) -> _Grid:
+    """The grid of ``phase_count`` phases as read-only arrays.
+
+    Grids of up to ``_GRID_MAX_CACHED`` phases are kept in ``_GRIDS``.
+    """
+    grid = _GRIDS.get(phase_count)
+    if grid is not None:
+        return grid
     if phase_count < 3:
         raise ValueError("phase sweep needs at least 3 phases")
-    return 2.0 * math.pi * np.arange(phase_count) / phase_count
+    phases = 2.0 * math.pi * np.arange(phase_count) / phase_count
+    grid = _Grid(phases, np.exp(1j * phases), np.exp(-1j * phases))
+    for array in grid:
+        array.flags.writeable = False
+    if phase_count <= _GRID_MAX_CACHED:
+        _GRIDS[phase_count] = grid
+    return grid
 
 
 def sweep_visibility(
@@ -481,14 +509,16 @@ def sweep_visibility(
     fringe, which equals the contrast (p_max - p_min)/(p_max + p_min) on
     any uniform grid of at least 3 phases.  ``delta`` is p_up - p_down at
     the calibrated phase pi, i.e. Re c.  The unconditional post-state is
-    phase independent and built on first read.
+    phase independent and built on first read.  ``run.phases`` is
+    read-only; up to ``_GRID_MAX_CACHED`` phases it is the one grid shared
+    by every sweep of ``phase_count`` phases.
     """
-    phases = _uniform_phases(phase_count)
+    grid = _grid(phase_count)
     kernel = _DeviceKernel(rho_joint, mode)
-    cross = (np.exp(1j * phases) * kernel.c).real
+    cross = (grid.forward * kernel.c).real
     p_up = np.maximum(0.5 * (1.0 - cross), 0.0)
     p_dn = np.maximum(0.5 * (1.0 + cross), 0.0)
-    return ProtocolRun(phases, p_up, p_dn, abs(kernel.c), kernel.c.real, kernel)
+    return ProtocolRun(grid.phases, p_up, p_dn, abs(kernel.c), kernel.c.real, kernel)
 
 
 def witness_delta(rho_joint: DeviceInput, mode: DeviceMode = IDEAL) -> float:
@@ -504,30 +534,23 @@ def witness_delta(rho_joint: DeviceInput, mode: DeviceMode = IDEAL) -> float:
 def sample_shots(run: ProtocolRun, shots_per_phase: int, seed: int) -> np.ndarray:
     """Simulate finite counting statistics for a swept run.
 
-    For each phase k an independent Philox stream keyed by (seed mod 2**64,
-    k) draws ``shots_per_phase`` Bernoulli trials with success probability
-    p_up; the per-phase keying makes the result independent of evaluation
-    order, and negative seeds are streams of their own.  One generator is
-    re-keyed from phase to phase: a Philox stream is fixed by its key, and
-    each phase starts at counter 0 with an empty buffer, so it draws what a
-    fresh generator per phase would.
+    For each phase k the Philox stream keyed by (seed mod 2**64, k) draws
+    ``shots_per_phase`` Bernoulli trials with success probability p_up;
+    the per-phase keying makes the result independent of evaluation order,
+    and negative seeds are streams of their own.  Each stream is one
+    re-keyed generator at counter 0 (:func:`qoverlap.states._keyed`), so it
+    draws what a fresh generator per phase would.
 
     Returns an integer array of shape (K, 2) with columns (count_up,
     count_down).
     """
     if shots_per_phase < 1:
         raise ValueError("shots_per_phase must be at least 1")
-    bits = np.random.Philox(key=np.array([int(seed) % 2**64, 0], dtype=np.uint64))
-    fresh = bits.state
-    rng = np.random.Generator(bits)
-    counts = np.empty((len(run.phases), 2), dtype=np.int64)
-    for k, p in enumerate(run.p_up):
-        if k:
-            fresh["state"]["key"][1] = k
-            bits.state = fresh
-        up = int(rng.binomial(shots_per_phase, min(max(float(p), 0.0), 1.0)))
-        counts[k, 0] = up
-        counts[k, 1] = shots_per_phase - up
+    ups = [_keyed(seed, k).binomial(shots_per_phase, min(max(p, 0.0), 1.0))
+           for k, p in enumerate(run.p_up.tolist())]
+    counts = np.empty((len(ups), 2), dtype=np.int64)
+    counts[:, 0] = ups
+    counts[:, 1] = shots_per_phase - counts[:, 0]
     return counts
 
 
@@ -542,33 +565,41 @@ def estimate_visibility(counts: np.ndarray, phases: np.ndarray) -> tuple[float, 
     float-valued frequencies; rows must sum to a positive total.
     ``phases`` must step by 2 pi / K: every spacing within
     1e-9 + 1e-5 (2 pi / K) of it, the bound ``np.allclose`` would apply
-    with ``atol=1e-9``; a NaN phase is rejected.
+    with ``atol=1e-9``; a NaN phase is rejected.  A sweep's own
+    ``run.phases``, when it is the kept grid of K phases, is uniform by
+    construction, so it skips that check and reuses the grid's rotation
+    exp(-i psi).  Any other array is checked and rotated afresh; one equal
+    to the grid gives the same bits.
     """
     counts = np.asarray(counts, dtype=float)
-    phases = np.asarray(phases, dtype=float)
     k = len(phases)
     if k < 3 or counts.shape != (k, 2):
         raise ValueError("need counts of shape (K, 2) for K >= 3 phases")
-    step = 2.0 * math.pi / k
-    # allclose's test with rtol 1e-5 and atol 1e-9, written so that NaN fails it
-    if not np.abs(np.diff(phases) - step).max() <= 1e-9 + 1e-5 * step:
-        raise ValueError("phase grid is not uniform")
+    grid = _GRIDS.get(k)
+    if grid is not None and phases is grid.phases:  # a sweep's own grid: uniform, its rotation known
+        rotation = grid.backward
+    else:
+        phases = np.asarray(phases, dtype=float)
+        step = 2.0 * math.pi / k
+        # allclose's test with rtol 1e-5 and atol 1e-9, written so that NaN fails it
+        if not np.abs(np.diff(phases) - step).max() <= 1e-9 + 1e-5 * step:
+            raise ValueError("phase grid is not uniform")
+        rotation = np.exp(-1j * phases)
     totals = counts.sum(axis=1)
-    if np.any(totals <= 0):
+    if (totals <= 0).any():
         raise ValueError("every phase needs a positive total count")
     p_dn = counts[:, 1] / totals
     # The first-harmonic coefficient (4/K) sum_k p_k exp(-i psi_k): for samples
     # of (1 + Re[exp(i psi) c]) / 2 on a uniform grid of K >= 3 phases it is
     # c exactly.  One rotation serves it and its gradient.
-    rotation = np.exp(-1j * phases)
-    coeff = complex((4.0 / k) * np.sum(p_dn * rotation))
+    coeff = complex((4.0 / k) * (p_dn * rotation).sum())
     v_hat = abs(coeff)
     var_p = p_dn * (1.0 - p_dn) / totals
     if v_hat > 1e-12:
         grad = (4.0 / k) * (np.conj(coeff) * rotation).real / v_hat
-        var_v = float(np.sum(grad**2 * var_p))
+        var_v = float((grad**2 * var_p).sum())
     else:
-        var_v = float((8.0 / k**2) * np.sum(var_p))
+        var_v = float((8.0 / k**2) * var_p.sum())
     return float(v_hat), math.sqrt(var_v)
 
 

@@ -145,13 +145,19 @@ def _build_state(spec, cutoff: int, slot: str, text: str):
                                 _find_line(text, f"{path}.kind"))
         return params.pop(name, default)
 
+    def _take_int(name, default=None, required=False):
+        value = _take(name, default, required)
+        _require(type(value) is int, f"{name} must be an integer", f"{path}.{name}", text)
+        return value
+
     try:
         if kind == "fock":
-            n = _take("n", required=True)
-            built, ket = states.fock(int(n), cutoff), states.fock_ket(int(n), cutoff)
+            ket = states.fock_ket(_take_int("n", required=True), cutoff)
+            built = states.pure(ket)
         elif kind == "coherent":
             alpha = _as_complex(_take("alpha", required=True), f"{path}.alpha", text)
-            built, ket = states.coherent(alpha, cutoff), states.coherent_ket(alpha, cutoff)
+            ket = states.coherent_ket(alpha, cutoff)
+            built = states.pure(ket)
         elif kind == "thermal":
             built, ket = states.thermal(float(_take("nbar", required=True)), cutoff), None
         elif kind == "bell_singlet":
@@ -164,8 +170,8 @@ def _build_state(spec, cutoff: int, slot: str, text: str):
             _require(cutoff == 2, "werner needs cutoff 2", f"{path}", text, "cutoff")
             built, ket = states.werner(float(_take("p", required=True))), None
         elif kind == "ginibre_mixed":
-            rank = int(_take("rank", required=True))
-            seed = int(_take("seed", 0))
+            rank = _take_int("rank", required=True)
+            seed = _take_int("seed", 0)
             if joint:
                 built = states.ginibre_mixed(cutoff * cutoff, rank, seed, dims=(cutoff, cutoff))
             else:
@@ -236,20 +242,20 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError(f"unknown task {task!r} (known: {', '.join(ALL_TASKS)})",
                             "task", _find_line(text, "task"))
     cutoff = doc.get("cutoff")
-    _require(isinstance(cutoff, int) and cutoff >= 2, "cutoff must be an integer >= 2", "cutoff", text)
+    _require(type(cutoff) is int and cutoff >= 2, "cutoff must be an integer >= 2", "cutoff", text)
 
     phases = doc.get("phases", 8)
-    _require(isinstance(phases, int) and phases >= 3, "phases must be an integer >= 3", "phases", text)
+    _require(type(phases) is int and phases >= 3, "phases must be an integer >= 3", "phases", text)
     shots_raw = doc.get("shots", "exact")
     if shots_raw == "exact":
         shots = None
-    elif isinstance(shots_raw, int) and shots_raw >= 1:
+    elif type(shots_raw) is int and shots_raw >= 1:
         shots = shots_raw
     else:
         raise ScenarioError("shots must be a positive integer or \"exact\"", "shots",
                             _find_line(text, "shots"))
     seed = doc.get("seed", 0)
-    _require(isinstance(seed, int), "seed must be an integer", "seed", text)
+    _require(type(seed) is int, "seed must be an integer", "seed", text)
     output = doc.get("output")
     if output is not None:
         _require(isinstance(output, str), "output must be a path string", "output", text)
@@ -363,11 +369,11 @@ def run_scenario(scenario: Scenario, stamp: bool = False) -> ResultRecord:
         shots=report.shots_used,
         rng=RNG_ALGORITHM,
         timestamp=timestamp,
-        phases=[float(x) for x in run.phases],
-        p_up=[float(x) for x in run.p_up],
-        p_down=[float(x) for x in run.p_down],
-        count_up=None if counts is None else [int(x) for x in counts[:, 0]],
-        count_down=None if counts is None else [int(x) for x in counts[:, 1]],
+        phases=run.phases.tolist(),
+        p_up=run.p_up.tolist(),
+        p_down=run.p_down.tolist(),
+        count_up=None if counts is None else counts[:, 0].tolist(),
+        count_down=None if counts is None else counts[:, 1].tolist(),
     )
     if s.output:
         write_record(record, s.output, "json")

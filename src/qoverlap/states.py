@@ -8,6 +8,7 @@ every constructor output is an exact density matrix.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -16,11 +17,36 @@ from .linalg import CompositeSpace, DensityMatrix
 RNG_ALGORITHM = "philox4x64-10"
 
 
-def _rng(seed: int) -> np.random.Generator:
-    # Counter-based Philox keyed directly by the user seed: reproducible
-    # across platforms and numpy versions, and independent streams are just
-    # different keys.
-    return np.random.Generator(np.random.Philox(key=int(seed) % 2**64))
+# One Philox generator per thread, re-keyed by :func:`_keyed`.
+_PHILOX = threading.local()
+
+
+def _keyed(seed: int, k: int = 0) -> np.random.Generator:
+    """The Philox stream keyed by (seed mod 2**64, k), at counter 0.
+
+    Counter-based Philox keyed directly by the user seed is reproducible
+    across platforms and numpy versions, and independent streams are just
+    different keys.  A stream is fixed by its key, so one generator per
+    thread is re-keyed on every call: it draws what a fresh
+    ``Philox(key=[seed mod 2**64, k])`` would, without building one (most
+    of that cost is a ``SeedSequence`` that a keyed generator never reads).
+    The generator is valid until the next call in the same thread.
+    """
+    try:
+        bits, fresh, rng = _PHILOX.stream
+    except AttributeError:
+        bits = np.random.Philox(key=0)
+        fresh = bits.state
+        # as plain ints, which the state setter reads faster than array items
+        fresh["state"] = {name: words.tolist() for name, words in fresh["state"].items()}
+        fresh["buffer"] = fresh["buffer"].tolist()
+        rng = np.random.Generator(bits)
+        _PHILOX.stream = bits, fresh, rng
+    key = fresh["state"]["key"]
+    key[0] = int(seed) % 2**64
+    key[1] = k
+    bits.state = fresh  # counter 0, empty buffer
+    return rng
 
 
 def fock_ket(n: int, cutoff: int) -> np.ndarray:
@@ -132,14 +158,15 @@ def ginibre_mixed(dim: int, rank: int, seed: int, dims: tuple[int, ...] | None =
     """Random mixed state ``G G^dag / Tr(G G^dag)`` with G complex Gaussian.
 
     ``G`` is ``dim x rank`` with independent standard-normal real and
-    imaginary parts (real part drawn first), generated by Philox keyed on
-    ``seed`` so identical seeds give identical states everywhere.
+    imaginary parts (real part drawn first), drawn from the Philox stream
+    keyed by (seed mod 2**64, 0), re-keyed for each call
+    (:func:`_keyed`), so identical seeds give identical states everywhere.
     """
     if rank < 1:
         raise ValueError("rank must be at least 1")
     if dim < 2:
         raise ValueError("dimension must be at least 2")
-    rng = _rng(seed)
+    rng = _keyed(seed)
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     m = g @ g.conj().T
     m /= np.trace(m).real

@@ -323,10 +323,10 @@ def test_witness_delta_equals_flip_expectation():
 def test_witness_delta_invariant_under_detector_relabeling():
     # declaring the other detector "up" and recalibrating gives the same
     # probability difference: the calibration anchors the sign, not the label
-    from qoverlap.protocol import _uniform_phases
+    from qoverlap.protocol import _grid
 
     rho = random_joint_state(2, 5151)
-    phases = _uniform_phases(8)
+    phases = _grid(8).phases
     p_other = np.array([literal_device_run(rho, p, IDEAL, controlled_step=False).p_down for p in phases])
     # the fringe's first harmonic peaks where its phase cancels
     psi_star = (-np.angle(np.sum(p_other * np.exp(-1j * phases)))) % (2 * np.pi)
@@ -374,12 +374,16 @@ def test_sample_shots_seed_is_taken_mod_2_64():
     assert draw(2**53) != draw(2**53 + 1)
 
 
+def _fresh(seed, k=0):
+    """A freshly built generator on the Philox stream keyed by (seed mod 2**64, k)."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, k], dtype=np.uint64)))
+
+
 def _per_phase_oracle(run, shots, seed):
     """One fresh Philox generator per phase, keyed by (seed mod 2**64, k)."""
     counts = []
     for k, p in enumerate(run.p_up):
-        key = np.array([seed % 2**64, k], dtype=np.uint64)
-        up = int(np.random.Generator(np.random.Philox(key=key)).binomial(shots, np.clip(p, 0.0, 1.0)))
+        up = int(_fresh(seed, k).binomial(shots, np.clip(p, 0.0, 1.0)))
         counts.append([up, shots - up])
     return np.array(counts)
 
@@ -392,6 +396,115 @@ def test_sample_shots_is_keyed_per_phase(phase_count, shots):
         counts = sample_shots(run, shots, seed)
         assert counts.dtype == np.int64
         assert np.array_equal(counts, _per_phase_oracle(run, shots, seed))
+
+
+def _ginibre_oracle(dim, rank, seed):
+    rng = _fresh(seed)
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+def test_keyed_streams_leak_no_state_between_calls():
+    from qoverlap.observables import witness
+
+    runs = {k: sweep_visibility(random_joint_state(2, 60 + k), k) for k in (3, 8, 13)}
+    seeds = (-1, 0, 5, 2**53 + 1, 2**64 - 3)
+    jobs = {}
+    for seed in seeds:
+        for k, run in runs.items():
+            jobs["shots", seed, k] = lambda run=run, seed=seed: sample_shots(run, 997, seed)
+        jobs["witness", seed] = lambda seed=seed: witness(werner(0.4), MeasurementSettings(shots=501, seed=seed))
+        jobs["ginibre", seed] = lambda seed=seed: ginibre_mixed(5, 3, seed)
+    alone = {name: job() for name, job in jobs.items()}
+    order = list(jobs) * 2
+    np.random.default_rng(7).shuffle(order)
+    for name in order:
+        value = jobs[name]()
+        if name[0] == "shots":
+            assert np.array_equal(value, alone[name])
+            run, seed = runs[name[2]], name[1]
+            for k, (p, (up, down)) in enumerate(zip(run.p_up, value)):
+                assert up == _fresh(seed, k).binomial(997, min(max(p, 0.0), 1.0)) and up + down == 997
+        elif name[0] == "witness":
+            assert value == alone[name]
+            p_up = 0.5 * (1.0 + value.run.delta)
+            assert value.device_value == 2.0 * _fresh(name[1]).binomial(501, p_up) / 501 - 1.0
+        else:
+            assert np.array_equal(value.mat, alone[name].mat)
+            assert np.array_equal(value.mat, _ginibre_oracle(5, 3, name[1]))
+
+
+def test_keyed_stream_starts_at_counter_zero_after_a_partial_draw():
+    from qoverlap.states import _keyed
+
+    for draw in (lambda g: g.random(dtype=np.float32), lambda g: g.integers(0, 7, size=3),
+                 lambda g: g.standard_normal(5)):
+        draw(_keyed(11, 2))  # leaves a half-used word or a part-read buffer behind
+        assert np.array_equal(_keyed(11, 2).random(9), _fresh(11, 2).random(9))
+
+
+def test_two_threads_sampling_at_once_match_serial_calls():
+    import sys
+    import threading
+
+    runs = [sweep_visibility(random_joint_state(2, 70 + k), k) for k in (3, 8, 13)]
+    work = [[(runs[i % 3], 10 + 17 * i + t) for i in range(150)] for t in range(2)]
+    serial = [[sample_shots(run, 1000, seed) for run, seed in jobs] for jobs in work]
+    threaded = [None, None]
+    barrier = threading.Barrier(2)
+
+    def sample(t):
+        barrier.wait(timeout=60)
+        threaded[t] = [sample_shots(run, 1000, seed) for run, seed in work[t]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        threads = [threading.Thread(target=sample, args=(t,)) for t in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for t in range(2):
+        assert all(np.array_equal(a, b) for a, b in zip(threaded[t], serial[t], strict=True))
+
+
+def test_sweep_phases_are_one_read_only_grid_per_phase_count():
+    from qoverlap.protocol import _grid
+
+    first, second = sweep_visibility(bell_singlet(), 8), sweep_visibility(werner(0.3), 8)
+    assert first.phases is second.phases is _grid(8).phases
+    for array in _grid(8):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    with pytest.raises(ValueError, match="at least 3 phases"):
+        sweep_visibility(bell_singlet(), phase_count=2)
+
+
+def test_grids_beyond_the_kept_phase_counts_are_built_per_sweep():
+    from qoverlap.protocol import _GRID_MAX_CACHED, _GRIDS
+
+    large = _GRID_MAX_CACHED + 1
+    first, second = sweep_visibility(bell_singlet(), large), sweep_visibility(bell_singlet(), large)
+    assert first.phases is not second.phases and large not in _GRIDS
+    assert not first.phases.flags.writeable
+    counts = sample_shots(first, 1000, 3)
+    assert estimate_visibility(counts, first.phases) == estimate_visibility(counts, np.array(first.phases.tolist()))
+
+
+@pytest.mark.parametrize("phase_count", [3, 8, 13])
+def test_estimate_visibility_on_a_copy_of_the_grid_is_bit_identical(phase_count):
+    run = sweep_visibility(random_joint_state(2, 80 + phase_count), phase_count)
+    for seed in range(5):
+        counts = sample_shots(run, 1000, seed)
+        copy = np.array(run.phases.tolist())
+        assert copy is not run.phases and np.array_equal(copy, run.phases)
+        assert estimate_visibility(counts, copy) == estimate_visibility(counts, run.phases)
 
 
 def test_estimate_visibility_consistency_on_exact_frequencies():

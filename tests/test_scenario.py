@@ -78,6 +78,23 @@ def test_error_line_passes_over_a_value_equal_to_a_key():
     assert '"kind": "squeezed"' in text.splitlines()[err.value.line - 1]
 
 
+@pytest.mark.parametrize("fields, path", [
+    ({"cutoff": 4.0}, "cutoff"),
+    ({"phases": 8.0}, "phases"),
+    ({"shots": True}, "shots"),
+    ({"seed": False}, "seed"),
+    ({"state_a": {"kind": "fock", "n": True}}, "state_a.n"),
+    ({"state_a": {"kind": "ginibre_mixed", "rank": 2.7}}, "state_a.rank"),
+    ({"state_a": {"kind": "ginibre_mixed", "rank": 2, "seed": 3.0}}, "state_a.seed"),
+], ids=["cutoff", "phases", "shots", "seed", "n", "rank", "constructor_seed"])
+def test_integer_fields_refuse_bools_and_floats(fields, path):
+    text = make(**fields)
+    with pytest.raises(ScenarioError, match="integer") as err:
+        parse_scenario(text)
+    assert err.value.path == path
+    assert f'"{path.split(".")[-1]}"' in text.splitlines()[err.value.line - 1]
+
+
 def test_joint_constructor_rejected_in_single_slot():
     with pytest.raises(ScenarioError, match="werner"):
         parse_scenario(make(state_a={"kind": "werner", "p": 0.5}))
@@ -356,3 +373,51 @@ def test_record_writer_round_trips_and_matches_the_reference_writer(record):
     text = emit(record)
     assert json.loads(text) == record_to_dict(record)
     assert text == (_reference_dumps(vars(record)) + "\n").encode()
+
+
+def _shot_states(task: str, mode: str, seed: int) -> dict:
+    """Inputs for one shot-mode document: safe-sector states at cutoff 3 in physical mode."""
+    if task == "witness":
+        if mode == "ideal":
+            return {"cutoff": 2, "state_joint": {"kind": "werner", "p": 0.7}}
+        singlet = [0, [0.6, 0.1], 0, [-0.7, 0.2], 0, 0, 0, 0, 0]  # |0,1> and |1,0> only
+        return {"cutoff": 3, "state_joint": {"kind": "pure", "amplitudes": singlet}}
+    if mode == "ideal":
+        a = {"kind": "ginibre_mixed", "rank": 2, "seed": seed}
+        b = {"kind": "coherent", "alpha": [0.3, -0.2]}
+    else:
+        a = {"kind": "pure", "amplitudes": [0.8, [0.3, 0.5], 0]}
+        b = {"kind": "fock", "n": 1}
+    states = {"cutoff": 3, "state_a": a}
+    if task not in ("purity", "linear_entropy"):
+        states["state_b"] = b
+    return states
+
+
+def shot_documents() -> list[str]:
+    """Every task in ideal and physical mode, over phase counts, shot budgets and seeds."""
+    docs = []
+    for task in ALL_TASKS:
+        for mode in ("ideal", "physical"):
+            for phases in (3, 8, 13):
+                for shots in (1, 1000, 10**5):
+                    for seed in (-1, 0, 2**53 + 1):
+                        doc = {"name": f"{task}-{mode}-{phases}-{shots}-{seed}", "task": task,
+                               "device_mode": mode, "phases": phases, "shots": shots, "seed": seed}
+                        doc.update(_shot_states(task, mode, seed))
+                        docs.append(json.dumps(doc))
+    return docs
+
+
+# SHA-256 of the json then csv emit of every document of shot_documents(), in order.
+SHOT_RECORDS_SHA256 = "5bb3625c65197c91ac9790f633882cd304c418afc052d3abd4d0d00399190ebe"
+
+
+@pytest.mark.filterwarnings("error")
+def test_shot_mode_records_are_pinned():
+    digest = hashlib.sha256()
+    for text in shot_documents():
+        record = run_scenario(parse_scenario(text))
+        digest.update(emit(record, "json"))
+        digest.update(emit(record, "csv"))
+    assert digest.hexdigest() == SHOT_RECORDS_SHA256
