@@ -3,6 +3,11 @@
 Each pipeline drives the interferometric device to produce ``device_value``
 and computes ``oracle_value`` by direct matrix algebra on the inputs; reports
 carry both, so exact-mode runs double as end-to-end consistency checks.
+The overlap, purity and HS-distance oracles are products of d x d
+matrices, O(d^3); the fidelity oracle <psi|rho|psi> is O(d^2); the
+witness oracle reads the d^2 entries of the partial transpose that the
+maximally entangled vector touches, O(d^2), without copying the joint
+state.
 
 With ``settings.shots`` set, per-phase probabilities are sampled and the
 device value comes from the counting-statistics estimator; the reported
@@ -18,17 +23,13 @@ run.  Neither field takes part in equality.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import gates, protocol
-from .linalg import (
-    DensityMatrix,
-    ProductState,
-    as_single_subsystem,
-    partial_transpose,
-)
+from .linalg import ATOL_ALGEBRA, DensityMatrix, ProductState, as_single_subsystem
 from .protocol import IDEAL, DeviceInput, DeviceMode, ProtocolRun
 from .states import _keyed
 
@@ -38,12 +39,36 @@ WITNESS_EXACT_THRESHOLD = 1e-9
 
 @dataclass(frozen=True)
 class MeasurementSettings:
-    """How the device is driven: realization, phase grid, statistics."""
+    """How the device is driven: realization, phase grid, statistics.
+
+    ``phase_count`` is an integer >= 3 and ``shots`` ``None`` or an integer
+    >= 1.  Numpy integers are stored as ``int``; bools and floats raise
+    ``TypeError``, values out of range ``ValueError``.
+    """
 
     mode: DeviceMode = IDEAL
     phase_count: int = 8
     shots: int | None = None  # None runs with exact probabilities
     seed: int = 0
+
+    def __post_init__(self):
+        # numpy would truncate a fractional shot count and run True as one shot
+        object.__setattr__(self, "phase_count", _count("phase_count", self.phase_count, 3))
+        if self.shots is not None:
+            object.__setattr__(self, "shots", _count("shots", self.shots, 1))
+
+
+def _count(name: str, value, least: int) -> int:
+    """``value`` as an int >= ``least``; bools and non-integers are refused."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if count < least:
+        raise ValueError(f"{name} must be at least {least}, got {count}")
+    return count
 
 
 EXACT = MeasurementSettings()
@@ -110,7 +135,11 @@ def hs_distance_direct(rho_a: DensityMatrix, rho_b: DensityMatrix) -> float:
 
 
 def flip_expectation(rho_joint: DensityMatrix) -> float:
-    """Tr(rho S) with S the flip operator on the two equal subsystems."""
+    """Tr(rho S) with S the flip operator on the two equal subsystems.
+
+    Builds the d^2 x d^2 flip operator and a d^2 x d^2 product; it serves
+    as a reference in the tests, and no pipeline uses it.
+    """
     d = protocol._require_mode_pair(rho_joint.space)
     return float(np.trace(rho_joint.mat @ gates.flip_operator(d)).real)
 
@@ -125,13 +154,16 @@ def max_entangled_vector(d: int) -> np.ndarray:
 def witness_oracle(rho_joint: DensityMatrix) -> float:
     """<L| rho^T2 |L> with |L> the unnormalized maximally entangled vector.
 
-    Computed through the partial transpose of the second subsystem; equals
-    the flip expectation, which is what the calibrated device measures.
+    |L> = sum_j |j>|j>, so the functional is sum_{i,j} rho^T2[(i,i),(j,j)]:
+    the d^2 entries of the partial transpose of the second subsystem that
+    |L> touches, read from its 4-index view without copying rho, in O(d^2).
+    It equals the flip expectation, which is what the calibrated device
+    measures.
     """
     d = protocol._require_mode_pair(rho_joint.space)
-    pt = partial_transpose(rho_joint, 1)
-    lam = max_entangled_vector(d)
-    return float((lam.conj() @ pt @ lam).real)
+    # rho^T2[(a, b), (c, e)] = rho[(a, e), (c, b)]
+    pt = np.swapaxes(rho_joint.mat.reshape(d, d, d, d), 1, 3)
+    return float(np.einsum("iijj->", pt).real)
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +182,20 @@ def overlap(
 def fidelity_with_pure(
     rho: DensityMatrix, pure_psi: np.ndarray, settings: MeasurementSettings = EXACT
 ) -> ObservableReport:
-    """Fidelity <psi|rho|psi> of a state against a normalized pure state."""
+    """Fidelity <psi|rho|psi> of a state against a pure state.
+
+    ``pure_psi`` must be normalized to |<psi|psi> - 1| <= 1e-10, the trace
+    tolerance of the projector |psi><psi| as a density matrix.  It is used
+    as given, not renormalized.
+    """
     psi = np.asarray(pure_psi, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
-        raise ValueError("pure state must be normalized to within 1e-8")
+    projector = np.outer(psi, psi.conj())
+    if abs(projector.trace().real - 1.0) > ATOL_ALGEBRA:
+        raise ValueError("pure state must be normalized: |<psi|psi> - 1| exceeds 1e-10")
     if psi.size != rho.space.dim:
         raise ValueError("pure state dimension does not match the density matrix")
     single = as_single_subsystem(rho)
-    rho_b = DensityMatrix(single.space, np.outer(psi, psi.conj()))
+    rho_b = DensityMatrix(single.space, projector)
     oracle = float((psi.conj() @ rho.mat @ psi).real)
     return _measure_visibility("fidelity", ProductState(single, rho_b), oracle, settings)
 
@@ -245,7 +283,11 @@ def witness(rho_joint: DensityMatrix, settings: MeasurementSettings = EXACT) -> 
 
 
 def povm_expectation(rho_joint: DensityMatrix) -> float:
-    """|Tr(rho (Pi_plus - Pi_minus))|, the projector-pair form of the visibility."""
+    """|Tr(rho (Pi_plus - Pi_minus))|, the projector-pair form of the visibility.
+
+    Builds the two d^2 x d^2 projectors and a d^2 x d^2 product; it serves
+    as a reference in the tests, and no pipeline uses it.
+    """
     d = protocol._require_mode_pair(rho_joint.space)
     pair = gates.povm_projectors(d)
     return abs(float(np.trace(rho_joint.mat @ (pair.pi_plus - pair.pi_minus)).real))

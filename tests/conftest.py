@@ -33,6 +33,15 @@ def embed_mode_state(dm: DensityMatrix, cutoff: int) -> DensityMatrix:
     return DensityMatrix(CompositeSpace((cutoff,)), m)
 
 
+def embed_joint_state(dm: DensityMatrix, cutoff: int) -> DensityMatrix:
+    """Pad a two-mode state with zero rows/columns up to a larger cutoff per mode."""
+    d = dm.space.dims[0]
+    assert dm.space.dims == (d, d) and d <= cutoff
+    m = np.zeros((cutoff,) * 4, dtype=complex)
+    m[:d, :d, :d, :d] = dm.mat.reshape(d, d, d, d)
+    return DensityMatrix(CompositeSpace((cutoff, cutoff)), m.reshape(cutoff**2, cutoff**2))
+
+
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary via QR of a complex Gaussian matrix."""
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

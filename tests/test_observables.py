@@ -14,6 +14,7 @@ from qoverlap import (
     MeasurementSettings,
     bell_singlet,
     coherent,
+    coherent_ket,
     dispersive_cps,
     fidelity_with_pure,
     fock,
@@ -25,6 +26,7 @@ from qoverlap import (
     linear_coupling,
     linear_entropy,
     overlap,
+    partial_transpose,
     povm_expectation,
     parse_scenario,
     purity,
@@ -42,8 +44,9 @@ from qoverlap.observables import (
     purity_direct,
     witness_oracle,
 )
+from qoverlap import protocol
 from qoverlap.protocol import _DeviceKernel
-from conftest import embed_mode_state, random_joint_state
+from conftest import embed_joint_state, embed_mode_state, random_joint_state
 
 SHOT_SETTINGS = MeasurementSettings(shots=20_000, seed=3)
 
@@ -89,6 +92,18 @@ def test_fidelity_thermal_ground_level():
 def test_fidelity_rejects_unnormalized_state():
     with pytest.raises(ValueError):
         fidelity_with_pure(fock(0, 4), 1.2 * fock_ket(0, 4))
+
+
+def test_fidelity_normalization_tolerance_is_the_one_enforced():
+    rho = thermal(0.5, 6)
+    # <psi|psi> - 1 = 1e-8: refused up front, not later by the projector's trace check
+    with pytest.raises(ValueError, match=r"\|<psi\|psi> - 1\| exceeds 1e-10"):
+        fidelity_with_pure(rho, coherent_ket(0.5, 6) * (1 + 5e-9))
+    # <psi|psi> - 1 = 5e-11: accepted, and used as given, not renormalized
+    psi = coherent_ket(0.5, 6) * math.sqrt(1 + 5e-11)
+    report = fidelity_with_pure(rho, psi)
+    assert report.oracle_value == float((psi.conj() @ rho.mat @ psi).real)
+    assert report.abs_error < 1e-12
 
 
 def test_purity_special_cases():
@@ -191,6 +206,35 @@ def test_witness_oracle_identity_chain():
             assert abs(witness_oracle(rho) - flip_expectation(rho)) < 1e-12
 
 
+def _literal_witness(rho: DensityMatrix) -> float:
+    lam = max_entangled_vector(rho.space.dims[0])
+    return float((lam.conj() @ partial_transpose(rho, 1) @ lam).real)
+
+
+def test_witness_oracle_matches_the_literal_contraction(monkeypatch):
+    rng = np.random.default_rng(1700)
+    states = []
+    for d in range(2, 9):
+        # Hermitian, unit trace, not necessarily positive
+        g = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+        h = 0.5 * (g + g.conj().T)
+        h += (1.0 - np.trace(h).real) / (d * d) * np.eye(d * d)
+        states.append(DensityMatrix(CompositeSpace((d, d)), h))
+        states.append(random_joint_state(d, 1700 + d))
+    entangled = [bell_singlet(), werner(0.5), werner(0.9),
+                 embed_joint_state(bell_singlet(), 5), embed_joint_state(werner(0.7), 8)]
+    states += entangled
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle ran device code")
+
+    monkeypatch.setattr(protocol, "sweep_visibility", refuse)
+    monkeypatch.setattr(protocol, "_fringe_coefficient", refuse)
+    for rho in states:
+        assert abs(witness_oracle(rho) - _literal_witness(rho)) < 1e-12
+    assert all(witness_oracle(rho) < -0.1 for rho in entangled)
+
+
 def test_witness_monotone_in_werner_parameter():
     deltas = [witness(werner(float(p))).device_value for p in np.linspace(0, 1, 11)]
     assert np.all(np.diff(deltas) < 0)
@@ -268,6 +312,32 @@ def test_shot_noise_witness_error_stays_positive_when_one_detector_gets_every_sh
     assert report.abs_error <= 6 * report.std_error
 
 
+@pytest.mark.parametrize(
+    "field, value, error",
+    [
+        ("shots", 1000.7, TypeError),  # numpy would draw binomial(1000, p)
+        ("shots", 1000.5, TypeError),  # witness would divide 1000 draws by 1000.5
+        ("shots", True, TypeError),  # would run one shot per phase and report True
+        ("shots", 0, ValueError),
+        ("phase_count", 8.0, TypeError),
+        ("phase_count", True, TypeError),
+        ("phase_count", 2, ValueError),
+    ],
+)
+def test_settings_refuse_counts_that_are_not_integers_in_range(field, value, error):
+    with pytest.raises(error, match=field):
+        MeasurementSettings(**{field: value})
+
+
+def test_settings_take_numpy_integer_counts_as_ints():
+    settings = MeasurementSettings(phase_count=np.int32(6), shots=np.int64(500), seed=2)
+    assert type(settings.phase_count) is int and type(settings.shots) is int
+    assert settings == MeasurementSettings(phase_count=6, shots=500, seed=2)
+    report = witness(werner(0.5), settings)
+    assert report.shots_used == 500 and type(report.shots_used) is int
+    assert report == witness(werner(0.5), MeasurementSettings(phase_count=6, shots=500, seed=2))
+
+
 def test_shot_noise_determinism():
     r1 = overlap(fock(0, 3), fock(0, 3), SHOT_SETTINGS)
     r2 = overlap(fock(0, 3), fock(0, 3), SHOT_SETTINGS)
@@ -329,6 +399,27 @@ def test_large_cutoff_purity_stays_small_in_memory(mode, cutoff):
     assert abs(report.device_value - (1 - q) / (1 + q) * (1 + q**levels) / (1 - q**levels)) < 1e-12
     # a dense d^2 x d^2 matrix is 16 MiB at d = 32 and 256 MiB at d = 64
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize(
+    "mode",
+    [IDEAL, PHYSICAL, hamiltonian_mode(linear_coupling(1.0, 32))],
+    ids=["ideal", "physical", "hamiltonian:linear_coupling"],
+)
+def test_large_cutoff_witness_stays_small_in_memory(mode):
+    d = 32
+    # Safe sector: levels <= (d - 1) // 2 in each mode, where every mode is exact.
+    small = random_joint_state((d - 1) // 2 + 1, 1800)
+    rho = embed_joint_state(small, d)  # 16 MiB
+    tracemalloc.start()
+    try:
+        report = witness(rho, MeasurementSettings(mode=mode))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.abs_error < 1e-9
+    assert abs(report.device_value - flip_expectation(small)) < 1e-12
+    assert peak < 2**20
 
 
 GUARD_MODES = {
