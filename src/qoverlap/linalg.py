@@ -75,6 +75,14 @@ class DensityMatrix:
     checked only by :meth:`validate`, which no constructor calls; the tests
     call it on the states the constructors hand out.  The device refuses an
     input whose fringe coefficient |Tr(W_rel rho)| exceeds 1.
+
+    A state on two modes of one cutoff d answers the device kernel's reads
+    (:class:`ProductState` answers the same ones), each through views of
+    ``mat`` with no copy of it: :meth:`flip_trace`, :meth:`live_sectors`,
+    :meth:`sector_trace`, :meth:`sector_rows`, :meth:`base_partial_trace`,
+    :meth:`populations` and :meth:`dense`.  They are valid only on such a
+    pair, which ``protocol._require_mode_pair`` checks before any of them;
+    ``sectors`` is ``gates.number_sectors(d)``, ``sector`` one of its entries.
     """
 
     space: CompositeSpace
@@ -103,6 +111,34 @@ class DensityMatrix:
         if w.min() < -ATOL_EIG:
             raise ValueError(f"density matrix has eigenvalue {w.min():.3e} < -1e-9")
         return self
+
+    def flip_trace(self) -> complex:
+        """Tr(S rho), S the swap of the two modes."""
+        return np.einsum("ijji", self.mat.reshape(self.space.dims * 2))
+
+    def live_sectors(self, patched: range, sectors, rows: bool = False) -> list[int]:
+        """The sectors k in ``patched`` whose diagonal block (with ``rows``, whose rows) is not all 0."""
+        return [k for k in patched if self.mat[sectors[k].idx, slice(None) if rows else sectors[k].idx].any()]
+
+    def sector_trace(self, patch: np.ndarray, sector) -> complex:
+        """Tr(patch rho_NN) on one sector."""
+        return np.dot(patch.T.ravel(), self.mat[sector.idx, sector.idx].ravel())
+
+    def sector_rows(self, sector) -> np.ndarray:
+        """The rows of one sector's states, one per state."""
+        return self.mat[sector.idx]
+
+    def base_partial_trace(self, flip: bool) -> np.ndarray:
+        """Tr_1(B rho B^dag) as a fresh d x d array: mode 1 of rho for the flip B, mode 0 for the identity."""
+        return np.einsum("jijk->ik" if flip else "ijkj->ik", self.mat.reshape(self.space.dims * 2))
+
+    def populations(self) -> np.ndarray:
+        """The diagonal as an array of the space's shape, p[n0, n1]."""
+        return np.diag(self.mat).real.reshape(self.space.dims)
+
+    def dense(self) -> np.ndarray:
+        """The d^2 x d^2 matrix: ``mat`` itself."""
+        return self.mat
 
 
 @dataclass(frozen=True)
@@ -143,10 +179,12 @@ def tensor_states(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
 class ProductState:
     """Product state ``a (x) b`` kept as its two factors.
 
-    ``space`` is the space of ``tensor_states(a, b)``; the product matrix
-    itself is never formed here, so quantities that only need the factors
-    (the device's ``Tr(W rho)``, populations) stay O(d^2) or O(d^4) instead
-    of touching a d^2 x d^2 matrix.
+    ``space`` is the space of ``tensor_states(a, b)``.  It answers the
+    device kernel's reads of :class:`DensityMatrix` from the factors, with
+    the same validity: the flip trace, the live sectors, the populations
+    and the base partial trace in O(d^2), a sector's trace from two factor
+    blocks, a sector's rows in O(d^2) per row.  Only :meth:`dense` forms
+    the d^2 x d^2 matrix.
     """
 
     a: DensityMatrix
@@ -155,6 +193,33 @@ class ProductState:
     @functools.cached_property
     def space(self) -> CompositeSpace:
         return CompositeSpace(self.a.space.dims + self.b.space.dims)
+
+    def flip_trace(self) -> complex:
+        return np.sum(self.a.mat * self.b.mat.T)  # Tr(S (a x b)) = Tr(a b)
+
+    def live_sectors(self, patched: range, sectors, rows: bool = False) -> list[int]:
+        # Row |n0, n1> is a[n0] (x) b[n1], not all 0 only if both factor rows
+        # are not; so the zero rows decide both cases.  Populations would not
+        # tell it: DensityMatrix does not check positivity.
+        pairs = np.convolve(self.a.mat.any(axis=1), self.b.mat.any(axis=1))
+        return [k for k in patched if pairs[k]]
+
+    def sector_trace(self, patch: np.ndarray, sector) -> complex:
+        return np.einsum("ij,ji,ji->", patch, self.a.mat[sector.n0, sector.n0], self.b.mat[sector.n1, sector.n1])
+
+    def sector_rows(self, sector) -> np.ndarray:
+        rows = self.a.mat[sector.n0, :, None] * self.b.mat[sector.n1, None, :]
+        return rows.reshape(len(rows), -1)
+
+    def base_partial_trace(self, flip: bool) -> np.ndarray:
+        a, b = (self.b.mat, self.a.mat) if flip else (self.a.mat, self.b.mat)
+        return np.trace(b) * a
+
+    def populations(self) -> np.ndarray:
+        return np.outer(np.diag(self.a.mat).real, np.diag(self.b.mat).real)
+
+    def dense(self) -> np.ndarray:
+        return tensor(self.a.mat, self.b.mat)
 
 
 def as_single_subsystem(rho: DensityMatrix) -> DensityMatrix:

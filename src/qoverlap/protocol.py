@@ -39,31 +39,34 @@ with c = Tr(W_dn^dag W_up rho) = Tr(W_rel rho):
 * The unconditional post-state (ancilla traced out) is
   (W_up rho W_up^dag + W_dn rho W_dn^dag)/2, independent of psi.
 
-Cost model.  The device input is either a dense joint ``DensityMatrix`` or a
-:class:`~qoverlap.linalg.ProductState` ``a (x) b`` kept as its factors; the
-input's type picks the path.  Every branch conserves the total photon
-number N = n0 + n1 and has one form (:class:`_Branch`): a base B, the flip
-S for W_up and W_rel and the identity for W_dn, plus patches
+Cost model.  The device input is a dense joint ``DensityMatrix`` or a
+:class:`~qoverlap.linalg.ProductState` ``a (x) b`` kept as its factors.
+The kernel makes the same reads of either: the flip trace Tr(S rho), the
+sectors whose diagonal block or rows are not all 0, Tr(patch rho_NN) on a
+sector, a sector's rows, the base partial trace and, for the unconditional
+post-state only, the dense matrix.  A dense joint answers through views; a
+product from its factors, in O(d^2) for all but a sector's rows and the
+dense matrix.  Every branch conserves the total photon number
+N = n0 + n1 and has one form (:class:`_Branch`): a base B, the flip S for
+W_up and W_rel and the identity for W_dn, plus patches
 Delta_N = W_N - B_N on a set P of sectors, the slices of
-:func:`qoverlap.gates.number_sectors` (every sector read is a strided view,
-of each factor for a product); no d^2 x d^2 W is ever formed.  So every
-mode is the ideal device plus patches, and the ideal device has none.  At
-its default time a coupler, per-photon phase and inverse coupler is the
-exact swap on every complete sector N <= d - 1, so ``physical`` and each
-Hamiltonian mode at its default time patch only the d - 1 incomplete
+:func:`qoverlap.gates.number_sectors`; no d^2 x d^2 W is ever formed.  So
+every mode is the ideal device plus patches, and the ideal device has
+none.  At its default time a coupler, per-photon phase and inverse coupler
+is the exact swap on every complete sector N <= d - 1, so ``physical`` and
+each Hamiltonian mode at its default time patch only the d - 1 incomplete
 sectors N >= d; any other interaction time patches all 2d - 1.
 
 Every quantity is the ideal closed form plus a sum over P.  The fringe
-number is c = Tr(S rho) + sum_{N in P} Tr(Delta_N rho_NN), with Tr(S rho) =
-Tr(a b) on a product, O(d^2).  A patched sector whose input block is all 0
-adds exactly nothing and is skipped (for a product, whose input rows are
-all 0, which the factors tell in O(d^2)).  Patches are compiled on the
-first run that needs one, for their sectors only: O(d^4) block products
-and one eigensolve per sector, shared by every coupling angle at a cutoff,
-cached per process (``_COMPILE_CACHE_SIZE`` entries, read-only arrays).  A
-safe input (no population above total photon number d - 1) in a
-default-time mode therefore compiles nothing and costs what the ideal
-device costs, at every cutoff; any other input pays O(d^3) for c.
+number is c = Tr(S rho) + sum_{N in P} Tr(Delta_N rho_NN).  A patched
+sector whose input block is all 0 adds exactly nothing and is skipped.
+Patches are compiled on the first run that needs one, for their sectors
+only: O(d^4) block products and one eigensolve per sector, shared by every
+coupling angle at a cutoff, cached per process (``_COMPILE_CACHE_SIZE``
+entries, read-only arrays).  A safe input (no population above total
+photon number d - 1) in a default-time mode therefore compiles nothing and
+costs what the ideal device costs, at every cutoff; any other input pays
+O(d^3) for c.
 
 What a sweep derives from its post-measurement state is built on first
 read, each from only the part it needs.
@@ -103,7 +106,6 @@ from .linalg import (
     ProductState,
     as_single_subsystem,
     dag,
-    tensor,
 )
 from .states import _keyed
 
@@ -327,23 +329,15 @@ def _row_table(w: _Branch, d: int) -> np.ndarray:
 
 
 def _live_sectors(rho: DeviceInput, patched: range, d: int, rows: bool = False) -> list[int]:
-    """The sectors in ``patched`` where the input's diagonal block is not all 0.
+    """The sectors in ``patched`` where the input's diagonal block (or rows) is not all 0.
 
-    With ``rows`` they are the sectors where one of the input's rows is not
-    all 0.  On every other sector a patch meets exact zeros, so it is
-    skipped.  For a product the zero rows decide both: row |n0, n1> of
-    a (x) b is a[n0] (x) b[n1], nonzero only if both factor rows are, which
-    the factors tell in O(d^2).  Populations would not tell it:
-    DensityMatrix does not check positivity.  When every sector is patched
-    the input reaches some, so all are compiled anyway and none is checked.
+    On every other sector a patch meets exact zeros, so it is skipped.
+    When every sector is patched the input reaches some, so all are
+    compiled anyway and none is checked.
     """
     if len(patched) in (0, 2 * d - 1):
         return list(patched)
-    if isinstance(rho, ProductState):
-        pairs = np.convolve(rho.a.mat.any(axis=1), rho.b.mat.any(axis=1))
-        return [k for k in patched if pairs[k]]
-    sectors = gates.number_sectors(d)
-    return [k for k in patched if rho.mat[sectors[k].idx, slice(None) if rows else sectors[k].idx].any()]
+    return rho.live_sectors(patched, gates.number_sectors(d), rows)
 
 
 def _left(w: _Branch, mat: np.ndarray, d: int) -> np.ndarray:
@@ -367,35 +361,17 @@ def _left(w: _Branch, mat: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def _sector_trace(rho: DeviceInput, patch: np.ndarray, sector: gates.Sector) -> complex:
-    """Tr(patch rho_NN) on one sector, read through views (of both factors for a product)."""
-    if isinstance(rho, ProductState):
-        return np.einsum("ij,ji,ji->", patch, rho.a.mat[sector.n0, sector.n0], rho.b.mat[sector.n1, sector.n1])
-    return np.dot(patch.T.ravel(), rho.mat[sector.idx, sector.idx].ravel())
-
-
-def _sector_rows(rho: DeviceInput, sector: gates.Sector) -> np.ndarray:
-    """The input's rows on one sector, one per state (a[n0] (x) b[n1] for a product)."""
-    if isinstance(rho, ProductState):
-        rows = rho.a.mat[sector.n0, :, None] * rho.b.mat[sector.n1, None, :]
-        return rows.reshape(len(rows), -1)
-    return rho.mat[sector.idx]
-
-
 def _fringe_coefficient(rho: DeviceInput, w_rel: _Branch, d: int) -> complex:
     """c = Tr(W_rel rho), without any d^2 x d^2 matrix product.
 
     Tr(S rho), the ideal device's c, plus Tr(Delta_N rho_NN) on each
     patched sector the input reaches.
     """
-    if isinstance(rho, ProductState):
-        c = np.sum(rho.a.mat * rho.b.mat.T)  # Tr(S (a x b)) = Tr(a b)
-    else:
-        c = np.einsum("ijji", rho.mat.reshape(d, d, d, d))
+    c = rho.flip_trace()
     live = _live_sectors(rho, w_rel.patched, d)
     patches = _compile(w_rel, d) if live else {}
     for k in live:
-        c += _sector_trace(rho, patches[k], gates.number_sectors(d)[k])
+        c += rho.sector_trace(patches[k], gates.number_sectors(d)[k])
     return complex(c)
 
 
@@ -406,25 +382,20 @@ def _reduced_branch(rho: DeviceInput, w: _Branch, d: int) -> np.ndarray:
     Tr_1(Delta rho B^dag) + Tr_1(Delta rho W^dag)^dag; the caller keeps the
     Hermitian part, so the last term may enter undaggered, and the two
     Delta terms are Tr_1(Delta rho (W + B)^dag).  The base term is a
-    partial trace of the input (Tr(b) a and Tr(a) b on a product).  Delta
-    rho lives on the patched sectors' rows that are not all 0 and is
-    streamed one row sector at a time: row |i, j> meets column |k, j> of
-    (W + B)^dag as the dot product with row |k, j> of W + B, which lives
-    on the sector of total photon number k + j (:func:`_row_table`).
-    O(d^3) memory, and O(d^3) time per row.
+    partial trace of the input.  Delta rho lives on the patched sectors'
+    rows that are not all 0 and is streamed one row sector at a time: row
+    |i, j> meets column |k, j> of (W + B)^dag as the dot product with row
+    |k, j> of W + B, which lives on the sector of total photon number k + j
+    (:func:`_row_table`).  O(d^3) memory, and O(d^3) time per row.
     """
-    if isinstance(rho, ProductState):
-        a, b = (rho.b.mat, rho.a.mat) if w.flip else (rho.a.mat, rho.b.mat)
-        out = np.trace(b) * a
-    else:
-        out = np.einsum("jijk->ik" if w.flip else "ijkj->ik", rho.mat.reshape(d, d, d, d))
+    out = rho.base_partial_trace(w.flip)
     live = _live_sectors(rho, w.patched, d, rows=True)
     if not live:
         return out
     patches, w_rows = _compile(w, d), _row_table(w, d)
     for k in live:
         sector = gates.number_sectors(d)[k]
-        rows = _sector_rows(rho, sector)
+        rows = rho.sector_rows(sector)
         delta_rho = patches[k] @ rows
         # Row r of delta_rho is row |i, j> of Delta rho, with j = top - r; its
         # column |p, k + j - p> sits at flat index k + j + p (d - 1).
@@ -464,11 +435,10 @@ class _DeviceKernel:
 
         By rows only: W rho W^dag = W (W rho)^dag, as rho is Hermitian.
         """
-        rho, d = self.rho, self.d
-        mat = tensor(rho.a.mat, rho.b.mat) if isinstance(rho, ProductState) else rho.mat
+        mat, d = self.rho.dense(), self.d
         up = _left(self.w_up, dag(_left(self.w_up, mat, d)), d)
         both = up + _left(self.w_dn, dag(_left(self.w_dn, mat, d)), d)
-        return DensityMatrix(rho.space, 0.25 * (both + dag(both)))
+        return DensityMatrix(self.rho.space, 0.25 * (both + dag(both)))
 
 
 class _Grid(NamedTuple):

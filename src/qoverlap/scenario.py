@@ -13,6 +13,7 @@ import datetime as _dt
 import json
 import math
 import re
+import sys
 import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -114,12 +115,17 @@ def _require(cond: bool, message: str, path: str, text: str, key: str | None = N
         raise ScenarioError(message, path, _find_line(text, key or path))
 
 
+def _is_number(value) -> bool:
+    """A JSON number a float holds: an int or a float, not a bool, NaN or infinite."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 def _as_complex(value, path: str, text: str) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(isinstance(x, (int, float)) for x in value):
+    if isinstance(value, list) and len(value) == 2 and all(map(_is_number, value)):
         return complex(value[0], value[1])
-    raise ScenarioError("expected a number or a [re, im] pair", path, _find_line(text, path))
+    raise ScenarioError("expected a finite number or a [re, im] pair", path, _find_line(text, path))
 
 
 def _build_state(spec, cutoff: int, slot: str, text: str):
@@ -150,6 +156,11 @@ def _build_state(spec, cutoff: int, slot: str, text: str):
         _require(type(value) is int, f"{name} must be an integer", f"{path}.{name}", text)
         return value
 
+    def _take_number(name):
+        value = _take(name, required=True)
+        _require(_is_number(value), f"{name} must be a finite number", f"{path}.{name}", text)
+        return float(value)
+
     try:
         if kind == "fock":
             ket = states.fock_ket(_take_int("n", required=True), cutoff)
@@ -159,7 +170,7 @@ def _build_state(spec, cutoff: int, slot: str, text: str):
             ket = states.coherent_ket(alpha, cutoff)
             built = states.pure(ket)
         elif kind == "thermal":
-            built, ket = states.thermal(float(_take("nbar", required=True)), cutoff), None
+            built, ket = states.thermal(_take_number("nbar"), cutoff), None
         elif kind == "bell_singlet":
             _require(cutoff == 2, "bell_singlet needs cutoff 2", f"{path}", text, "cutoff")
             built, ket = states.bell_singlet(), None
@@ -168,7 +179,7 @@ def _build_state(spec, cutoff: int, slot: str, text: str):
             built, ket = states.classical_correlated(), None
         elif kind == "werner":
             _require(cutoff == 2, "werner needs cutoff 2", f"{path}", text, "cutoff")
-            built, ket = states.werner(float(_take("p", required=True))), None
+            built, ket = states.werner(_take_number("p")), None
         elif kind == "ginibre_mixed":
             rank = _take_int("rank", required=True)
             seed = _take_int("seed", 0)
@@ -208,7 +219,7 @@ def _parse_device_mode(label: str, cutoff: int, text: str) -> DeviceMode:
         return IDEAL
     if label == "physical":
         return PHYSICAL
-    if label.startswith("hamiltonian:"):
+    if isinstance(label, str) and label.startswith("hamiltonian:"):
         kind = label.split(":", 1)[1]
         builders = {
             "linear_coupling": linear_coupling,
@@ -264,6 +275,9 @@ def parse_scenario(text: str) -> Scenario:
         _require(isinstance(expected, dict), "expected must be an object", "expected", text)
         bad = sorted(set(expected) - {"device_value", "tol"})
         _require(not bad, f"unknown expected field {bad[0] if bad else ''!r}", "expected", text)
+        value, tol = expected.get("device_value", 0.0), expected.get("tol", 1.0)
+        _require(_is_number(value), "expected.device_value must be a finite number", "expected.device_value", text)
+        _require(_is_number(tol) and tol > 0, "expected.tol must be a finite number > 0", "expected.tol", text)
 
     device_label = doc.get("device_mode", "ideal")
     mode = _parse_device_mode(device_label, cutoff, text)
@@ -307,10 +321,7 @@ def _check_safe_support(state: DensityMatrix | ProductState, mode: DeviceMode, n
     """Warn when a non-ideal device sees support above the safe sector."""
     if mode.kind == "ideal":
         return
-    if isinstance(state, ProductState):
-        pops = np.outer(np.diag(state.a.mat).real, np.diag(state.b.mat).real)
-    else:
-        pops = np.diag(state.mat).real.reshape(state.space.dims)
+    pops = state.populations()
     d0, d1 = pops.shape
     total = np.add.outer(np.arange(d0), np.arange(d1))
     unsafe = float(pops[total > d0 - 1].sum())

@@ -96,6 +96,17 @@ def test_suite_validation_failure_exits_one(tmp_path):
     assert "INVALID" in r.stdout
 
 
+def test_suite_refuses_a_mistyped_expected_block(tmp_path):
+    doc = json.loads((SCENARIOS / "witness_werner.json").read_text())
+    doc["expected"]["tol"] = "abc"
+    (tmp_path / "broken.json").write_text(json.dumps(doc, indent=1))
+    r = run_cli("suite", str(tmp_path))
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    (row,) = [line for line in r.stdout.splitlines() if line.startswith("broken.json")]
+    assert "INVALID" in row and "expected.tol" in row
+
+
 def test_stamp_flag_records_time(tmp_path):
     out = tmp_path / "stamped.json"
     r = run_cli("run", str(SCENARIOS / "overlap_fock_orthogonal.json"),

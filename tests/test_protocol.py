@@ -651,6 +651,47 @@ def test_product_input_matches_dense_joint(label, d, seeds, ranks, phase_count, 
     assert abs(0.5 * (1 - (np.exp(1j * psi) * by_factors._kernel.c).real) - lit.p_up) < 1e-12
 
 
+def band_state(d: int, size: int, shift: int, seed: int) -> DensityMatrix:
+    """A Ginibre state of full rank on levels shift .. shift + size - 1 of cutoff d, zeros elsewhere."""
+    band = ginibre_mixed(size, size, seed).mat if size > 1 else np.ones((1, 1))
+    m = np.zeros((d, d), dtype=complex)
+    m[shift:shift + size, shift:shift + size] = band
+    return DensityMatrix(CompositeSpace((d,)), m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(2, 8),
+    sizes=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+    shifts=st.tuples(st.integers(0, 7), st.integers(0, 7)),
+    seeds=st.tuples(st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1)),
+)
+def test_product_and_dense_inputs_answer_every_read_alike(d, sizes, shifts, seeds):
+    # Each factor lives on a band of levels, zero-padded on both sides, so
+    # the sectors below and above the bands' sums are dead.
+    sizes = [min(size, d) for size in sizes]
+    shifts = [min(shift, d - size) for size, shift in zip(sizes, shifts)]
+    factors = [band_state(d, *band) for band in zip(sizes, shifts, seeds)]
+    product, dense = ProductState(*factors), tensor_states(*factors)
+    sectors = number_sectors(d)
+    every = range(2 * d - 1)
+    for rows in (False, True):
+        live = product.live_sectors(every, sectors, rows)
+        assert live == dense.live_sectors(every, sectors, rows)
+        assert live == list(range(sum(shifts), sum(shifts) + sum(sizes) - 1))
+    assert abs(product.flip_trace() - dense.flip_trace()) < 1e-12
+    rng = np.random.default_rng(seeds[0])
+    for sector in sectors:
+        n = len(range(d)[sector.n0])
+        patch = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        assert abs(product.sector_trace(patch, sector) - dense.sector_trace(patch, sector)) < 1e-12
+        assert np.abs(product.sector_rows(sector) - dense.sector_rows(sector)).max() < 1e-12
+    for flip in (False, True):
+        assert np.abs(product.base_partial_trace(flip) - dense.base_partial_trace(flip)).max() < 1e-12
+    assert np.abs(product.populations() - dense.populations()).max() < 1e-12
+    assert np.array_equal(product.dense(), dense.dense())
+
+
 POST_STATE_MODES = {
     **PRODUCT_MODES,
     "hamiltonian:linear_coupling_pi/8": lambda d: hamiltonian_mode(linear_coupling(1.0, d, interaction_time=np.pi / 8)),

@@ -95,6 +95,57 @@ def test_integer_fields_refuse_bools_and_floats(fields, path):
     assert f'"{path.split(".")[-1]}"' in text.splitlines()[err.value.line - 1]
 
 
+WERNER = {"task": "witness", "cutoff": 2, "state_a": None, "state_b": None}
+
+
+@pytest.mark.parametrize("fields, path", [
+    ({"state_a": {"kind": "thermal", "nbar": "2"}}, "state_a.nbar"),
+    ({"state_a": {"kind": "thermal", "nbar": True}}, "state_a.nbar"),
+    ({"state_a": {"kind": "thermal", "nbar": 10**400}}, "state_a.nbar"),
+    ({**WERNER, "state_joint": {"kind": "werner", "p": True}}, "state_joint.p"),
+    ({**WERNER, "state_joint": {"kind": "werner", "p": "0.5"}}, "state_joint.p"),
+    ({"state_a": {"kind": "coherent", "alpha": True}}, "state_a.alpha"),
+    ({"state_a": {"kind": "coherent", "alpha": [True, 0.0]}}, "state_a.alpha"),
+    ({"state_a": {"kind": "coherent", "alpha": math.nan}}, "state_a.alpha"),
+    ({"state_a": {"kind": "pure", "amplitudes": [1, 0, 0, False]}}, "state_a.amplitudes"),
+    ({"state_a": {"kind": "pure", "amplitudes": [1, 0, [0, "1"], 0]}}, "state_a.amplitudes"),
+], ids=["nbar_str", "nbar_bool", "nbar_huge_int", "p_bool", "p_str", "alpha_bool", "alpha_pair_bool",
+        "alpha_nan", "amplitude_bool", "amplitude_pair_str"])
+def test_number_fields_refuse_bools_and_strings(fields, path):
+    text = make(**fields)
+    with pytest.raises(ScenarioError, match="number") as err:
+        parse_scenario(text)
+    assert err.value.path == path
+    assert f'"{path.split(".")[-1]}"' in text.splitlines()[err.value.line - 1]
+
+
+@pytest.mark.parametrize("expected, path", [
+    ({"tol": "abc"}, "expected.tol"),
+    ({"tol": True}, "expected.tol"),
+    ({"tol": 0}, "expected.tol"),
+    ({"tol": -1.0}, "expected.tol"),
+    ({"tol": math.nan}, "expected.tol"),
+    ({"tol": math.inf}, "expected.tol"),
+    ({"device_value": None}, "expected.device_value"),
+    ({"device_value": False}, "expected.device_value"),
+    ({"device_value": "0.5", "tol": 1e-9}, "expected.device_value"),
+    ({"device_value": 10**400}, "expected.device_value"),
+], ids=["tol_str", "tol_bool", "tol_zero", "tol_negative", "tol_nan", "tol_inf", "value_null", "value_bool",
+        "value_str", "value_huge_int"])
+def test_expected_block_is_type_checked(expected, path):
+    text = make(expected=expected)
+    with pytest.raises(ScenarioError, match="number") as err:
+        parse_scenario(text)
+    assert err.value.path == path
+    assert f'"{path.split(".")[-1]}"' in text.splitlines()[err.value.line - 1]
+
+
+def test_expected_block_takes_numbers():
+    expected = {"device_value": 0, "tol": 1e-9}
+    assert parse_scenario(make(expected=expected)).expected == expected
+    assert parse_scenario(make(expected={"tol": 1})).expected == {"tol": 1}
+
+
 def test_joint_constructor_rejected_in_single_slot():
     with pytest.raises(ScenarioError, match="werner"):
         parse_scenario(make(state_a={"kind": "werner", "p": 0.5}))
@@ -261,8 +312,9 @@ def test_device_mode_labels():
                   "hamiltonian:dispersive_cps", "hamiltonian:ion_qnd"):
         rec = run_scenario(parse_scenario(make(device_mode=label, cutoff=4)))
         assert abs(rec.device_value) < 1e-9  # orthogonal Fock inputs
-    with pytest.raises(ScenarioError, match="device_mode"):
-        parse_scenario(make(device_mode="hamiltonian:kerr"))
+    for label in ("hamiltonian:kerr", 5, ["ideal"]):
+        with pytest.raises(ScenarioError, match="device_mode"):
+            parse_scenario(make(device_mode=label))
 
 
 def test_repeat_check_task():
