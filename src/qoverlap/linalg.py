@@ -40,11 +40,11 @@ class CompositeSpace:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(map(int, self.dims))
         object.__setattr__(self, "dims", dims)
         if len(dims) == 0:
             raise ValueError("CompositeSpace needs at least one subsystem")
-        if any(d < 2 for d in dims):
+        if min(dims) < 2:
             raise ValueError(f"every subsystem dimension must be >= 2, got {dims}")
 
     @property
@@ -57,12 +57,21 @@ class CompositeSpace:
         return len(self.dims)
 
 
-def _as_complex_matrix(m) -> np.ndarray:
+def _as_square_matrix(m) -> np.ndarray:
     mat = np.asarray(m, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    return mat
+
+
+def _refuse_non_finite(mat: np.ndarray) -> None:
     if not np.isfinite(mat).all():  # both parts of every entry
         raise ValueError("matrix contains non-finite entries")
+
+
+def _as_complex_matrix(m) -> np.ndarray:
+    mat = _as_square_matrix(m)
+    _refuse_non_finite(mat)
     return mat
 
 
@@ -89,13 +98,22 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        mat = _as_complex_matrix(self.mat)
+        mat = _as_square_matrix(self.mat)
         object.__setattr__(self, "mat", mat)
+        # The Hermiticity residual is NaN or inf when an entry is not finite
+        # (inf - inf is NaN, hence the errstate), so it doubles as the
+        # finiteness test and np.isfinite only picks the message.  The checks
+        # keep their order: finiteness, dimension, Hermiticity, trace; the
+        # initial 0 lets an empty matrix reach the dimension check.
+        with np.errstate(invalid="ignore"):
+            hermitian = np.abs(mat - dag(mat)).max(initial=0.0) <= ATOL_ALGEBRA
+        if not hermitian:
+            _refuse_non_finite(mat)
         if mat.shape[0] != self.space.dim:
             raise ValueError(
                 f"matrix dimension {mat.shape[0]} does not match space {self.space.dims}"
             )
-        if np.abs(mat - dag(mat)).max() > ATOL_ALGEBRA:
+        if not hermitian:
             raise ValueError("density matrix is not Hermitian within 1e-10")
         trace = mat.trace()
         if abs(trace.real - 1.0) > ATOL_ALGEBRA or abs(trace.imag) > ATOL_ALGEBRA:
@@ -195,13 +213,19 @@ class ProductState:
         return CompositeSpace(self.a.space.dims + self.b.space.dims)
 
     def flip_trace(self) -> complex:
-        return np.sum(self.a.mat * self.b.mat.T)  # Tr(S (a x b)) = Tr(a b)
+        return (self.a.mat * self.b.mat.T).sum()  # Tr(S (a x b)) = Tr(a b)
 
-    def live_sectors(self, patched: range, sectors, rows: bool = False) -> list[int]:
+    @functools.cached_property
+    def _live_pairs(self) -> list[bool]:
         # Row |n0, n1> is a[n0] (x) b[n1], not all 0 only if both factor rows
         # are not; so the zero rows decide both cases.  Populations would not
-        # tell it: DensityMatrix does not check positivity.
-        pairs = np.convolve(self.a.mat.any(axis=1), self.b.mat.any(axis=1))
+        # tell it: DensityMatrix does not check positivity.  Entry N says
+        # whether sector N has such a row; the sweep and the reduced
+        # post-state read the same list.
+        return np.convolve(self.a.mat.any(axis=1), self.b.mat.any(axis=1)).tolist()
+
+    def live_sectors(self, patched: range, sectors, rows: bool = False) -> list[int]:
+        pairs = self._live_pairs
         return [k for k in patched if pairs[k]]
 
     def sector_trace(self, patch: np.ndarray, sector) -> complex:
@@ -213,10 +237,10 @@ class ProductState:
 
     def base_partial_trace(self, flip: bool) -> np.ndarray:
         a, b = (self.b.mat, self.a.mat) if flip else (self.a.mat, self.b.mat)
-        return np.trace(b) * a
+        return b.trace() * a
 
     def populations(self) -> np.ndarray:
-        return np.outer(np.diag(self.a.mat).real, np.diag(self.b.mat).real)
+        return self.a.mat.diagonal().real[:, None] * self.b.mat.diagonal().real
 
     def dense(self) -> np.ndarray:
         return tensor(self.a.mat, self.b.mat)

@@ -3,11 +3,12 @@
 Each pipeline drives the interferometric device to produce ``device_value``
 and computes ``oracle_value`` by direct matrix algebra on the inputs; reports
 carry both, so exact-mode runs double as end-to-end consistency checks.
-The overlap, purity and HS-distance oracles are products of d x d
-matrices, O(d^3); the fidelity oracle <psi|rho|psi> is O(d^2); the
-witness oracle reads the d^2 entries of the partial transpose that the
-maximally entangled vector touches, O(d^2), without copying the joint
-state.
+The overlap, purity and HS-distance oracles are O(d^2) sums over entries:
+for Hermitian factors Tr(a b) = sum_ij a_ij conj(b_ij), and the HS
+distance is half the squared Frobenius norm of a - b.  The fidelity
+oracle <psi|rho|psi> is O(d^2); the witness oracle reads the d^2 entries
+of the partial transpose that the maximally entangled vector touches,
+O(d^2), without copying the joint state.
 
 With ``settings.shots`` set, per-phase probabilities are sampled and the
 device value comes from the counting-statistics estimator; the reported
@@ -23,6 +24,7 @@ run.  Neither field takes part in equality.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field, replace
 
@@ -119,8 +121,8 @@ def _measure_visibility(name: str, rho_joint: DeviceInput, oracle: float,
 # direct-trace oracles
 
 def overlap_direct(rho_a: DensityMatrix, rho_b: DensityMatrix) -> float:
-    """Tr(rho_a rho_b)."""
-    return float(np.trace(rho_a.mat @ rho_b.mat).real)
+    """Tr(rho_a rho_b) = sum_ij a_ij conj(b_ij), as b is Hermitian: O(d^2)."""
+    return float(np.vdot(rho_b.mat, rho_a.mat).real)
 
 
 def purity_direct(rho: DensityMatrix) -> float:
@@ -129,9 +131,12 @@ def purity_direct(rho: DensityMatrix) -> float:
 
 
 def hs_distance_direct(rho_a: DensityMatrix, rho_b: DensityMatrix) -> float:
-    """Squared Hilbert-Schmidt distance Tr[(rho_a - rho_b)^2] / 2."""
+    """Squared Hilbert-Schmidt distance Tr[(rho_a - rho_b)^2] / 2.
+
+    Half the squared Frobenius norm of rho_a - rho_b, which is Hermitian: O(d^2).
+    """
     diff = rho_a.mat - rho_b.mat
-    return float(0.5 * np.trace(diff @ diff).real)
+    return float(0.5 * np.vdot(diff, diff).real)
 
 
 def flip_expectation(rho_joint: DensityMatrix) -> float:
@@ -189,7 +194,7 @@ def fidelity_with_pure(
     as given, not renormalized.
     """
     psi = np.asarray(pure_psi, dtype=complex).reshape(-1)
-    projector = np.outer(psi, psi.conj())
+    projector = psi[:, None] * psi.conj()  # |psi><psi|
     if abs(projector.trace().real - 1.0) > ATOL_ALGEBRA:
         raise ValueError("pure state must be normalized: |<psi|psi> - 1| exceeds 1e-10")
     if psi.size != rho.space.dim:
@@ -248,7 +253,7 @@ def hs_distance(
     if settings.shots is None:
         se = None
     else:
-        se = float(np.sqrt(0.25 * pa.std_error**2 + 0.25 * pb.std_error**2 + o.std_error**2))
+        se = math.sqrt(0.25 * pa.std_error**2 + 0.25 * pb.std_error**2 + o.std_error**2)
     return _report("hs_distance", device, hs_distance_direct(rho_a, rho_b), settings, se,
                    run=o.run, counts=o.counts)
 
@@ -277,7 +282,7 @@ def witness(rho_joint: DensityMatrix, settings: MeasurementSettings = EXACT) -> 
         # Plus-four proportion: stays inside (0, 1), so the error is never 0
         # when every shot lands on one detector.
         p_tilde = (ups + 2) / (settings.shots + 4)
-        se = 2.0 * float(np.sqrt(p_tilde * (1.0 - p_tilde) / (settings.shots + 4)))
+        se = 2.0 * math.sqrt(p_tilde * (1.0 - p_tilde) / (settings.shots + 4))
         verdict = "entangled" if delta < -3.0 * se else "inconclusive"
     return _report("witness", delta, witness_oracle(rho_joint), settings, se, verdict, run=run)
 

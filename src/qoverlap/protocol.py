@@ -107,7 +107,7 @@ from .linalg import (
     as_single_subsystem,
     dag,
 )
-from .states import _keyed
+from .states import _streams
 
 # What the device accepts: a dense joint state, or a product kept as factors.
 DeviceInput = DensityMatrix | ProductState
@@ -507,17 +507,18 @@ def sample_shots(run: ProtocolRun, shots_per_phase: int, seed: int) -> np.ndarra
     For each phase k the Philox stream keyed by (seed mod 2**64, k) draws
     ``shots_per_phase`` Bernoulli trials with success probability p_up;
     the per-phase keying makes the result independent of evaluation order,
-    and negative seeds are streams of their own.  Each stream is one
-    re-keyed generator at counter 0 (:func:`qoverlap.states._keyed`), so it
-    draws what a fresh generator per phase would.
+    and negative seeds are streams of their own.  The streams are the
+    thread's one generator, fetched once and re-keyed at counter 0 for each
+    phase (:func:`qoverlap.states._streams`), so each draws what a fresh
+    generator per phase would.
 
     Returns an integer array of shape (K, 2) with columns (count_up,
     count_down).
     """
     if shots_per_phase < 1:
         raise ValueError("shots_per_phase must be at least 1")
-    ups = [_keyed(seed, k).binomial(shots_per_phase, min(max(p, 0.0), 1.0))
-           for k, p in enumerate(run.p_up.tolist())]
+    ups = [rng.binomial(shots_per_phase, min(max(p, 0.0), 1.0))
+           for p, rng in zip(run.p_up.tolist(), _streams(seed))]
     counts = np.empty((len(ups), 2), dtype=np.int64)
     counts[:, 0] = ups
     counts[:, 1] = shots_per_phase - counts[:, 0]
@@ -532,7 +533,8 @@ def estimate_visibility(counts: np.ndarray, phases: np.ndarray) -> tuple[float, 
     binomial variance of each frequency through the estimator (delta
     method); at a fringe null, where the gradient degenerates, a
     conservative isotropic scale is reported instead.  ``counts`` may be
-    float-valued frequencies; rows must sum to a positive total.
+    float-valued frequencies, finite and nonnegative; rows must sum to a
+    positive total.
     ``phases`` must step by 2 pi / K: every spacing within
     1e-9 + 1e-5 (2 pi / K) of it, the bound ``np.allclose`` would apply
     with ``atol=1e-9``; a NaN phase is rejected.  A sweep's own
@@ -545,6 +547,8 @@ def estimate_visibility(counts: np.ndarray, phases: np.ndarray) -> tuple[float, 
     k = len(phases)
     if k < 3 or counts.shape != (k, 2):
         raise ValueError("need counts of shape (K, 2) for K >= 3 phases")
+    if not 0.0 <= counts.min() <= counts.max() < math.inf:  # NaN fails it too
+        raise ValueError("counts must be finite and nonnegative")
     grid = _GRIDS.get(k)
     if grid is not None and phases is grid.phases:  # a sweep's own grid: uniform, its rotation known
         rotation = grid.backward
@@ -566,7 +570,7 @@ def estimate_visibility(counts: np.ndarray, phases: np.ndarray) -> tuple[float, 
     v_hat = abs(coeff)
     var_p = p_dn * (1.0 - p_dn) / totals
     if v_hat > 1e-12:
-        grad = (4.0 / k) * (np.conj(coeff) * rotation).real / v_hat
+        grad = (4.0 / k) * (coeff.conjugate() * rotation).real / v_hat
         var_v = float((grad**2 * var_p).sum())
     else:
         var_v = float((8.0 / k**2) * var_p.sum())

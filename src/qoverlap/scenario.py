@@ -10,9 +10,11 @@ byte-identical output.
 from __future__ import annotations
 
 import datetime as _dt
+import functools
 import json
 import math
 import re
+import struct
 import sys
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -317,18 +319,27 @@ def parse_scenario(text: str) -> Scenario:
     )
 
 
-def _check_safe_support(state: DensityMatrix | ProductState, mode: DeviceMode, name: str):
-    """Warn when a non-ideal device sees support above the safe sector."""
-    if mode.kind == "ideal":
-        return
+def _device_input(s: Scenario) -> DensityMatrix | ProductState:
+    """What the device sees: the joint state, or the pair kept as its factors."""
+    return s.state_joint if s.task == "witness" else ProductState(s.state_a, s.state_b or s.state_a)
+
+
+@functools.lru_cache(maxsize=32)
+def _unsafe_mask(d: int) -> np.ndarray:
+    """Where n0 + n1 > d - 1 on a d x d grid of populations p[n0, n1], read-only."""
+    mask = np.add.outer(np.arange(d), np.arange(d)) > d - 1
+    mask.flags.writeable = False
+    return mask
+
+
+def _check_safe_support(state: DensityMatrix | ProductState, name: str):
+    """Warn when the input of a non-ideal device has support above the safe sector."""
     pops = state.populations()
-    d0, d1 = pops.shape
-    total = np.add.outer(np.arange(d0), np.arange(d1))
-    unsafe = float(pops[total > d0 - 1].sum())
+    unsafe = float(pops[_unsafe_mask(len(pops))].sum())
     if unsafe > 1e-10:
         warnings.warn(
             f"scenario {name!r}: input has population {unsafe:.2e} above total photon "
-            f"number {d0 - 1}; composed-gate devices are exact only below the cutoff",
+            f"number {len(pops) - 1}; composed-gate devices are exact only below the cutoff",
             UserWarning,
             stacklevel=3,
         )
@@ -342,9 +353,8 @@ def run_scenario(scenario: Scenario, stamp: bool = False) -> ResultRecord:
     (off by default so records stay byte-identical across reruns).
     """
     s = scenario
-    device_input = (s.state_joint if s.task == "witness"
-                    else ProductState(s.state_a, s.state_b or s.state_a))
-    _check_safe_support(device_input, s.device_mode, s.name)
+    if s.device_mode.kind != "ideal":
+        _check_safe_support(_device_input(s), s.name)
     settings = MeasurementSettings(mode=s.device_mode, phase_count=s.phase_count,
                                    shots=s.shots, seed=s.seed)
     if s.task == "witness":
@@ -356,7 +366,7 @@ def run_scenario(scenario: Scenario, stamp: bool = False) -> ResultRecord:
     elif s.task != "repeat_check":  # overlap, hs_distance
         report = getattr(observables, s.task)(s.state_a, s.state_b, settings)
     else:  # second-pass visibility against the first
-        run = protocol.sweep_visibility(device_input, s.phase_count, s.device_mode)
+        run = protocol.sweep_visibility(_device_input(s), s.phase_count, s.device_mode)
         report = observables.ObservableReport(
             name="repeat_check",
             device_value=run.post_visibility,
@@ -394,6 +404,29 @@ def run_scenario(scenario: Scenario, stamp: bool = False) -> ResultRecord:
 # ---------------------------------------------------------------------------
 # serialization
 
+_quote = json.encoder.encode_basestring_ascii  # what json.dumps writes for a str
+
+# A record is written as one JSON object, one field per line, each list on
+# one line.  Its scalar fields alone make a CSV record's summary sidecar.
+_SUMMARY_LAYOUT = (
+    '{\n  "scenario": %s,\n  "task": %s,\n  "device_value": %s,\n  "oracle_value": %s,\n'
+    '  "abs_error": %s,\n  "std_error": %s,\n  "verdict": %s,\n  "seed": %s,\n'
+    '  "shots": %s,\n  "rng": %s,\n  "timestamp": %s'
+)
+_TABLE_LAYOUT = (
+    ',\n  "phases": [%s],\n  "p_up": [%s],\n  "p_down": [%s],\n'
+    '  "count_up": %s,\n  "count_down": %s\n}\n'
+)
+_CSV_HEADER = "phase,p_up,p_down,count_up,count_down\n"
+_CSV_ROW = "%s,%.17g,%.17g,%s,%s\n"
+
+# Phase texts kept per process, by the phases' bits, for lists of up to
+# protocol._GRID_MAX_CACHED phases (as the grids are kept); the memo is
+# emptied when it holds this many lists.
+_PHASE_TEXTS_MAX = 64
+_PHASE_TEXTS: dict[bytes, tuple[str, ...]] = {}
+
+
 def format_float(x: float) -> str:
     """17 significant digits, the format of every float in JSON and CSV output."""
     x = float(x)
@@ -406,8 +439,8 @@ def _scalar(value) -> str:
     """One JSON value.
 
     Floats go through :func:`format_float`; None and exact ints (not bools)
-    are written directly; strings, escaped, and bools go through
-    ``json.dumps``.
+    are written directly, strings escaped as ``json.dumps`` escapes them;
+    anything else (bools) goes through ``json.dumps``.
     """
     if isinstance(value, float):
         return format_float(value)
@@ -415,23 +448,49 @@ def _scalar(value) -> str:
         return "null"
     if type(value) is int:
         return str(value)
+    if isinstance(value, str):
+        return _quote(value)
     return json.dumps(value)
 
 
-def _dumps(doc: dict) -> str:
-    """A flat record as JSON: one field per line, each list on one line.
+def _floats(values) -> str:
+    """A list's floats, comma-separated, in one ``%.17g`` format and one finiteness check."""
+    text = ", ".join(["%.17g"] * len(values)) % tuple(values)
+    # %.17g writes a finite float with digits, ".", "e", "+" and "-" only, and
+    # inf or nan otherwise: an "n" marks a non-finite float.
+    if "n" in text:
+        raise ValueError("cannot serialize non-finite float")
+    return text
 
-    The keys are the record's field names, identifiers that JSON quotes
-    without escapes.
+
+def _phase_texts(phases: list) -> tuple[str, ...]:
+    """Each phase's text; the phases of one grid are formatted once per process.
+
+    The texts are kept by the phases' bits, so 0.0 and -0.0 are told apart,
+    and only for finite phases.
     """
-    lines = []
-    for key, value in doc.items():
-        if isinstance(value, (list, tuple)):
-            value_text = "[" + ", ".join(map(_scalar, value)) + "]"
-        else:
-            value_text = _scalar(value)
-        lines.append(f'  "{key}": {value_text}')
-    return "{\n" + ",\n".join(lines) + "\n}"
+    if len(phases) > protocol._GRID_MAX_CACHED:
+        return tuple(map(format_float, phases))
+    key = struct.pack("%dd" % len(phases), *phases)
+    texts = _PHASE_TEXTS.get(key)
+    if texts is None:
+        texts = tuple(map(format_float, phases))
+        if len(_PHASE_TEXTS) >= _PHASE_TEXTS_MAX:
+            _PHASE_TEXTS.clear()
+        _PHASE_TEXTS[key] = texts
+    return texts
+
+
+def _counts(counts: list | None) -> str:
+    return "null" if counts is None else "[" + ", ".join(map(str, counts)) + "]"
+
+
+def _summary(record: ResultRecord) -> str:
+    """The JSON of the record's scalar fields, without the closing brace."""
+    r = record
+    return _SUMMARY_LAYOUT % tuple(map(_scalar, (
+        r.scenario, r.task, r.device_value, r.oracle_value, r.abs_error, r.std_error,
+        r.verdict, r.seed, r.shots, r.rng, r.timestamp)))
 
 
 def record_to_dict(record: ResultRecord) -> dict:
@@ -447,20 +506,23 @@ def emit(record: ResultRecord, format: str = "json") -> bytes:
 
     ``json`` emits the full record as one object; ``csv`` emits the per-phase
     table with header ``phase,p_up,p_down,count_up,count_down`` (count cells
-    empty in exact mode).
+    empty in exact mode).  A non-finite float raises ``ValueError``.
     """
+    r = record
     if format == "json":
-        return (_dumps(vars(record)) + "\n").encode()
+        table = (", ".join(_phase_texts(r.phases)), _floats(r.p_up), _floats(r.p_down),
+                 _counts(r.count_up), _counts(r.count_down))
+        return (_summary(r) + _TABLE_LAYOUT % table).encode()
     if format == "csv":
-        lines = ["phase,p_up,p_down,count_up,count_down"]
-        for k in range(len(record.phases)):
-            cu = "" if record.count_up is None else str(record.count_up[k])
-            cd = "" if record.count_down is None else str(record.count_down[k])
-            lines.append(
-                f"{format_float(record.phases[k])},{format_float(record.p_up[k])},"
-                f"{format_float(record.p_down[k])},{cu},{cd}"
-            )
-        return ("\n".join(lines) + "\n").encode()
+        n = len(r.phases)
+        up = [""] * n if r.count_up is None else r.count_up
+        down = [""] * n if r.count_down is None else r.count_down
+        rows = "".join(map(_CSV_ROW.__mod__, zip(_phase_texts(r.phases), r.p_up, r.p_down, up, down,
+                                                 strict=True)))
+        # the phases are finite and the counts integers: an "n" is a non-finite p
+        if "n" in rows:
+            raise ValueError("cannot serialize non-finite float")
+        return (_CSV_HEADER + rows).encode()
     raise ValueError(f"unknown format {format!r}")
 
 
@@ -470,8 +532,5 @@ def write_record(record: ResultRecord, path: str | Path, format: str = "json") -
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(emit(record, format))
     if format == "csv":
-        summary = {k: v for k, v in vars(record).items()
-                   if k not in ("phases", "p_up", "p_down", "count_up", "count_down")}
-        sidecar = path.with_suffix(".summary.json")
-        sidecar.write_text(_dumps(summary) + "\n")
+        path.with_suffix(".summary.json").write_text(_summary(record) + "\n}\n")
     return path

@@ -17,7 +17,7 @@ from .linalg import CompositeSpace, DensityMatrix
 RNG_ALGORITHM = "philox4x64-10"
 
 
-# One Philox generator per thread, re-keyed by :func:`_keyed`.
+# One Philox generator per thread, re-keyed by :func:`_streams`.
 _PHILOX = threading.local()
 
 
@@ -32,6 +32,16 @@ def _keyed(seed: int, k: int = 0) -> np.random.Generator:
     of that cost is a ``SeedSequence`` that a keyed generator never reads).
     The generator is valid until the next call in the same thread.
     """
+    return next(_streams(seed, k))
+
+
+def _streams(seed: int, k: int = 0):
+    """The streams keyed by (seed mod 2**64, k), (seed mod 2**64, k + 1), ...
+
+    Each is this thread's one generator re-keyed at counter 0, as from
+    :func:`_keyed`, and valid until the next one is drawn or another call
+    in the same thread re-keys it.
+    """
     try:
         bits, fresh, rng = _PHILOX.stream
     except AttributeError:
@@ -43,10 +53,12 @@ def _keyed(seed: int, k: int = 0) -> np.random.Generator:
         rng = np.random.Generator(bits)
         _PHILOX.stream = bits, fresh, rng
     key = fresh["state"]["key"]
-    key[0] = int(seed) % 2**64
-    key[1] = k
-    bits.state = fresh  # counter 0, empty buffer
-    return rng
+    seed = int(seed) % 2**64
+    while True:
+        key[0], key[1] = seed, k
+        bits.state = fresh  # counter 0, empty buffer
+        yield rng
+        k += 1
 
 
 def fock_ket(n: int, cutoff: int) -> np.ndarray:
@@ -86,13 +98,13 @@ def pure(vector, dims: tuple[int, ...] | None = None) -> DensityMatrix:
     """
     v = np.asarray(vector, dtype=complex).reshape(-1)
     norm = np.linalg.norm(v)
-    if norm == 0 or not np.isfinite(norm):
+    if norm == 0 or not math.isfinite(norm):
         raise ValueError("pure state vector must have nonzero finite norm")
     v = v / norm
     space = CompositeSpace(dims if dims is not None else (v.size,))
     if space.dim != v.size:
         raise ValueError(f"vector length {v.size} does not match dims {space.dims}")
-    return DensityMatrix(space, np.outer(v, v.conj()))
+    return DensityMatrix(space, v[:, None] * v.conj())  # the outer product
 
 
 def fock(n: int, cutoff: int) -> DensityMatrix:
@@ -169,7 +181,7 @@ def ginibre_mixed(dim: int, rank: int, seed: int, dims: tuple[int, ...] | None =
     rng = _keyed(seed)
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     m = g @ g.conj().T
-    m /= np.trace(m).real
+    m /= m.trace().real
     space = CompositeSpace(dims if dims is not None else (dim,))
     if space.dim != dim:
         raise ValueError(f"dims {space.dims} do not multiply to {dim}")

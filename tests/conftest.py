@@ -3,7 +3,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from qoverlap import (
     CompositeSpace,
@@ -19,8 +19,11 @@ from qoverlap import (
     tensor,
 )
 
-# The same examples on every run, and no example database on disk.
-settings.register_profile("deterministic", derandomize=True, database=None)
+# The same examples on every run, and no example database on disk.  The
+# explain phase only annotates a failure, at a cost of every red run; it
+# changes no example and no verdict.
+settings.register_profile("deterministic", derandomize=True, database=None,
+                          phases=[phase for phase in Phase if phase is not Phase.explain])
 settings.load_profile("deterministic")
 
 

@@ -219,6 +219,36 @@ def test_density_matrix_checks_matrices_in_any_memory_order():
             DensityMatrix(space, broken.T)
 
 
+@pytest.mark.parametrize("entries", [
+    {(1, 1): complex(np.inf, 0.0)},  # inf - inf on the diagonal: the residual is NaN
+    {(0, 2): complex(np.inf, 0.0), (2, 0): complex(np.inf, 0.0)},  # a symmetric pair
+    {(0, 1): complex(np.nan, 0.0)},
+    {(2, 2): complex(1 / 3, np.inf)},
+])
+def test_density_matrix_refuses_non_finite_entries_without_a_warning(entries):
+    # RuntimeWarnings are errors in this suite, so a warning would fail the test.
+    m = np.eye(3, dtype=complex) / 3
+    for index, value in entries.items():
+        m[index] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix(CompositeSpace((3,)), m)
+    with pytest.raises(ValueError, match="non-finite"):  # before the dimension check
+        DensityMatrix(CompositeSpace((2,)), m)
+
+
+def test_density_matrix_check_order_on_finite_matrices():
+    m = np.eye(3, dtype=complex) / 3
+    m[0, 1] = 0.2  # finite, not Hermitian
+    with pytest.raises(ValueError, match="not Hermitian"):
+        DensityMatrix(CompositeSpace((3,)), m)
+    with pytest.raises(ValueError, match="does not match space"):
+        DensityMatrix(CompositeSpace((2,)), m)
+    with pytest.raises(ValueError, match="does not match space"):
+        DensityMatrix(CompositeSpace((2,)), np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="square"):
+        DensityMatrix(CompositeSpace((3,)), np.ones((3, 2)))
+
+
 def test_composite_space_validation():
     with pytest.raises(ValueError):
         CompositeSpace((1, 2))

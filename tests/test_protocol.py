@@ -560,6 +560,17 @@ def test_estimate_visibility_grid_tolerance():
         estimate_visibility(counts, with_nan)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_estimate_visibility_refuses_non_finite_and_negative_counts(bad):
+    # On K = 4, a NaN count used to give (nan, nan), an inf one a finite-looking
+    # 0.5 +- 0.354, and a negative one a math domain error.
+    counts = np.ones((4, 2))
+    counts[1, 0] = bad
+    phases = 2 * np.pi * np.arange(4) / 4
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        estimate_visibility(counts, phases)
+
+
 def test_repeat_measurement_identical_inputs():
     rho = ginibre_mixed(3, 2, 60)
     v1, v2 = repeat_measurement_check(rho, rho)

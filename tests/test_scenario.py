@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qoverlap import ScenarioError, emit, parse_scenario, run_scenario
+from qoverlap import scenario as scenario_module
 from qoverlap.scenario import ALL_TASKS, ResultRecord, format_float, record_from_dict, record_to_dict, write_record
 
 
@@ -380,10 +381,44 @@ def test_serialized_bytes_are_pinned(tmp_path):
     )
 
 
+_TABLE_FLOATS = ("phases", "p_up", "p_down")
+_SCALAR_FLOATS = ("device_value", "oracle_value", "abs_error", "std_error")
+
+
 @pytest.mark.parametrize("format", ["json", "csv"])
-def test_non_finite_floats_are_refused_in_every_format(format):
-    with pytest.raises(ValueError, match="non-finite"):
-        emit(replace(PINNED, p_up=[math.nan, 0.5, 1e-20]), format)
+def test_non_finite_floats_are_refused_in_every_format(format, tmp_path):
+    for name in _TABLE_FLOATS + _SCALAR_FLOATS:
+        for bad in (math.nan, math.inf, -math.inf):
+            if name in _TABLE_FLOATS:
+                # A finite list of the same length first, so a kept text cannot serve the bad one.
+                emit(PINNED, format)
+                record = replace(PINNED, **{name: [PINNED.phases[0], bad, PINNED.phases[2]]})
+            else:
+                record = replace(PINNED, **{name: bad})
+            if format == "csv" and name in _SCALAR_FLOATS:
+                emit(record, "csv")  # the table holds no scalar; the summary sidecar does
+                with pytest.raises(ValueError, match="non-finite"):
+                    write_record(record, tmp_path / "bad.csv", "csv")
+            else:
+                with pytest.raises(ValueError, match="non-finite"):
+                    emit(record, format)
+
+
+def test_kept_phase_texts_tell_signed_zeros_apart():
+    assert b'"phases": [0, ' in emit(PINNED)
+    signed = replace(PINNED, phases=[-0.0, 0.1, 1 / 3])  # equal to PINNED.phases under ==
+    assert b'"phases": [-0, ' in emit(signed)
+    assert emit(signed, "csv").splitlines()[1].startswith(b"-0,")
+
+
+def test_phase_lists_longer_than_the_kept_grids_are_written_but_not_kept():
+    k = 65  # one more than protocol._GRID_MAX_CACHED
+    record = replace(PINNED, phases=[2 * math.pi * j / k for j in range(k)], p_up=[0.5] * k,
+                     p_down=[0.5] * k, count_up=None, count_down=None)
+    kept = dict(scenario_module._PHASE_TEXTS)
+    assert emit(record) == (_reference_dumps(vars(record)) + "\n").encode()
+    assert len(emit(record, "csv").splitlines()) == k + 1
+    assert scenario_module._PHASE_TEXTS == kept
 
 
 def _reference_dumps(doc: dict) -> str:
@@ -462,7 +497,7 @@ def shot_documents() -> list[str]:
 
 
 # SHA-256 of the json then csv emit of every document of shot_documents(), in order.
-SHOT_RECORDS_SHA256 = "5bb3625c65197c91ac9790f633882cd304c418afc052d3abd4d0d00399190ebe"
+SHOT_RECORDS_SHA256 = "97530529912e01c203c6b28079dbb8760a683ae160fbbee29a5bb44e3190f969"
 
 
 @pytest.mark.filterwarnings("error")
