@@ -83,7 +83,17 @@ class DensityMatrix:
     positivity floor (min eigenvalue >= -1e-9) costs a full eigensolve and is
     checked only by :meth:`validate`, which no constructor calls; the tests
     call it on the states the constructors hand out.  The device refuses an
-    input whose fringe coefficient |Tr(W_rel rho)| exceeds 1.
+    input whose fringe coefficient |Tr(W_rel rho)| exceeds the input's trace.
+
+    Three states derived from a checked one skip the checks
+    (:func:`_derived_state`): the relabelled view
+    :func:`as_single_subsystem` returns, which is the checked matrix itself,
+    and the device's unconditional post-state and its mode-0 reduced state,
+    each formed from the checked input as a real multiple of M + M^dag.
+    Such a sum is Hermitian in every bit, and its trace is the input's up to rounding;
+    for the reduced state of a product that is Tr(a) Tr(b), which may sit
+    up to twice the trace tolerance from 1.  Every matrix from outside, the
+    ``states`` constructors and the parser's included, keeps every check.
 
     A state on two modes of one cutoff d answers the device kernel's reads
     (:class:`ProductState` answers the same ones), each through views of
@@ -157,6 +167,19 @@ class DensityMatrix:
     def dense(self) -> np.ndarray:
         """The d^2 x d^2 matrix: ``mat`` itself."""
         return self.mat
+
+
+def _derived_state(space: CompositeSpace, mat: np.ndarray) -> DensityMatrix:
+    """A DensityMatrix built without ``__post_init__``'s checks.
+
+    Only for a checked state's own matrix under a new ``space`` of its
+    dimension, or a complex square matrix derived from a checked state as a
+    real multiple of M + M^dag (class docstring).
+    """
+    rho = object.__new__(DensityMatrix)
+    object.__setattr__(rho, "space", space)
+    object.__setattr__(rho, "mat", mat)
+    return rho
 
 
 @dataclass(frozen=True)
@@ -253,7 +276,7 @@ def as_single_subsystem(rho: DensityMatrix) -> DensityMatrix:
     """
     if rho.space.n_subsystems == 1:
         return rho
-    return DensityMatrix(CompositeSpace((rho.space.dim,)), rho.mat)
+    return _derived_state(CompositeSpace((rho.space.dim,)), rho.mat)
 
 
 def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:

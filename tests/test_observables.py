@@ -144,6 +144,40 @@ def test_hs_distance_random_pairs_match_direct_trace():
         assert r.device_value >= -1e-10
 
 
+@pytest.mark.parametrize("mode", [IDEAL, PHYSICAL], ids=["ideal", "physical"])
+def test_hs_distance_takes_states_at_the_trace_tolerance(mode):
+    # DensityMatrix takes Tr rho = 1 + 0.8e-10.  The reduced post-states have
+    # a trace near its square, which must not be re-checked.  In physical mode
+    # level 3 reaches the patched sectors, so the streamed path runs, and the
+    # device carries the model's truncation error: there the value is held
+    # to that of the unit-trace neighbour instead.
+    settings = MeasurementSettings(mode=mode)
+    a = DensityMatrix(CompositeSpace((4,)), np.diag([0.4, 0.3, 0.2, 0.1 + 0.8e-10]))
+    unit = DensityMatrix(CompositeSpace((4,)), np.diag([0.4, 0.3, 0.2, 0.1]))
+    report = hs_distance(a, thermal(0.5, 4), settings)
+    assert abs(report.device_value - hs_distance(unit, thermal(0.5, 4), settings).device_value) < 1e-9
+    if mode is IDEAL:
+        assert report.abs_error < 1e-9
+
+
+@pytest.mark.parametrize("mode", [IDEAL, PHYSICAL], ids=["ideal", "physical"])
+def test_positivity_bound_is_the_input_trace(mode):
+    # |c| of a pure state with itself is its trace squared, 1 + 1.6e-10 here:
+    # above 1, but not above the trace of the product.  Both states sit on
+    # levels 0 and 1, where the physical device is exact.
+    settings = MeasurementSettings(mode=mode)
+    a = DensityMatrix(CompositeSpace((4,)), np.diag([1 + 0.8e-10, 0, 0, 0]))
+    b = DensityMatrix(CompositeSpace((4,)), np.diag([0.6, 0.4, 0, 0]))
+    assert abs(purity(a, settings).device_value - (1 + 0.8e-10) ** 2) < 1e-12
+    assert linear_entropy(a, settings).abs_error < 1e-12
+    assert overlap(a, a, settings).abs_error < 1e-12
+    assert hs_distance(a, b, settings).abs_error < 1e-9
+    # Beyond what a positive state of trace 1 can give, with the excess shown.
+    bad = DensityMatrix(CompositeSpace((4,)), np.diag([1 + 1e-6, -1e-6, 0, 0]))
+    with pytest.raises(ValueError, match=r"not positive: .* = 1\.000002\d* exceeds its trace"):
+        purity(bad, settings)
+
+
 def test_hs_distance_zero_iff_equal():
     a = ginibre_mixed(3, 3, 77)
     perturbation = np.zeros((3, 3), dtype=complex)

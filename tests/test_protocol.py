@@ -10,6 +10,7 @@ from qoverlap import (
     MeasurementSettings,
     ProductState,
     CompositeSpace,
+    as_single_subsystem,
     bell_singlet,
     classical_correlated,
     dispersive_cps,
@@ -32,7 +33,14 @@ from qoverlap import (
 )
 from qoverlap.gates import number_sectors
 from qoverlap.observables import flip_expectation, overlap_direct, purity_direct
-from conftest import embed_mode_state, literal_branches, literal_device_run, partial_trace, random_joint_state
+from conftest import (
+    embed_joint_state,
+    embed_mode_state,
+    literal_branches,
+    literal_device_run,
+    partial_trace,
+    random_joint_state,
+)
 
 
 def product_input(d, seed_a, seed_b, rank_a=None, rank_b=None):
@@ -903,3 +911,57 @@ def test_rows_outside_the_diagonal_blocks_still_reach_the_patches():
         assert abs(run.post_visibility - post_visibility) < 1e-12, label
         assert np.abs(run.reduced_post_state.mat - reduced).max() < 1e-12, label
         assert np.abs(run.post_state_unconditional.mat - post).max() < 1e-12, label
+
+
+def reduced_without_patches(rho):
+    """The reduced post-state when no patch meets a row, in the streamed path's order."""
+    if isinstance(rho, ProductState):
+        flip, identity = np.trace(rho.a.mat) * rho.b.mat, np.trace(rho.b.mat) * rho.a.mat
+    else:
+        d = rho.space.dims[0]
+        joint = rho.mat.reshape(d, d, d, d)
+        flip, identity = np.einsum("jijk->ik", joint), np.einsum("ijkj->ik", joint)
+    mixed = flip + identity
+    mixed += mixed.conj().T
+    return 0.25 * mixed
+
+
+@pytest.mark.parametrize("label", ["ideal", *DEFAULT_TIME_MODES])
+def test_reduced_post_state_without_live_patches_keeps_every_bit(label):
+    for d in (4, 7):
+        # Safe sector: levels <= (d - 1) // 2, which no default-time patch meets.
+        k = (d - 1) // 2 + 1
+        a = embed_mode_state(ginibre_mixed(k, k, 170 + d), d)
+        b = embed_mode_state(ginibre_mixed(k, k - 1, 171 + d), d)
+        joint = embed_joint_state(random_joint_state(k, 172 + d), d)
+        mode = IDEAL if label == "ideal" else DEFAULT_TIME_MODES[label](d)
+        for rho in (ProductState(a, a), ProductState(a, b), joint):
+            reduced = sweep_visibility(rho, mode=mode).reduced_post_state
+            assert reduced.space.dims == (d,)
+            assert np.array_equal(reduced.mat, reduced_without_patches(rho))
+
+
+def count_checks(monkeypatch):
+    checked = []
+    check = DensityMatrix.__post_init__
+    monkeypatch.setattr(DensityMatrix, "__post_init__", lambda rho: checked.append(rho.mat.shape) or check(rho))
+    return checked
+
+
+def test_derived_states_are_not_checked_again(monkeypatch):
+    d = 5
+    a = embed_mode_state(ginibre_mixed(3, 3, 180), d)
+    b = embed_mode_state(ginibre_mixed(3, 2, 181), d)
+    two_mode = tensor_states(a, b)
+    runs = [sweep_visibility(rho, mode=PHYSICAL) for rho in (ProductState(a, b), two_mode)]
+    checked = count_checks(monkeypatch)
+    for mode in (IDEAL, PHYSICAL):
+        assert hs_distance(a, b, MeasurementSettings(mode=mode)).abs_error < 1e-12
+    for run in runs:
+        assert np.abs(run.post_state_unconditional.mat - sandwich_oracle(run._kernel.rho, PHYSICAL)[3]).max() < 1e-12
+    single = as_single_subsystem(two_mode)
+    assert single.space.dims == (d * d,) and single.mat is two_mode.mat
+    assert checked == []
+    # a matrix from outside is still checked
+    DensityMatrix(a.space, a.mat)
+    assert checked == [(d, d)]
