@@ -83,16 +83,19 @@ class DensityMatrix:
     positivity floor (min eigenvalue >= -1e-9) costs a full eigensolve and is
     checked only by :meth:`validate`, which no constructor calls; the tests
     call it on the states the constructors hand out.  The device refuses an
-    input whose fringe coefficient |Tr(W_rel rho)| exceeds the input's trace.
+    input whose fringe coefficient |Tr(W_rel rho)| exceeds
+    max(1, Tr rho) + 1e-12: the trace is read only when |c| exceeds 1, so an
+    input of trace just under 1 keeps the bound 1.
 
     Three states derived from a checked one skip the checks
     (:func:`_derived_state`): the relabelled view
     :func:`as_single_subsystem` returns, which is the checked matrix itself,
     and the device's unconditional post-state and its mode-0 reduced state,
     each formed from the checked input as a real multiple of M + M^dag.
-    Such a sum is Hermitian in every bit, and its trace is the input's up to rounding;
-    for the reduced state of a product that is Tr(a) Tr(b), which may sit
-    up to twice the trace tolerance from 1.  Every matrix from outside, the
+    Such a sum is Hermitian in every bit, and its trace is the input's up to
+    rounding; for the reduced state of a product that is Tr(a) Tr(b), which
+    may sit up to about twice the trace tolerance from 1, so rebuilding it
+    through ``DensityMatrix(...)`` can raise.  Every matrix from outside, the
     ``states`` constructors and the parser's included, keeps every check.
 
     A state on two modes of one cutoff d answers the device kernel's reads

@@ -77,8 +77,8 @@ state, is a partial trace of the input plus, per branch, a correction
 streamed over the patched sectors' nonzero input rows: O(d^3) memory, and
 O(d^5) time when every sector is reached.  When no patched sector has a
 nonzero input row (the ideal device, and every safe input at the default
-time) there is no correction, and it costs O(d^2); for the one-factor
-product a (x) a that ``hs_distance`` passes it is Tr(a) a made Hermitian.
+time) there is no correction, and it costs O(d^2): for the product
+a (x) a that ``hs_distance`` passes, the base partial traces are Tr(a) a.
 Neither post-state re-runs the ``DensityMatrix`` checks: both are derived
 from the checked input as a real multiple of M + M^dag, Hermitian in every
 bit.  Only
@@ -158,7 +158,10 @@ class ProtocolRun:
     ``post_state_unconditional`` is the full d^2 x d^2 state;
     ``reduced_post_state`` is its mode-0 reduced state, computed without the
     d^2 x d^2 matrix, and ``post_visibility`` the visibility a second sweep
-    on it would extract.
+    on it would extract.  Both post-states are derived from the checked
+    input and not checked again (:class:`DensityMatrix`): Hermitian in
+    every bit, their trace is the input's up to rounding, or Tr(a) Tr(b)
+    for a product a (x) b, up to about 2e-10 from 1.
     """
 
     phases: np.ndarray
@@ -382,7 +385,7 @@ def _fringe_coefficient(rho: DeviceInput, w_rel: _Branch, d: int) -> complex:
     return complex(c)
 
 
-def _reduced_branch(rho: DeviceInput, w: _Branch, live: list[int], d: int) -> np.ndarray:
+def _reduced_branch(rho: DeviceInput, w: _Branch, d: int) -> np.ndarray:
     """Tr_1(W rho W^dag) up to an anti-Hermitian part, as a fresh d x d array.
 
     With Delta = W - B, Tr_1(W rho W^dag) = Tr_1(B rho B^dag) +
@@ -393,10 +396,10 @@ def _reduced_branch(rho: DeviceInput, w: _Branch, live: list[int], d: int) -> np
     rows that are not all 0 and is streamed one row sector at a time: row
     |i, j> meets column |k, j> of (W + B)^dag as the dot product with row
     |k, j> of W + B, which lives on the sector of total photon number k + j
-    (:func:`_row_table`).  O(d^3) memory, and O(d^3) time per row.  ``live``
-    is :func:`_live_sectors` of ``w.patched`` by rows.
+    (:func:`_row_table`).  O(d^3) memory, and O(d^3) time per row.
     """
     out = rho.base_partial_trace(w.flip)
+    live = _live_sectors(rho, w.patched, d, rows=True)
     if not live:
         return out
     patches, w_rows = _compile(w, d), _row_table(w, d)
@@ -426,8 +429,8 @@ class _DeviceKernel:
         # |Tr(W_rel rho)| <= Tr rho for every positive state; the fringes'
         # floor at 0 and the sampler's clamp into [0, 1] only absorb rounding.
         # DensityMatrix does not check positivity, so a non-positive input
-        # stops here.  Tr rho is 1 up to the trace tolerance; it is read
-        # only when |c| exceeds 1.
+        # stops here.  Tr rho is 1 up to the trace tolerance and is read only
+        # when |c| exceeds 1, so the bound applied is max(1, Tr rho) + 1e-12.
         if abs(self.c) > 1.0 + 1e-12:
             trace = float(rho.populations().sum())
             if abs(self.c) > trace + 1e-12:
@@ -438,25 +441,15 @@ class _DeviceKernel:
     def reduced_post(self) -> DensityMatrix:
         """Mode-0 state of the unconditional post-state (W_up rho W_up^dag + W_dn rho W_dn^dag)/2.
 
-        The Hermitian part of the two branches' partial traces (module
-        docstring), built unchecked from the checked input.  Where no
-        patched sector has a live row, those are the two base partial
-        traces; for a product a (x) a of one factor both are Tr(a) a.
+        Built unchecked from the checked input (:func:`_derived_state`): the
+        sum of the branches' partial traces plus its conjugate transpose is
+        Hermitian in every bit.
         """
-        rho, d = self.rho, self.d
-        live = [_live_sectors(rho, w.patched, d, rows=True) for w in (self.w_up, self.w_dn)]
-        if isinstance(rho, ProductState) and rho.a is rho.b and not any(live):
-            # Both base partial traces are x = Tr(a) a, and the general path's
-            # 0.25 (2 x + (2 x)^dag) is 0.5 (x + x^dag) in every bit.
-            mixed = rho.a.mat.trace() * rho.a.mat
-            mixed += dag(mixed)
-            mixed *= 0.5
-            return _derived_state(rho.a.space, mixed)
-        mixed = _reduced_branch(rho, self.w_up, live[0], d)
-        mixed += _reduced_branch(rho, self.w_dn, live[1], d)
+        mixed = _reduced_branch(self.rho, self.w_up, self.d)
+        mixed += _reduced_branch(self.rho, self.w_dn, self.d)
         mixed += dag(mixed)
         mixed *= 0.25
-        return _derived_state(CompositeSpace((d,)), mixed)
+        return _derived_state(CompositeSpace((self.d,)), mixed)
 
     def post_unconditional(self) -> DensityMatrix:
         """The unconditional post-state (W_up rho W_up^dag + W_dn rho W_dn^dag)/2.

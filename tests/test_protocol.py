@@ -965,3 +965,24 @@ def test_derived_states_are_not_checked_again(monkeypatch):
     # a matrix from outside is still checked
     DensityMatrix(a.space, a.mat)
     assert checked == [(d, d)]
+
+
+def test_derived_post_states_carry_the_input_trace_unchecked():
+    # Tr a = 1 + 0.8e-10 passes DensityMatrix; the reduced post-state of a (x) a
+    # has trace (Tr a)^2, outside the constructor's 1e-10, and is not re-checked.
+    d = 4
+    a = DensityMatrix(CompositeSpace((d,)), np.diag([0.4, 0.3, 0.2, 0.1 + 0.8e-10]))
+    b = DensityMatrix(CompositeSpace((d,)), np.diag([0.4, 0.3, 0.2, 0.1 - 0.8e-10]))
+    reduced_a = sweep_visibility(ProductState(a, a)).reduced_post_state
+    reduced_b = sweep_visibility(ProductState(b, b)).reduced_post_state
+    for reduced, trace in ((reduced_a, np.trace(a.mat)), (reduced_b, np.trace(b.mat))):
+        assert abs(np.trace(reduced.mat) - trace**2) < 1e-15
+        assert 1.5e-10 < abs(np.trace(reduced.mat) - 1) < 2e-10
+        assert np.array_equal(reduced.mat, reduced.mat.conj().T)
+    # Derived states go on through the device ...
+    report = overlap(reduced_a, reduced_b)
+    assert report.abs_error < 1e-12
+    assert abs(report.device_value - np.trace(reduced_a.mat @ reduced_b.mat).real) < 1e-12
+    # ... but a checked rebuild of one refuses it.
+    with pytest.raises(ValueError, match="trace differs from 1"):
+        DensityMatrix(reduced_a.space, reduced_a.mat)
