@@ -30,7 +30,6 @@ from .linalg import (
     DensityMatrix,
     ProductState,
     UnitaryGate,
-    as_single_subsystem,
     exp_unitary,
     partial_transpose,
     tensor,

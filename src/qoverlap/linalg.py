@@ -87,16 +87,15 @@ class DensityMatrix:
     max(1, Tr rho) + 1e-12: the trace is read only when |c| exceeds 1, so an
     input of trace just under 1 keeps the bound 1.
 
-    Three states derived from a checked one skip the checks
-    (:func:`_derived_state`): the relabelled view
-    :func:`as_single_subsystem` returns, which is the checked matrix itself,
-    and the device's unconditional post-state and its mode-0 reduced state,
-    each formed from the checked input as a real multiple of M + M^dag.
-    Such a sum is Hermitian in every bit, and its trace is the input's up to
-    rounding; for the reduced state of a product that is Tr(a) Tr(b), which
-    may sit up to about twice the trace tolerance from 1, so rebuilding it
-    through ``DensityMatrix(...)`` can raise.  Every matrix from outside, the
-    ``states`` constructors and the parser's included, keeps every check.
+    Two states derived from a checked one skip the checks
+    (:func:`_derived_state`): the device's unconditional post-state and its
+    mode-0 reduced state, each formed from the checked input as a real
+    multiple of M + M^dag.  Such a sum is Hermitian in every bit, and its
+    trace is the input's up to rounding; for the reduced state of a product
+    that is Tr(a) Tr(b), which may sit up to about twice the trace tolerance
+    from 1, so rebuilding it through ``DensityMatrix(...)`` can raise.
+    Every matrix from outside, the ``states`` constructors and the parser's
+    included, keeps every check.
 
     A state on two modes of one cutoff d answers the device kernel's reads
     (:class:`ProductState` answers the same ones), each through views of
@@ -175,9 +174,8 @@ class DensityMatrix:
 def _derived_state(space: CompositeSpace, mat: np.ndarray) -> DensityMatrix:
     """A DensityMatrix built without ``__post_init__``'s checks.
 
-    Only for a checked state's own matrix under a new ``space`` of its
-    dimension, or a complex square matrix derived from a checked state as a
-    real multiple of M + M^dag (class docstring).
+    Only for the device's two post-states, complex square matrices derived
+    from a checked state as a real multiple of M + M^dag (class docstring).
     """
     rho = object.__new__(DensityMatrix)
     object.__setattr__(rho, "space", space)
@@ -223,7 +221,9 @@ def tensor_states(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
 class ProductState:
     """Product state ``a (x) b`` kept as its two factors.
 
-    ``space`` is the space of ``tensor_states(a, b)``.  It answers the
+    The factors are its two modes: ``space`` is ``(a.dim, b.dim)``, whatever
+    subsystems each factor has, so two Werner states are two modes of
+    dimension 4 (``tensor_states`` keeps every subsystem).  It answers the
     device kernel's reads of :class:`DensityMatrix` from the factors, with
     the same validity: the flip trace, the live sectors, the populations
     and the base partial trace in O(d^2), a sector's trace from two factor
@@ -236,7 +236,7 @@ class ProductState:
 
     @functools.cached_property
     def space(self) -> CompositeSpace:
-        return CompositeSpace(self.a.space.dims + self.b.space.dims)
+        return CompositeSpace((self.a.dim, self.b.dim))
 
     def flip_trace(self) -> complex:
         return (self.a.mat * self.b.mat.T).sum()  # Tr(S (a x b)) = Tr(a b)
@@ -270,16 +270,6 @@ class ProductState:
 
     def dense(self) -> np.ndarray:
         return tensor(self.a.mat, self.b.mat)
-
-
-def as_single_subsystem(rho: DensityMatrix) -> DensityMatrix:
-    """Forget internal tensor structure: same matrix on a one-subsystem space.
-
-    A state that already has one subsystem is returned as it is.
-    """
-    if rho.space.n_subsystems == 1:
-        return rho
-    return _derived_state(CompositeSpace((rho.space.dim,)), rho.mat)
 
 
 def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:

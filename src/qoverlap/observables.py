@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import gates, protocol
-from .linalg import ATOL_ALGEBRA, DensityMatrix, ProductState, as_single_subsystem
+from .linalg import ATOL_ALGEBRA, CompositeSpace, DensityMatrix, ProductState
 from .protocol import IDEAL, DeviceInput, DeviceMode, ProtocolRun
 from .states import _keyed
 
@@ -180,7 +180,7 @@ def overlap(
     """Overlap Tr(rho_a rho_b), measured as the visibility of the device fringe."""
     if rho_a.space.dim != rho_b.space.dim:
         raise ValueError("overlap requires states of equal dimension")
-    pair = ProductState(as_single_subsystem(rho_a), as_single_subsystem(rho_b))
+    pair = ProductState(rho_a, rho_b)
     return _measure_visibility("overlap", pair, overlap_direct(rho_a, rho_b), settings)
 
 
@@ -199,21 +199,19 @@ def fidelity_with_pure(
         raise ValueError("pure state must be normalized: |<psi|psi> - 1| exceeds 1e-10")
     if psi.size != rho.space.dim:
         raise ValueError("pure state dimension does not match the density matrix")
-    single = as_single_subsystem(rho)
-    rho_b = DensityMatrix(single.space, projector)
+    rho_b = DensityMatrix(CompositeSpace((psi.size,)), projector)
     oracle = float((psi.conj() @ rho.mat @ psi).real)
-    return _measure_visibility("fidelity", ProductState(single, rho_b), oracle, settings)
+    return _measure_visibility("fidelity", ProductState(rho, rho_b), oracle, settings)
 
 
 def purity(rho: DensityMatrix, settings: MeasurementSettings = EXACT) -> ObservableReport:
     """Purity Tr(rho^2): overlap of the state with an independent copy.
 
     The two ensemble copies enter the device as the two 'modes'; any internal
-    tensor structure of ``rho`` is irrelevant to the overlap and is flattened
-    away.
+    tensor structure of ``rho`` is irrelevant to the overlap, and
+    :class:`ProductState` flattens it away.
     """
-    single = as_single_subsystem(rho)
-    return _measure_visibility("purity", ProductState(single, single), purity_direct(rho), settings)
+    return _measure_visibility("purity", ProductState(rho, rho), purity_direct(rho), settings)
 
 
 def linear_entropy(rho: DensityMatrix, settings: MeasurementSettings = EXACT) -> ObservableReport:

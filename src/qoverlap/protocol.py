@@ -111,7 +111,6 @@ from .linalg import (
     DensityMatrix,
     ProductState,
     _derived_state,
-    as_single_subsystem,
     dag,
 )
 from .states import _streams
@@ -608,6 +607,5 @@ def repeat_measurement_check(
     :attr:`ProtocolRun.post_visibility`.  The measurement is nondemolition
     for the overlap, so both values agree in every mode.
     """
-    pair = ProductState(as_single_subsystem(rho_a), as_single_subsystem(rho_b))
-    first = sweep_visibility(pair, mode=mode)
+    first = sweep_visibility(ProductState(rho_a, rho_b), mode=mode)
     return first.visibility, first.post_visibility

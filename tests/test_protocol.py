@@ -10,11 +10,11 @@ from qoverlap import (
     MeasurementSettings,
     ProductState,
     CompositeSpace,
-    as_single_subsystem,
     bell_singlet,
     classical_correlated,
     dispersive_cps,
     estimate_visibility,
+    fidelity_with_pure,
     flip_operator,
     fock,
     ginibre_mixed,
@@ -22,15 +22,19 @@ from qoverlap import (
     hs_distance,
     ion_qnd,
     linear_coupling,
+    linear_entropy,
     overlap,
+    purity,
     repeat_measurement_check,
     sample_shots,
+    singlet_ket,
     sweep_visibility,
     tensor,
     tensor_states,
     werner,
     witness_delta,
 )
+from qoverlap import linalg, protocol
 from qoverlap.gates import number_sectors
 from qoverlap.observables import flip_expectation, overlap_direct, purity_direct
 from conftest import (
@@ -959,12 +963,41 @@ def test_derived_states_are_not_checked_again(monkeypatch):
         assert hs_distance(a, b, MeasurementSettings(mode=mode)).abs_error < 1e-12
     for run in runs:
         assert np.abs(run.post_state_unconditional.mat - sandwich_oracle(run._kernel.rho, PHYSICAL)[3]).max() < 1e-12
-    single = as_single_subsystem(two_mode)
-    assert single.space.dims == (d * d,) and single.mat is two_mode.mat
     assert checked == []
     # a matrix from outside is still checked
     DensityMatrix(a.space, a.mat)
     assert checked == [(d, d)]
+
+
+def test_a_product_of_two_subsystem_factors_runs_as_two_modes():
+    a, b = werner(0.3), werner(0.8)
+    pair = ProductState(a, b)
+    assert pair.space.dims == (4, 4)
+    assert abs(sweep_visibility(pair).visibility - overlap_direct(a, b)) < 1e-12
+
+
+def test_pipelines_derive_no_state_from_two_subsystem_inputs(monkeypatch):
+    derived = []
+    make = linalg._derived_state
+
+    def counted(space, mat):
+        derived.append(space.dims)
+        return make(space, mat)
+
+    monkeypatch.setattr(linalg, "_derived_state", counted)
+    monkeypatch.setattr(protocol, "_derived_state", counted)
+    a, b = werner(0.3), ginibre_mixed(4, 3, 190, dims=(2, 2))
+    # Level 3 of a 4-level mode is above the safe sector, so only the ideal
+    # device is exact here; the physical one runs for the count.
+    for mode in (IDEAL, PHYSICAL):
+        settings = MeasurementSettings(mode=mode)
+        reports = [overlap(a, b, settings), purity(b, settings), linear_entropy(a, settings),
+                   fidelity_with_pure(b, singlet_ket(), settings)]
+        first, second = repeat_measurement_check(a, b, mode)
+        if mode == IDEAL:
+            assert max(report.abs_error for report in reports) < 1e-12
+            assert abs(first - overlap_direct(a, b)) < 1e-12
+    assert derived == []
 
 
 def test_derived_post_states_carry_the_input_trace_unchecked():
