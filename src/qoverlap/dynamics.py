@@ -30,14 +30,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates
-from .linalg import CompositeSpace, UnitaryGate, dag, exp_unitary, tensor
+from .linalg import CompositeSpace, UnitaryGate, _integer, dag, exp_unitary, tensor
 
 _KINDS = ("linear_coupling", "dispersive_cps", "ion_qnd")
 
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """One interaction Hamiltonian plus cutoff and interaction time."""
+    """One interaction Hamiltonian plus cutoff and interaction time.
+
+    The coupling and the time must be finite and positive (NaN is refused),
+    the cutoff an integer >= 2; a numpy integer is stored as ``int``.
+    """
 
     kind: str
     coupling: float
@@ -47,10 +51,11 @@ class HamiltonianSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown Hamiltonian kind {self.kind!r}")
-        if self.coupling <= 0:
-            raise ValueError("coupling constant must be positive")
-        if self.interaction_time <= 0:
-            raise ValueError("interaction time must be positive")
+        if not 0 < self.coupling < math.inf:  # NaN fails it too
+            raise ValueError(f"coupling constant must be finite and positive, got {self.coupling!r}")
+        if not 0 < self.interaction_time < math.inf:
+            raise ValueError(f"interaction time must be finite and positive, got {self.interaction_time!r}")
+        object.__setattr__(self, "cutoff", _integer("cutoff", self.cutoff))
         if self.cutoff < 2:
             raise ValueError("cutoff must be at least 2")
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,16 @@ class CompositeSpace:
     @property
     def n_subsystems(self) -> int:
         return len(self.dims)
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int: numpy integers pass, bools and non-integers raise ``TypeError``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def _as_square_matrix(m) -> np.ndarray:

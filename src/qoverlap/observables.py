@@ -25,14 +25,13 @@ run.  Neither field takes part in equality.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import gates, protocol
-from .linalg import ATOL_ALGEBRA, CompositeSpace, DensityMatrix, ProductState
-from .protocol import IDEAL, DeviceInput, DeviceMode, ProtocolRun
+from .linalg import ATOL_ALGEBRA, CompositeSpace, DensityMatrix, ProductState, _integer
+from .protocol import IDEAL, DeviceInput, DeviceMode, ProtocolRun, _count
 from .states import _keyed
 
 # Exact-mode witness verdict threshold; shot-noise runs use 3 standard errors.
@@ -43,9 +42,10 @@ WITNESS_EXACT_THRESHOLD = 1e-9
 class MeasurementSettings:
     """How the device is driven: realization, phase grid, statistics.
 
-    ``phase_count`` is an integer >= 3 and ``shots`` ``None`` or an integer
-    >= 1.  Numpy integers are stored as ``int``; bools and floats raise
-    ``TypeError``, values out of range ``ValueError``.
+    ``phase_count`` is an integer >= 3, ``shots`` ``None`` or an integer
+    >= 1 and ``seed`` any integer.  Numpy integers are stored as ``int``;
+    bools, floats and strings raise ``TypeError``, counts out of range
+    ``ValueError``.
     """
 
     mode: DeviceMode = IDEAL
@@ -58,19 +58,8 @@ class MeasurementSettings:
         object.__setattr__(self, "phase_count", _count("phase_count", self.phase_count, 3))
         if self.shots is not None:
             object.__setattr__(self, "shots", _count("shots", self.shots, 1))
-
-
-def _count(name: str, value, least: int) -> int:
-    """``value`` as an int >= ``least``; bools and non-integers are refused."""
-    if isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    try:
-        count = operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-    if count < least:
-        raise ValueError(f"{name} must be at least {least}, got {count}")
-    return count
+        # a numpy seed would overflow in hs_distance's seed + i
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
 
 
 EXACT = MeasurementSettings()

@@ -111,6 +111,7 @@ from .linalg import (
     DensityMatrix,
     ProductState,
     _derived_state,
+    _integer,
     dag,
 )
 from .states import _streams
@@ -123,10 +124,13 @@ DeviceInput = DensityMatrix | ProductState
 class DeviceMode:
     """Which realization of the controlled swap the device runs.
 
-    ``ideal`` uses the exact finite-dimensional controlled swap, ``physical``
-    composes coupler / controlled phase / inverse coupler from the gate
-    module, and ``hamiltonian`` compiles one of the gates from an interaction
-    Hamiltonian carried in ``hamiltonian``.
+    ``ideal`` is the exact finite-dimensional controlled swap.  ``physical``
+    is a 50:50 coupler, a pi-per-photon phase on mode 1 and the inverse
+    coupler; ``hamiltonian`` realizes one of those steps as the evolution
+    under the interaction Hamiltonian carried in ``hamiltonian``.  Both are
+    written in closed form as a coupler, a phase per photon and the inverse
+    coupler (:func:`_mode_swap_operator`): nothing is composed from
+    :mod:`qoverlap.gates` matrices or evolved from a Hamiltonian.
     """
 
     kind: str
@@ -469,11 +473,21 @@ class _Grid(NamedTuple):
     backward: np.ndarray  # exp(-i psi)
 
 
+def _count(name: str, value, least: int) -> int:
+    """``value`` as an int >= ``least``; bools and non-integers raise ``TypeError``."""
+    count = _integer(name, value)
+    if count < least:
+        raise ValueError(f"{name} must be at least {least}, got {count}")
+    return count
+
+
 def _grid(phase_count: int) -> _Grid:
     """The grid of ``phase_count`` phases as read-only arrays.
 
     Grids of up to ``_GRID_MAX_CACHED`` phases are kept in ``_GRIDS``.
     """
+    if type(phase_count) is not int:  # 8.0 and True would find the grids of 8 and 1
+        phase_count = _count("phase_count", phase_count, 3)
     grid = _GRIDS.get(phase_count)
     if grid is not None:
         return grid
@@ -493,15 +507,17 @@ def sweep_visibility(
 ) -> ProtocolRun:
     """Sweep a uniform phase grid and extract visibility and delta.
 
-    ``rho_joint`` is a dense two-mode state or a :class:`ProductState`.  The
-    fringes are the closed form (1 -/+ Re[exp(i psi) c])/2 on the grid.  The
-    visibility is |c|, the first-harmonic Fourier coefficient of the p_down
-    fringe, which equals the contrast (p_max - p_min)/(p_max + p_min) on
-    any uniform grid of at least 3 phases.  ``delta`` is p_up - p_down at
-    the calibrated phase pi, i.e. Re c.  The unconditional post-state is
-    phase independent and built on first read.  ``run.phases`` is
-    read-only; up to ``_GRID_MAX_CACHED`` phases it is the one grid shared
-    by every sweep of ``phase_count`` phases.
+    ``rho_joint`` is a dense two-mode state or a :class:`ProductState`, and
+    ``phase_count`` an integer >= 3 (a numpy one passes; a bool or a float,
+    even 8.0, raises ``TypeError``).  The fringes are the closed form
+    (1 -/+ Re[exp(i psi) c])/2 on the grid.  The visibility is |c|, the
+    first-harmonic Fourier coefficient of the p_down fringe, which equals
+    the contrast (p_max - p_min)/(p_max + p_min) on any uniform grid of at
+    least 3 phases.  ``delta`` is p_up - p_down at the calibrated phase pi,
+    i.e. Re c.  The unconditional post-state is phase independent and built
+    on first read.  ``run.phases`` is read-only; up to ``_GRID_MAX_CACHED``
+    phases it is the one grid shared by every sweep of ``phase_count``
+    phases.
     """
     grid = _grid(phase_count)
     kernel = _DeviceKernel(rho_joint, mode)
@@ -532,11 +548,13 @@ def sample_shots(run: ProtocolRun, shots_per_phase: int, seed: int) -> np.ndarra
     phase (:func:`qoverlap.states._streams`), so each draws what a fresh
     generator per phase would.
 
+    ``shots_per_phase`` is an integer >= 1 and ``seed`` an integer; numpy
+    integers pass, bools and floats raise ``TypeError``.
+
     Returns an integer array of shape (K, 2) with columns (count_up,
     count_down).
     """
-    if shots_per_phase < 1:
-        raise ValueError("shots_per_phase must be at least 1")
+    shots_per_phase = _count("shots_per_phase", shots_per_phase, 1)
     ups = [rng.binomial(shots_per_phase, min(max(p, 0.0), 1.0))
            for p, rng in zip(run.p_up.tolist(), _streams(seed))]
     counts = np.empty((len(ups), 2), dtype=np.int64)

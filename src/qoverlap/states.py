@@ -12,7 +12,7 @@ import threading
 
 import numpy as np
 
-from .linalg import CompositeSpace, DensityMatrix
+from .linalg import CompositeSpace, DensityMatrix, _integer
 
 RNG_ALGORITHM = "philox4x64-10"
 
@@ -40,8 +40,11 @@ def _streams(seed: int, k: int = 0):
 
     Each is this thread's one generator re-keyed at counter 0, as from
     :func:`_keyed`, and valid until the next one is drawn or another call
-    in the same thread re-keys it.
+    in the same thread re-keys it.  ``seed`` is an integer, a numpy one
+    included; bools, floats and strings raise ``TypeError`` at the first
+    draw.
     """
+    seed = _integer("seed", seed) % 2**64
     try:
         bits, fresh, rng = _PHILOX.stream
     except AttributeError:
@@ -53,7 +56,6 @@ def _streams(seed: int, k: int = 0):
         rng = np.random.Generator(bits)
         _PHILOX.stream = bits, fresh, rng
     key = fresh["state"]["key"]
-    seed = int(seed) % 2**64
     while True:
         key[0], key[1] = seed, k
         bits.state = fresh  # counter 0, empty buffer

@@ -4,8 +4,10 @@ import pytest
 from qoverlap import (
     IDEAL,
     HamiltonianSpec,
+    MeasurementSettings,
     beamsplitter,
     build_hamiltonian,
+    coherent,
     cps,
     dispersive_cps,
     fock,
@@ -14,6 +16,7 @@ from qoverlap import (
     ion_qnd,
     linear_coupling,
     number_phase,
+    overlap,
     pure,
     realize_gate,
     sweep_visibility,
@@ -122,6 +125,24 @@ def test_spec_validation():
         HamiltonianSpec("ion_qnd", 1.0, 4, 0.0)
     with pytest.raises(ValueError):
         HamiltonianSpec("ion_qnd", 1.0, 1, 1.0)
+
+
+@pytest.mark.parametrize("builder", [linear_coupling, dispersive_cps, ion_qnd])
+def test_spec_refuses_non_finite_coupling_and_time(builder):
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="coupling constant must be finite and positive"):
+            builder(bad, 4)
+        with pytest.raises(ValueError, match="interaction time must be finite and positive"):
+            builder(1.0, 4, bad)
+    with pytest.raises(TypeError, match="cutoff must be an integer"):
+        builder(1.0, 4.0)
+    spec = builder(1.0, np.int64(4))
+    assert type(spec.cutoff) is int and spec == builder(1.0, 4)
+
+
+def test_nan_coupling_never_reaches_the_device():
+    with pytest.raises(ValueError, match="coupling"):
+        overlap(fock(1, 4), coherent(0.5, 4), MeasurementSettings(mode=hamiltonian_mode(linear_coupling(np.nan, 4))))
 
 
 def test_ion_identical_pure_inputs_give_unit_visibility():

@@ -372,6 +372,21 @@ def test_settings_take_numpy_integer_counts_as_ints():
     assert report == witness(werner(0.5), MeasurementSettings(phase_count=6, shots=500, seed=2))
 
 
+@pytest.mark.parametrize("seed", ["3", 1.5, 3.0, True])
+def test_settings_refuse_seeds_that_are_not_integers(seed):
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        MeasurementSettings(seed=seed)
+
+
+def test_settings_take_numpy_integer_seeds_as_ints():
+    # hs_distance's sub-seeds seed + 1 and seed + 2 would overflow an int64
+    top = 2**63 - 1
+    settings = MeasurementSettings(shots=30, seed=np.int64(top))
+    assert type(settings.seed) is int and settings == MeasurementSettings(shots=30, seed=top)
+    report = hs_distance(fock(0, 3), thermal(0.5, 3), settings)
+    assert report == hs_distance(fock(0, 3), thermal(0.5, 3), MeasurementSettings(shots=30, seed=top))
+
+
 def test_shot_noise_determinism():
     r1 = overlap(fock(0, 3), fock(0, 3), SHOT_SETTINGS)
     r2 = overlap(fock(0, 3), fock(0, 3), SHOT_SETTINGS)

@@ -373,6 +373,35 @@ def test_sample_shots_deterministic_and_splittable():
     assert not np.array_equal(c1, sample_shots(run, 1000, seed=12))
 
 
+@pytest.mark.parametrize("phase_count", [8.5, 8.0, True])
+def test_sweep_refuses_phase_counts_that_are_not_integers(phase_count):
+    # 8.5 would give 9 phases that estimate_visibility refuses; 8.0 would pass as 8
+    with pytest.raises(TypeError, match="phase_count must be an integer"):
+        sweep_visibility(bell_singlet(), phase_count)
+
+
+def test_sweep_takes_numpy_integer_phase_counts():
+    from qoverlap.protocol import _grid
+
+    assert sweep_visibility(bell_singlet(), np.int64(8)).phases is _grid(8).phases
+    with pytest.raises(ValueError, match="at least 3"):
+        sweep_visibility(bell_singlet(), np.int32(2))
+
+
+def test_sample_shots_refuses_counts_and_seeds_that_are_not_integers():
+    run = sweep_visibility(random_joint_state(2, 8))
+    for shots in (2.5, 2.0, True):
+        with pytest.raises(TypeError, match="shots_per_phase must be an integer"):
+            sample_shots(run, shots, 1)
+    for seed in (1.5, 1.0, True, "1"):
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            sample_shots(run, 10, seed)
+    with pytest.raises(ValueError, match="shots_per_phase must be at least 1"):
+        sample_shots(run, 0, 1)
+    counts = sample_shots(run, np.int64(10), np.uint64(3))
+    assert counts.dtype == np.int64 and np.array_equal(counts, sample_shots(run, 10, 3))
+
+
 @pytest.mark.filterwarnings("error")
 def test_sample_shots_seed_is_taken_mod_2_64():
     run = sweep_visibility(random_joint_state(2, 8))

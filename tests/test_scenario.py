@@ -308,6 +308,23 @@ def test_safe_support_does_not_warn_in_physical_mode(recwarn):
     assert not [w for w in recwarn if "photon" in str(w.message)]
 
 
+def test_hs_distance_warns_on_the_products_its_device_runs():
+    # a (x) b is safe (N = 3 at cutoff 5), but the device runs a (x) a (N = 6).
+    unsafe = make(task="hs_distance", device_mode="physical", cutoff=5,
+                  state_a={"kind": "fock", "n": 3}, state_b={"kind": "fock", "n": 0})
+    with pytest.warns(UserWarning, match="population 1.00e[+]00 above total photon number 4") as caught:
+        run_scenario(parse_scenario(unsafe))
+    assert len([w for w in caught if "photon" in str(w.message)]) == 1
+
+
+@pytest.mark.filterwarnings("error::UserWarning")
+def test_safe_hs_distance_does_not_warn_in_physical_mode():
+    for label in ("physical", "hamiltonian:linear_coupling", "hamiltonian:ion_qnd"):
+        safe = make(task="hs_distance", device_mode=label, cutoff=5,
+                    state_a={"kind": "fock", "n": 2}, state_b={"kind": "coherent", "alpha": 0.0})
+        assert run_scenario(parse_scenario(safe)).abs_error < 1e-12
+
+
 def test_device_mode_labels():
     for label in ("physical", "hamiltonian:linear_coupling",
                   "hamiltonian:dispersive_cps", "hamiltonian:ion_qnd"):

@@ -85,6 +85,17 @@ def test_ginibre_seed_is_taken_mod_2_64():
         assert not np.array_equal(mat(a), mat(b))
 
 
+@pytest.mark.parametrize("seed", [1.5, 3.0, True, "3"])
+def test_ginibre_refuses_seeds_that_are_not_integers(seed):
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        ginibre_mixed(3, 2, seed)
+
+
+def test_ginibre_takes_numpy_integer_seeds():
+    assert np.array_equal(ginibre_mixed(3, 2, np.int64(3)).mat, ginibre_mixed(3, 2, 3).mat)
+    assert np.array_equal(ginibre_mixed(3, 2, np.uint64(2**64 - 1)).mat, ginibre_mixed(3, 2, -1).mat)
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         fock(4, 4)
