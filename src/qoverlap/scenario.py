@@ -345,14 +345,12 @@ def _check_safe_support(s: Scenario):
         inputs = (ProductState(s.state_a, s.state_a), ProductState(s.state_b, s.state_b))
     else:
         inputs = (_device_input(s),)
-    unsafe = 0.0
-    for state in inputs:
-        pops = state.populations()
-        unsafe = max(unsafe, float(pops[_unsafe_mask(len(pops))].sum()))
+    mask = _unsafe_mask(s.cutoff)
+    unsafe = max(float(state.populations()[mask].sum()) for state in inputs)
     if unsafe > 1e-10:
         warnings.warn(
             f"scenario {s.name!r}: input has population {unsafe:.2e} above total photon "
-            f"number {len(pops) - 1}; composed-gate devices are exact only below the cutoff",
+            f"number {s.cutoff - 1}; composed-gate devices are exact only below the cutoff",
             UserWarning,
             stacklevel=3,
         )

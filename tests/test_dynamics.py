@@ -4,10 +4,8 @@ import pytest
 from qoverlap import (
     IDEAL,
     HamiltonianSpec,
-    MeasurementSettings,
     beamsplitter,
     build_hamiltonian,
-    coherent,
     cps,
     dispersive_cps,
     fock,
@@ -16,7 +14,6 @@ from qoverlap import (
     ion_qnd,
     linear_coupling,
     number_phase,
-    overlap,
     pure,
     realize_gate,
     sweep_visibility,
@@ -138,11 +135,6 @@ def test_spec_refuses_non_finite_coupling_and_time(builder):
         builder(1.0, 4.0)
     spec = builder(1.0, np.int64(4))
     assert type(spec.cutoff) is int and spec == builder(1.0, 4)
-
-
-def test_nan_coupling_never_reaches_the_device():
-    with pytest.raises(ValueError, match="coupling"):
-        overlap(fock(1, 4), coherent(0.5, 4), MeasurementSettings(mode=hamiltonian_mode(linear_coupling(np.nan, 4))))
 
 
 def test_ion_identical_pure_inputs_give_unit_visibility():
