@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .scenario import ScenarioError, emit, parse_scenario, run_scenario, write_record
@@ -43,8 +44,6 @@ def _load(path: Path):
 
 
 def _apply_overrides(scenario, args):
-    from dataclasses import replace
-
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
     if args.shots is not None:
@@ -64,12 +63,10 @@ def _apply_overrides(scenario, args):
 def _cmd_run(args) -> int:
     try:
         scenario = _apply_overrides(_load(args.scenario), args)
-        record = run_scenario(scenario, stamp=args.stamp)
+        record = run_scenario(replace(scenario, output=None), stamp=args.stamp)
     except ScenarioError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
-    # run_scenario wrote the scenario's own output path (JSON) already; the
-    # CLI destination and format below take precedence at their target.
     out = args.out or (Path(scenario.output) if scenario.output else None)
     if out is None:
         sys.stdout.write(emit(record, args.format).decode())

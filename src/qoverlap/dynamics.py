@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates
-from .linalg import CompositeSpace, UnitaryGate, _integer, dag, exp_unitary, tensor
+from .linalg import CompositeSpace, UnitaryGate, _count, dag, exp_unitary, tensor
 
 _KINDS = ("linear_coupling", "dispersive_cps", "ion_qnd")
 
@@ -55,9 +55,7 @@ class HamiltonianSpec:
             raise ValueError(f"coupling constant must be finite and positive, got {self.coupling!r}")
         if not 0 < self.interaction_time < math.inf:
             raise ValueError(f"interaction time must be finite and positive, got {self.interaction_time!r}")
-        object.__setattr__(self, "cutoff", _integer("cutoff", self.cutoff))
-        if self.cutoff < 2:
-            raise ValueError("cutoff must be at least 2")
+        object.__setattr__(self, "cutoff", _count("cutoff", self.cutoff, 2))
 
 
 def linear_coupling(xi: float, cutoff: int, interaction_time: float | None = None) -> HamiltonianSpec:

@@ -24,13 +24,12 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .linalg import CompositeSpace, UnitaryGate, tensor
+from .linalg import CompositeSpace, UnitaryGate, _count, tensor
 
 
 def annihilation(cutoff: int) -> np.ndarray:
     """Truncated bosonic annihilation operator ``a|n> = sqrt(n)|n-1>``."""
-    if cutoff < 2:
-        raise ValueError("cutoff must be at least 2")
+    cutoff = _count("cutoff", cutoff, 2)
     m = np.zeros((cutoff, cutoff), dtype=complex)
     for n in range(1, cutoff):
         m[n - 1, n] = math.sqrt(n)
@@ -39,8 +38,7 @@ def annihilation(cutoff: int) -> np.ndarray:
 
 def number_op(cutoff: int) -> np.ndarray:
     """Photon number operator ``diag(0, 1, ..., cutoff-1)``."""
-    if cutoff < 2:
-        raise ValueError("cutoff must be at least 2")
+    cutoff = _count("cutoff", cutoff, 2)
     return np.diag(np.arange(cutoff, dtype=float)).astype(complex)
 
 
@@ -55,7 +53,7 @@ class Sector(NamedTuple):
 _CUTOFF_CACHE_SIZE = 8
 
 
-@functools.lru_cache(maxsize=_CUTOFF_CACHE_SIZE)
+@functools.lru_cache(maxsize=_CUTOFF_CACHE_SIZE, typed=True)  # so 3.0 never finds np.int64(3)
 def number_sectors(cutoff: int) -> tuple[Sector, ...]:
     """The states |n0, N - n0> of each total photon number N, as slices.
 
@@ -64,8 +62,7 @@ def number_sectors(cutoff: int) -> tuple[Sector, ...]:
     step by cutoff - 1, so every read of a sector is a view.  Every coupler
     and every Fock-diagonal phase maps each sector into itself.
     """
-    if cutoff < 2:
-        raise ValueError("cutoff must be at least 2")
+    cutoff = _count("cutoff", cutoff, 2)
     sectors = []
     for total in range(2 * cutoff - 1):
         lo, hi = max(0, total - cutoff + 1), min(total, cutoff - 1)
@@ -183,8 +180,7 @@ def flip_operator(d: int) -> np.ndarray:
     (dimension d(d+1)/2) and -1 on the antisymmetric one (d(d-1)/2).  Its
     expectation in a product state is the overlap of the factors.
     """
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
+    d = _count("dimension", d, 2)
     s = np.zeros((d * d, d * d), dtype=complex)
     idx = np.arange(d * d)
     i, j = np.divmod(idx, d)
@@ -227,8 +223,7 @@ def povm_projectors(d: int) -> PovmPair:
     rather than from the flip operator so the identity
     ``pi_plus - pi_minus = flip`` stays a real consistency check.
     """
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
+    d = _count("dimension", d, 2)
     pi_plus = np.zeros((d * d, d * d), dtype=complex)
     pi_minus = np.zeros((d * d, d * d), dtype=complex)
     for n in range(d):

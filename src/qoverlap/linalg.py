@@ -41,12 +41,10 @@ class CompositeSpace:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(map(int, self.dims))
+        dims = tuple([_count("subsystem dimension", d, 2) for d in self.dims])
         object.__setattr__(self, "dims", dims)
         if len(dims) == 0:
             raise ValueError("CompositeSpace needs at least one subsystem")
-        if min(dims) < 2:
-            raise ValueError(f"every subsystem dimension must be >= 2, got {dims}")
 
     @property
     def dim(self) -> int:
@@ -66,6 +64,14 @@ def _integer(name: str, value) -> int:
         except TypeError:
             pass
     raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def _count(name: str, value, least: int) -> int:
+    """``value`` as an int >= ``least``; bools and non-integers raise ``TypeError``."""
+    count = _integer(name, value)
+    if count < least:
+        raise ValueError(f"{name} must be at least {least}, got {count}")
+    return count
 
 
 def _as_square_matrix(m) -> np.ndarray:

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import gates, protocol
-from .linalg import ATOL_ALGEBRA, CompositeSpace, DensityMatrix, ProductState, _integer
-from .protocol import IDEAL, DeviceInput, DeviceMode, ProtocolRun, _count
+from .linalg import ATOL_ALGEBRA, CompositeSpace, DensityMatrix, ProductState, _count, _integer
+from .protocol import IDEAL, DeviceInput, DeviceMode, ProtocolRun
 from .states import _keyed
 
 # Exact-mode witness verdict threshold; shot-noise runs use 3 standard errors.

@@ -110,8 +110,8 @@ from .linalg import (
     CompositeSpace,
     DensityMatrix,
     ProductState,
+    _count,
     _derived_state,
-    _integer,
     dag,
 )
 from .states import _streams
@@ -471,14 +471,6 @@ class _Grid(NamedTuple):
     phases: np.ndarray
     forward: np.ndarray  # exp(+i psi)
     backward: np.ndarray  # exp(-i psi)
-
-
-def _count(name: str, value, least: int) -> int:
-    """``value`` as an int >= ``least``; bools and non-integers raise ``TypeError``."""
-    count = _integer(name, value)
-    if count < least:
-        raise ValueError(f"{name} must be at least {least}, got {count}")
-    return count
 
 
 def _grid(phase_count: int) -> _Grid:

@@ -163,6 +163,8 @@ def _build_state(spec, cutoff: int, slot: str, text: str):
         _require(_is_number(value), f"{name} must be a finite number", f"{path}.{name}", text)
         return float(value)
 
+    if kind in ("bell_singlet", "classical_correlated", "werner"):
+        _require(cutoff == 2, f"{kind} needs cutoff 2", path, text, "cutoff")
     try:
         if kind == "fock":
             ket = states.fock_ket(_take_int("n", required=True), cutoff)
@@ -174,13 +176,10 @@ def _build_state(spec, cutoff: int, slot: str, text: str):
         elif kind == "thermal":
             built, ket = states.thermal(_take_number("nbar"), cutoff), None
         elif kind == "bell_singlet":
-            _require(cutoff == 2, "bell_singlet needs cutoff 2", f"{path}", text, "cutoff")
             built, ket = states.bell_singlet(), None
         elif kind == "classical_correlated":
-            _require(cutoff == 2, "classical_correlated needs cutoff 2", f"{path}", text, "cutoff")
             built, ket = states.classical_correlated(), None
         elif kind == "werner":
-            _require(cutoff == 2, "werner needs cutoff 2", f"{path}", text, "cutoff")
             built, ket = states.werner(_take_number("p")), None
         elif kind == "ginibre_mixed":
             rank = _take_int("rank", required=True)

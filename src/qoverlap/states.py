@@ -12,7 +12,7 @@ import threading
 
 import numpy as np
 
-from .linalg import CompositeSpace, DensityMatrix, _integer
+from .linalg import CompositeSpace, DensityMatrix, _count, _integer
 
 RNG_ALGORITHM = "philox4x64-10"
 
@@ -65,8 +65,8 @@ def _streams(seed: int, k: int = 0):
 
 def fock_ket(n: int, cutoff: int) -> np.ndarray:
     """Number state |n> as a vector of length ``cutoff``."""
-    if cutoff < 2:
-        raise ValueError("cutoff must be at least 2")
+    cutoff = _count("cutoff", cutoff, 2)
+    n = _integer("Fock level", n)
     if not 0 <= n < cutoff:
         raise ValueError(f"Fock level n={n} outside [0, {cutoff})")
     v = np.zeros(cutoff, dtype=complex)
@@ -81,8 +81,7 @@ def coherent_ket(alpha: complex, cutoff: int) -> np.ndarray:
     is fixed by normalization on the truncated space rather than the usual
     ``exp(-|alpha|^2/2)`` so the state stays exactly normalized.
     """
-    if cutoff < 2:
-        raise ValueError("cutoff must be at least 2")
+    cutoff = _count("cutoff", cutoff, 2)
     v = np.zeros(cutoff, dtype=complex)
     amp = 1.0 + 0j
     v[0] = amp
@@ -125,8 +124,7 @@ def thermal(nbar: float, cutoff: int) -> DensityMatrix:
     Diagonal weights proportional to ``nbar^n / (1+nbar)^(n+1)``,
     renormalized after truncation.
     """
-    if cutoff < 2:
-        raise ValueError("cutoff must be at least 2")
+    cutoff = _count("cutoff", cutoff, 2)
     if nbar < 0:
         raise ValueError("mean photon number must be nonnegative")
     ratio = nbar / (1.0 + nbar)
@@ -176,10 +174,8 @@ def ginibre_mixed(dim: int, rank: int, seed: int, dims: tuple[int, ...] | None =
     keyed by (seed mod 2**64, 0), re-keyed for each call
     (:func:`_keyed`), so identical seeds give identical states everywhere.
     """
-    if rank < 1:
-        raise ValueError("rank must be at least 1")
-    if dim < 2:
-        raise ValueError("dimension must be at least 2")
+    rank = _count("rank", rank, 1)
+    dim = _count("dimension", dim, 2)
     rng = _keyed(seed)
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     m = g @ g.conj().T

@@ -113,3 +113,16 @@ def test_stamp_flag_records_time(tmp_path):
                 "--stamp", "--out", str(out))
     assert r.returncode == 0
     assert json.loads(out.read_text())["timestamp"] is not None
+
+
+def test_run_writes_only_to_out_when_the_document_names_an_output(tmp_path):
+    doc = json.loads((SCENARIOS / "overlap_fock_orthogonal.json").read_text())
+    doc["output"] = str(tmp_path / "from_doc.json")
+    scenario = tmp_path / "doc.json"
+    scenario.write_text(json.dumps(doc))
+    for format in ("json", "csv"):
+        out = tmp_path / f"cli.{format}"
+        r = run_cli("run", str(scenario), "--format", format, "--out", str(out))
+        assert r.returncode == 0, r.stderr
+        assert out.exists()
+    assert not (tmp_path / "from_doc.json").exists()

@@ -12,6 +12,8 @@ from qoverlap import (
     tensor,
     tensor_states,
 )
+from qoverlap import gates, states
+from qoverlap.dynamics import HamiltonianSpec
 from conftest import partial_trace
 
 
@@ -253,3 +255,37 @@ def test_composite_space_validation():
     with pytest.raises(ValueError):
         CompositeSpace((1, 2))
     assert CompositeSpace((2, 3)).dim == 6
+
+
+# Every count a caller hands the library, with the least value it takes and
+# what it keeps of the count (a stored int where there is one).
+COUNTS = {
+    "composite_space": (lambda v: CompositeSpace((v, 2)).dims[0], 2),
+    "fock_ket_cutoff": (lambda v: states.fock_ket(1, v), 2),
+    "fock_ket_level": (lambda v: states.fock_ket(v, 4), 0),
+    "coherent_ket": (lambda v: states.coherent_ket(0.5, v), 2),
+    "thermal": (lambda v: states.thermal(0.5, v).space.dims[0], 2),
+    "ginibre_rank": (lambda v: ginibre_mixed(4, v, 0).mat, 1),
+    "ginibre_dimension": (lambda v: ginibre_mixed(v, 1, 0).space.dims[0], 2),
+    "annihilation": (gates.annihilation, 2),
+    "number_op": (gates.number_op, 2),
+    "number_sectors": (lambda v: gates.number_sectors(v)[1].idx.start, 2),
+    "flip_operator": (gates.flip_operator, 2),
+    "povm_projectors": (lambda v: gates.povm_projectors(v).pi_plus, 2),
+    "hamiltonian_cutoff": (lambda v: HamiltonianSpec("ion_qnd", 1.0, v, 1.0).cutoff, 2),
+}
+
+
+@pytest.mark.parametrize("entry", COUNTS)
+def test_counts_are_integers_in_range(entry):
+    build, least = COUNTS[entry]
+    ref, out = build(3), build(np.int64(3))  # first, so a cache of either cannot answer 3.0
+    if isinstance(ref, int):
+        assert type(out) is int and out == ref
+    else:
+        assert np.array_equal(out, ref)
+    for bad in (True, 2.5, 3.0):
+        with pytest.raises(TypeError, match="must be an integer"):
+            build(bad)
+    with pytest.raises(ValueError):
+        build(least - 1)

@@ -153,9 +153,13 @@ def test_joint_constructor_rejected_in_single_slot():
 
 
 def test_cutoff_mismatch_errors():
-    with pytest.raises(ScenarioError, match="cutoff 2"):
-        parse_scenario(make(task="witness", cutoff=4, state_a=None, state_b=None,
-                            state_joint={"kind": "werner", "p": 0.5}))
+    for kind in ("bell_singlet", "classical_correlated", "werner"):
+        text = make(task="witness", cutoff=4, state_a=None, state_b=None,
+                    state_joint={"kind": kind, "p": 0.5})
+        with pytest.raises(ScenarioError, match=f"^{kind} needs cutoff 2 ") as err:
+            parse_scenario(text)
+        assert err.value.path == "state_joint"
+        assert '"cutoff"' in text.splitlines()[err.value.line - 1]
     with pytest.raises(ScenarioError, match="amplitude count"):
         parse_scenario(make(state_a={"kind": "pure", "amplitudes": [1, 0, 0]}))
 
