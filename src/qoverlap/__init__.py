@@ -6,35 +6,8 @@ entropy, Hilbert-Schmidt distance and a partial-transpose entanglement
 witness, each cross-checked against a direct-trace oracle.
 """
 
-from .dynamics import (
-    HamiltonianSpec,
-    build_hamiltonian,
-    dispersive_cps,
-    ion_qnd,
-    linear_coupling,
-    realize_gate,
-)
-from .gates import (
-    PovmPair,
-    annihilation,
-    beamsplitter,
-    controlled_swap_ideal,
-    cps,
-    flip_operator,
-    number_op,
-    number_phase,
-    povm_projectors,
-)
-from .linalg import (
-    CompositeSpace,
-    DensityMatrix,
-    ProductState,
-    UnitaryGate,
-    exp_unitary,
-    partial_transpose,
-    tensor,
-    tensor_states,
-)
+from .dynamics import HamiltonianSpec, dispersive_cps, ion_qnd, linear_coupling
+from .linalg import CompositeSpace, DensityMatrix, ProductState, tensor, tensor_states
 from .observables import (
     EXACT,
     MeasurementSettings,
@@ -44,10 +17,8 @@ from .observables import (
     hs_distance,
     hs_distance_direct,
     linear_entropy,
-    max_entangled_vector,
     overlap,
     overlap_direct,
-    povm_expectation,
     purity,
     purity_direct,
     witness,
@@ -64,6 +35,14 @@ from .protocol import (
     sample_shots,
     sweep_visibility,
     witness_delta,
+)
+from .reference import (
+    UnitaryGate,
+    beamsplitter,
+    controlled_swap_ideal,
+    cps,
+    povm_expectation,
+    realize_gate,
 )
 from .scenario import (
     ResultRecord,

@@ -56,6 +56,8 @@ def _apply_overrides(scenario, args):
                 raise ScenarioError("--shots must be an integer or 'exact'")
             if shots < 1:
                 raise ScenarioError("--shots must be positive")
+            if scenario.task == "repeat_check":
+                raise ScenarioError("task 'repeat_check' always runs exact: --shots must be 'exact'")
             scenario = replace(scenario, shots=shots)
     return scenario
 

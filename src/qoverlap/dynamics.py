@@ -1,4 +1,4 @@
-"""Gate realization by time evolution under interaction Hamiltonians.
+"""Interaction Hamiltonians that realize the device's gates by time evolution.
 
 Three effective interactions are supported, each with its prescribed
 interaction time (couplings are angular frequencies, hbar absorbed, so only
@@ -18,8 +18,9 @@ the dimensionless coupling*time product matters):
 
 Each of these evolutions is a phase per photon on the number basis, or on the
 ancilla's sigma_x basis, so the device writes its branches in closed form
-(see :mod:`qoverlap.protocol`); :func:`realize_gate` evolves the dense
-Hamiltonian and serves as the literal reference.
+(see :mod:`qoverlap.protocol`) and this module holds only the specs;
+:func:`qoverlap.reference.realize_gate` evolves the dense Hamiltonian and
+serves as the literal reference.
 """
 
 from __future__ import annotations
@@ -27,10 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import gates
-from .linalg import CompositeSpace, UnitaryGate, _count, dag, exp_unitary, tensor
+from .linalg import _count
 
 _KINDS = ("linear_coupling", "dispersive_cps", "ion_qnd")
 
@@ -74,36 +72,3 @@ def ion_qnd(omega: float, cutoff: int, interaction_time: float | None = None) ->
     """Ion QND-type interaction; default time pi/(2 omega)."""
     t = math.pi / (2.0 * omega) if interaction_time is None else interaction_time
     return HamiltonianSpec("ion_qnd", omega, cutoff, t)
-
-
-def build_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
-    """Hermitian generator of the interaction, in angular-frequency units.
-
-    Spaces: two modes for ``linear_coupling``; (ancilla, mode) for
-    ``dispersive_cps`` and ``ion_qnd`` with the ancilla leftmost.
-    """
-    d = spec.cutoff
-    n = gates.number_op(d)
-    if spec.kind == "linear_coupling":
-        a = gates.annihilation(d)
-        ad = dag(a)
-        return 1j * spec.coupling * (tensor(ad, a) - tensor(a, ad))
-    if spec.kind == "dispersive_cps":
-        p_up = np.diag([1.0, 0.0]).astype(complex)
-        return spec.coupling * tensor(p_up, n)
-    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    return spec.coupling * tensor(sigma_x, n)
-
-
-def realize_gate(spec: HamiltonianSpec) -> UnitaryGate:
-    """Evolve under the interaction for its prescribed time.
-
-    With the default times this reproduces the ideal gates exactly: the
-    50:50 coupler from ``linear_coupling`` and the controlled phase shift
-    from ``dispersive_cps``.
-    """
-    h = build_hamiltonian(spec)
-    d = spec.cutoff
-    space = CompositeSpace((d, d) if spec.kind == "linear_coupling" else (2, d))
-    return exp_unitary(h, spec.interaction_time, space)
-

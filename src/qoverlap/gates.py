@@ -1,6 +1,9 @@
-"""Unitaries and projectors of the interferometric overlap device.
+"""The number sectors of two modes and the 50:50 coupler's blocks on them.
 
-Conventions, fixed once here and relied on everywhere else:
+Every gate of the device conserves the total photon number, so the device
+writes each one sector by sector; the dense full-space gates are built only in
+:mod:`qoverlap.reference`, for the tests.  Conventions, fixed once here and
+relied on everywhere else:
 
 * Ancilla basis order is (|up>, |dn>).  The ancilla "Hadamard" is the
   asymmetric rotation |up> -> (|up> + |dn>)/sqrt(2),
@@ -18,28 +21,11 @@ Conventions, fixed once here and relied on everywhere else:
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .linalg import CompositeSpace, UnitaryGate, _count, tensor
-
-
-def annihilation(cutoff: int) -> np.ndarray:
-    """Truncated bosonic annihilation operator ``a|n> = sqrt(n)|n-1>``."""
-    cutoff = _count("cutoff", cutoff, 2)
-    m = np.zeros((cutoff, cutoff), dtype=complex)
-    for n in range(1, cutoff):
-        m[n - 1, n] = math.sqrt(n)
-    return m
-
-
-def number_op(cutoff: int) -> np.ndarray:
-    """Photon number operator ``diag(0, 1, ..., cutoff-1)``."""
-    cutoff = _count("cutoff", cutoff, 2)
-    return np.diag(np.arange(cutoff, dtype=float)).astype(complex)
+from .linalg import _count
 
 
 class Sector(NamedTuple):
@@ -131,112 +117,3 @@ def coupler_blocks(cutoff: int, theta: float, sectors: range | None = None) -> I
         u = v * (1 - 2 * (j // 2 % 2))[:, None]
         parity = j % 2
         yield (u * np.cos(theta * w)) @ u.T + np.subtract.outer(parity, parity) * ((u * np.sin(theta * w)) @ u.T)
-
-
-def beamsplitter(cutoff: int) -> UnitaryGate:
-    """50:50 coupler ``exp[(pi/4)(a0^dag a1 - a1^dag a0)]`` on two modes.
-
-    Built from :func:`coupler_blocks`, the exponential of the generator
-    truncated to ``cutoff`` levels per mode, so it is exactly unitary on the
-    truncated space.  It agrees with the untruncated coupler on all sectors
-    of total photon number <= cutoff-1 (the generator never leaves such a
-    sector); higher sectors see truncation leakage.
-    """
-    m = np.zeros((cutoff * cutoff, cutoff * cutoff), dtype=complex)
-    for sector, block in zip(number_sectors(cutoff), coupler_blocks(cutoff, math.pi / 4)):
-        m[sector.idx, sector.idx] = block
-    return UnitaryGate(CompositeSpace((cutoff, cutoff)), m)
-
-
-def number_phase(theta: float, cutoff: int) -> UnitaryGate:
-    """Phase ``exp(i theta n)`` on each Fock level of one mode."""
-    m = np.diag(np.exp(1j * theta * np.arange(cutoff))).astype(complex)
-    return UnitaryGate(CompositeSpace((cutoff,)), m)
-
-
-def cps(cutoff: int, target_mode: int = 1) -> UnitaryGate:
-    """Controlled phase shift on the full (ancilla, mode 0, mode 1) space.
-
-    Multiplies Fock level n of ``target_mode`` by (-1)^n when the ancilla is
-    |up>; acts as the identity when the ancilla is |dn>.  The default target
-    is mode 1, the choice for which coupler-conjugation yields the exact
-    controlled swap (see module docstring).
-    """
-    if target_mode not in (0, 1):
-        raise ValueError("target_mode must be 0 or 1")
-    parity = number_phase(math.pi, cutoff).mat
-    ident = np.eye(cutoff)
-    phase = tensor(parity, ident) if target_mode == 0 else tensor(ident, parity)
-    p_up = np.diag([1.0, 0.0]).astype(complex)
-    p_dn = np.diag([0.0, 1.0]).astype(complex)
-    m = tensor(p_up, phase) + tensor(p_dn, np.eye(cutoff * cutoff))
-    return UnitaryGate(CompositeSpace((2, cutoff, cutoff)), m)
-
-
-def flip_operator(d: int) -> np.ndarray:
-    """Swap (flip) operator on two d-dimensional systems: S(x (x) y) = y (x) x.
-
-    Hermitian and involutive, with eigenvalue +1 on the symmetric subspace
-    (dimension d(d+1)/2) and -1 on the antisymmetric one (d(d-1)/2).  Its
-    expectation in a product state is the overlap of the factors.
-    """
-    d = _count("dimension", d, 2)
-    s = np.zeros((d * d, d * d), dtype=complex)
-    idx = np.arange(d * d)
-    i, j = np.divmod(idx, d)
-    s[idx, j * d + i] = 1.0
-    return s
-
-
-def controlled_swap_ideal(cutoff: int) -> UnitaryGate:
-    """Exact controlled swap: |dn>|a,b> -> |dn>|a,b>, |up>|a,b> -> |up>|b,a>.
-
-    This is the exact finite-dimensional idealization of the physical
-    coupler / controlled-phase / inverse-coupler sandwich, valid on all Fock
-    levels of the truncated space.
-    """
-    p_up = np.diag([1.0, 0.0]).astype(complex)
-    p_dn = np.diag([0.0, 1.0]).astype(complex)
-    m = tensor(p_up, flip_operator(cutoff)) + tensor(p_dn, np.eye(cutoff * cutoff))
-    return UnitaryGate(CompositeSpace((2, cutoff, cutoff)), m)
-
-
-@dataclass(frozen=True)
-class PovmPair:
-    """Projectors onto the symmetric / antisymmetric two-system subspaces.
-
-    ``pi_plus + pi_minus = I`` and ``pi_plus - pi_minus`` equals the flip
-    operator, so the dichotomic variable they define has expectation equal
-    to the flip expectation.
-    """
-
-    pi_plus: np.ndarray
-    pi_minus: np.ndarray
-
-
-def povm_projectors(d: int) -> PovmPair:
-    """Build the symmetric/antisymmetric projector pair from explicit vectors.
-
-    Off-diagonal symmetric vectors (|n,m> + |m,n>)/sqrt(2) with n > m plus
-    the diagonal |n,n> projectors form pi_plus; the antisymmetric
-    (|n,m> - |m,n>)/sqrt(2) form pi_minus.  Constructed from the vectors
-    rather than from the flip operator so the identity
-    ``pi_plus - pi_minus = flip`` stays a real consistency check.
-    """
-    d = _count("dimension", d, 2)
-    pi_plus = np.zeros((d * d, d * d), dtype=complex)
-    pi_minus = np.zeros((d * d, d * d), dtype=complex)
-    for n in range(d):
-        v = np.zeros(d * d, dtype=complex)
-        v[n * d + n] = 1.0
-        pi_plus += np.outer(v, v.conj())
-        for m in range(n):
-            e_nm = np.zeros(d * d, dtype=complex)
-            e_mn = np.zeros(d * d, dtype=complex)
-            e_nm[n * d + m] = 1.0
-            e_mn[m * d + n] = 1.0
-            plus = (e_nm + e_mn) / math.sqrt(2)
-            minus = (e_nm - e_mn) / math.sqrt(2)
-            pi_plus += np.outer(plus, plus.conj())
-            pi_minus += np.outer(minus, minus.conj())
-    return PovmPair(pi_plus, pi_minus)

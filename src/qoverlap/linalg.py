@@ -2,7 +2,7 @@
 
 Everything here works on plain ``numpy`` arrays of ``complex128``; the thin
 dataclasses only pin down the subsystem structure (which tensor factor is
-which) and the invariants a state or gate must satisfy.
+which) and the invariants a state must satisfy.
 
 Index convention: for a :class:`CompositeSpace` with ``dims = (d0, d1, ...)``
 the leftmost subsystem is the slowest-varying index, i.e. the basis vector
@@ -84,12 +84,6 @@ def _as_square_matrix(m) -> np.ndarray:
 def _refuse_non_finite(mat: np.ndarray) -> None:
     if not np.isfinite(mat).all():  # both parts of every entry
         raise ValueError("matrix contains non-finite entries")
-
-
-def _as_complex_matrix(m) -> np.ndarray:
-    mat = _as_square_matrix(m)
-    _refuse_non_finite(mat)
-    return mat
 
 
 @dataclass(frozen=True)
@@ -200,25 +194,6 @@ def _derived_state(space: CompositeSpace, mat: np.ndarray) -> DensityMatrix:
     return rho
 
 
-@dataclass(frozen=True)
-class UnitaryGate:
-    """Square complex matrix tagged with the composite space it acts on."""
-
-    space: CompositeSpace
-    mat: np.ndarray
-
-    def __post_init__(self):
-        mat = _as_complex_matrix(self.mat)
-        object.__setattr__(self, "mat", mat)
-        if mat.shape[0] != self.space.dim:
-            raise ValueError(
-                f"matrix dimension {mat.shape[0]} does not match space {self.space.dims}"
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
 def tensor(*ops: np.ndarray) -> np.ndarray:
     """Kronecker product of two or more matrices, leftmost factor slowest."""
     if len(ops) < 2:
@@ -287,50 +262,3 @@ class ProductState:
 
     def dense(self) -> np.ndarray:
         return tensor(self.a.mat, self.b.mat)
-
-
-def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:
-    """Transpose the indices of one subsystem only.
-
-    With row multi-index ``(.., i_k, ..)`` and column multi-index
-    ``(.., j_k, ..)``, the entry at ``(i_k, j_k)`` moves to ``(j_k, i_k)`` for
-    the chosen subsystem ``k`` while all other indices stay put.  The result
-    is Hermitian with the same trace but may fail to be positive, which is
-    exactly what the entanglement witness exploits; it is therefore returned
-    as a bare matrix, not a DensityMatrix.
-    """
-    n = rho.space.n_subsystems
-    if subsystem < 0 or subsystem >= n:
-        raise ValueError(f"subsystem index {subsystem} out of range for {n} subsystems")
-    dims = rho.space.dims
-    tensor_form = rho.mat.reshape(dims + dims)
-    swapped = np.swapaxes(tensor_form, subsystem, subsystem + n)
-    return np.ascontiguousarray(swapped.reshape(rho.space.dim, rho.space.dim))
-
-
-def exp_unitary(h: np.ndarray, t: float, space: CompositeSpace | None = None) -> UnitaryGate:
-    """Unitary ``exp(-i h t)`` of a Hermitian generator, via eigendecomposition.
-
-    ``h`` is given in angular-frequency units (hbar absorbed), ``t`` in the
-    matching reciprocal units, so only the product matters.  The sign
-    convention is ``exp(-i h t)``: evolving ``sigma_z`` for time ``pi`` gives
-    ``diag(exp(-i pi), exp(+i pi)) = -I``.
-
-    Parameters
-    ----------
-    h : ndarray
-        Hermitian generator, within 1e-10 entrywise (else ``ValueError``).
-    t : float
-        Evolution time.
-    space : CompositeSpace, optional
-        Space tag for the returned gate; defaults to a single subsystem of
-        the matrix dimension.
-    """
-    h = _as_complex_matrix(h)
-    if np.abs(h - dag(h)).max() > ATOL_ALGEBRA:
-        raise ValueError("exp_unitary requires a Hermitian generator within 1e-10")
-    w, v = np.linalg.eigh(h)
-    u = (v * np.exp(-1j * w * float(t))) @ dag(v)
-    if space is None:
-        space = CompositeSpace((h.shape[0],))
-    return UnitaryGate(space, u)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import gates, protocol
+from . import protocol
 from .linalg import ATOL_ALGEBRA, CompositeSpace, DensityMatrix, ProductState, _count, _integer
 from .protocol import IDEAL, DeviceInput, DeviceMode, ProtocolRun
 from .states import _keyed
@@ -131,18 +131,12 @@ def hs_distance_direct(rho_a: DensityMatrix, rho_b: DensityMatrix) -> float:
 def flip_expectation(rho_joint: DensityMatrix) -> float:
     """Tr(rho S) with S the flip operator on the two equal subsystems.
 
-    Builds the d^2 x d^2 flip operator and a d^2 x d^2 product; it serves
-    as a reference in the tests, and no pipeline uses it.
+    Builds the d^2 x d^2 flip, S|i, j> = |j, i>, and a d^2 x d^2 product; it
+    serves as a reference in the tests, and no pipeline uses it.
     """
     d = protocol._require_mode_pair(rho_joint.space)
-    return float(np.trace(rho_joint.mat @ gates.flip_operator(d)).real)
-
-
-def max_entangled_vector(d: int) -> np.ndarray:
-    """Unnormalized maximally entangled vector sum_j |j>|j> (computational basis)."""
-    v = np.zeros(d * d, dtype=complex)
-    v[np.arange(d) * d + np.arange(d)] = 1.0
-    return v
+    flip = np.eye(d * d).reshape(d, d, d * d).swapaxes(0, 1).reshape(d * d, d * d)
+    return float(np.trace(rho_joint.mat @ flip).real)
 
 
 def witness_oracle(rho_joint: DensityMatrix) -> float:
@@ -272,14 +266,3 @@ def witness(rho_joint: DensityMatrix, settings: MeasurementSettings = EXACT) -> 
         se = 2.0 * math.sqrt(p_tilde * (1.0 - p_tilde) / (settings.shots + 4))
         verdict = "entangled" if delta < -3.0 * se else "inconclusive"
     return _report("witness", delta, witness_oracle(rho_joint), settings, se, verdict, run=run)
-
-
-def povm_expectation(rho_joint: DensityMatrix) -> float:
-    """|Tr(rho (Pi_plus - Pi_minus))|, the projector-pair form of the visibility.
-
-    Builds the two d^2 x d^2 projectors and a d^2 x d^2 product; it serves
-    as a reference in the tests, and no pipeline uses it.
-    """
-    d = protocol._require_mode_pair(rho_joint.space)
-    pair = gates.povm_projectors(d)
-    return abs(float(np.trace(rho_joint.mat @ (pair.pi_plus - pair.pi_minus)).real))

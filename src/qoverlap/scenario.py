@@ -42,6 +42,9 @@ _TOP_KEYS = {
     "state_joint", "phases", "shots", "seed", "output", "expected",
 }
 
+_HAMILTONIANS = {make.__name__: make for make in (linear_coupling, dispersive_cps, ion_qnd)}
+DEVICE_MODE_LABELS = ("ideal", "physical") + tuple(f"hamiltonian:{kind}" for kind in _HAMILTONIANS)
+
 SINGLE_MODE_KINDS = ("fock", "coherent", "thermal", "ginibre_mixed", "pure")
 JOINT_KINDS = ("bell_singlet", "classical_correlated", "werner", "ginibre_mixed", "pure")
 
@@ -220,15 +223,8 @@ def _parse_device_mode(label: str, cutoff: int, text: str) -> DeviceMode:
         return IDEAL
     if label == "physical":
         return PHYSICAL
-    if isinstance(label, str) and label.startswith("hamiltonian:"):
-        kind = label.split(":", 1)[1]
-        builders = {
-            "linear_coupling": linear_coupling,
-            "dispersive_cps": dispersive_cps,
-            "ion_qnd": ion_qnd,
-        }
-        if kind in builders:
-            return hamiltonian_mode(builders[kind](1.0, cutoff))
+    if label in DEVICE_MODE_LABELS:
+        return hamiltonian_mode(_HAMILTONIANS[label.split(":", 1)[1]](1.0, cutoff))
     raise ScenarioError(
         f"unknown device_mode {label!r} (use ideal, physical, or hamiltonian:<kind>)",
         "device_mode", _find_line(text, "device_mode"))
@@ -266,6 +262,8 @@ def parse_scenario(text: str) -> Scenario:
     else:
         raise ScenarioError("shots must be a positive integer or \"exact\"", "shots",
                             _find_line(text, "shots"))
+    _require(shots is None or task != "repeat_check",
+             "task 'repeat_check' always runs exact: shots must be \"exact\"", "shots", text)
     seed = doc.get("seed", 0)
     _require(type(seed) is int, "seed must be an integer", "seed", text)
     output = doc.get("output")

@@ -9,12 +9,10 @@ from qoverlap import (
     CompositeSpace,
     DensityMatrix,
     ProductState,
-    annihilation,
     controlled_swap_ideal,
     cps,
-    exp_unitary,
     ginibre_mixed,
-    number_phase,
+    linear_coupling,
     realize_gate,
     tensor,
 )
@@ -83,6 +81,27 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(CompositeSpace(tuple(dims[k] for k in keep)), 0.5 * (reduced + reduced.conj().T))
 
 
+def flip_operator(d: int) -> np.ndarray:
+    """The swap S|x, y> = |y, x> on two d-level systems: the |up> block of the ideal controlled swap."""
+    return controlled_swap_ideal(d).mat[: d * d, : d * d]
+
+
+def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:
+    """Transpose the indices of one subsystem only, as a bare matrix (it may fail to be positive)."""
+    n = rho.space.n_subsystems
+    if subsystem < 0 or subsystem >= n:
+        raise ValueError(f"subsystem index {subsystem} out of range for {n} subsystems")
+    swapped = np.swapaxes(rho.mat.reshape(rho.space.dims * 2), subsystem, subsystem + n)
+    return np.ascontiguousarray(swapped.reshape(rho.space.dim, rho.space.dim))
+
+
+def max_entangled_vector(d: int) -> np.ndarray:
+    """Unnormalized maximally entangled vector sum_j |j>|j> (computational basis)."""
+    v = np.zeros(d * d, dtype=complex)
+    v[np.arange(d) * (d + 1)] = 1.0
+    return v
+
+
 def hadamard() -> np.ndarray:
     """Ancilla rotation: |up> -> (|up>+|dn>)/sqrt(2), |dn> -> (|dn>-|up>)/sqrt(2).
 
@@ -113,13 +132,6 @@ class LiteralRun(NamedTuple):
     post_unconditional: np.ndarray
 
 
-def dense_coupler(d: int) -> np.ndarray:
-    """The 50:50 coupler exp[(pi/4)(a0^dag a1 - a1^dag a0)] from the dense d^2 x d^2 generator."""
-    a = annihilation(d)
-    ad = a.conj().T
-    return exp_unitary(1j * (tensor(ad, a) - tensor(a, ad)), np.pi / 4).mat
-
-
 def _literal_controlled_step(mode, d: int) -> np.ndarray:
     """The controlled step on (ancilla, mode0, mode1), composed gate by gate."""
     def on_modes(m):
@@ -127,7 +139,7 @@ def _literal_controlled_step(mode, d: int) -> np.ndarray:
 
     if mode.kind == "ideal":
         return controlled_swap_ideal(d).mat
-    coupler = dense_coupler(d)
+    coupler = realize_gate(linear_coupling(1.0, d)).mat  # from the dense d^2 x d^2 generator
     if mode.kind == "physical":
         return on_modes(coupler.conj().T) @ cps(d).mat @ on_modes(coupler)
     spec = mode.hamiltonian
@@ -138,7 +150,7 @@ def _literal_controlled_step(mode, d: int) -> np.ndarray:
         return on_modes(coupler.conj().T) @ embed_on_modes(gate, d) @ on_modes(coupler)
     # ion_qnd: the gate acts on (ancilla, mode 0) and is followed by a
     # pi/2-per-photon phase on mode 0; the couplers close the other way round.
-    phase_fix = on_modes(tensor(number_phase(np.pi / 2, d).mat, np.eye(d)))
+    phase_fix = on_modes(tensor(np.diag(np.exp(0.5j * np.pi * np.arange(d))), np.eye(d)))
     return on_modes(coupler) @ phase_fix @ tensor(gate, np.eye(d)) @ on_modes(coupler.conj().T)
 
 

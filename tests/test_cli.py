@@ -8,16 +8,28 @@ REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
 
 
-def run_cli(*args):
+def run_python(*args):
     # This checkout's package first, ahead of any installed copy.
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "qoverlap", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         cwd=REPO,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_cli(*args):
+    return run_python("-m", "qoverlap", *args)
+
+
+def test_importing_the_package_needs_numpy_alone():
+    # scipy, hypothesis and pytest are test extras; the library must not load them
+    r = run_python("-c", "import sys, qoverlap; "
+                         "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'hypothesis', 'pytest'}))")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"
 
 
 def test_run_to_stdout():
@@ -126,3 +138,13 @@ def test_run_writes_only_to_out_when_the_document_names_an_output(tmp_path):
         assert r.returncode == 0, r.stderr
         assert out.exists()
     assert not (tmp_path / "from_doc.json").exists()
+
+
+def test_run_refuses_shots_on_repeat_check():
+    scenario = SCENARIOS / "repeat_check_ginibre.json"
+    r = run_cli("run", str(scenario), "--shots", "100")
+    assert r.returncode == 1
+    assert "repeat_check" in r.stderr and "--shots" in r.stderr
+    r = run_cli("run", str(scenario), "--shots", "exact")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["shots"] is None

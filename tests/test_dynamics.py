@@ -5,7 +5,6 @@ from qoverlap import (
     IDEAL,
     HamiltonianSpec,
     beamsplitter,
-    build_hamiltonian,
     cps,
     dispersive_cps,
     fock,
@@ -13,7 +12,6 @@ from qoverlap import (
     hamiltonian_mode,
     ion_qnd,
     linear_coupling,
-    number_phase,
     pure,
     realize_gate,
     sweep_visibility,
@@ -32,33 +30,38 @@ def safe_pair(d_small, cutoff, seed_a, seed_b):
     return a, b, tensor_states(a, b)
 
 
+# The Hamiltonians are read through their evolutions, at times off the defaults.
+
+
 def test_linear_coupling_annihilates_vacuum():
-    h = build_hamiltonian(linear_coupling(1.0, 5))
-    vac = np.zeros(25)
-    vac[0] = 1.0
-    assert np.abs(h @ vac).max() < 1e-15
+    # H|0,0> = 0, so every evolution leaves the vacuum in place
+    for t in (0.37, 1.1):
+        u = realize_gate(linear_coupling(1.0, 5, interaction_time=t)).mat
+        assert np.abs(u[:, 0] - np.eye(25)[0]).max() < 1e-14
 
 
 def test_dispersive_hamiltonian_is_diagonal():
-    kappa, d = 1.7, 6
-    h = build_hamiltonian(dispersive_cps(kappa, d))
-    assert np.abs(h - np.diag(np.diag(h))).max() < 1e-15
-    for n in range(d):
-        assert abs(h[n, n] - kappa * n) < 1e-12  # (up, n) block comes first
-        assert abs(h[d + n, d + n]) < 1e-15
+    kappa, d, t = 1.7, 6, 0.3
+    u = realize_gate(dispersive_cps(kappa, d, interaction_time=t)).mat
+    # H = kappa n on the (up, n) block, which comes first, and 0 on (dn, n)
+    want = np.concatenate([np.exp(-1j * kappa * t * np.arange(d)), np.ones(d)])
+    assert np.abs(u - np.diag(want)).max() < 1e-12
 
 
 def test_ion_hamiltonian_squares_to_number_squared():
-    omega, d = 1.3, 5
-    h = build_hamiltonian(ion_qnd(omega, d))
-    n2 = np.diag((omega * np.arange(d)) ** 2).astype(complex)
-    assert np.abs(h @ h - tensor(np.eye(2), n2)).max() < 1e-12
+    omega, d, t = 1.3, 5, 0.4
+    u = realize_gate(ion_qnd(omega, d, interaction_time=t)).mat
+    # (U + U^dag)/2 = cos(t H), a function of H^2 = 1 (x) (omega n)^2 alone
+    want = tensor(np.eye(2), np.diag(np.cos(omega * t * np.arange(d))))
+    assert np.abs(0.5 * (u + u.conj().T) - want).max() < 1e-12
 
 
 def test_hamiltonians_are_hermitian():
-    for spec in (linear_coupling(0.7, 5), dispersive_cps(2.2, 5), ion_qnd(1.1, 5)):
-        h = build_hamiltonian(spec)
-        assert np.abs(h - h.conj().T).max() < 1e-12
+    # realize_gate refuses a generator that is not Hermitian within 1e-10,
+    # and a Hermitian one evolves unitarily at every time
+    for make in (linear_coupling, dispersive_cps, ion_qnd):
+        for t in (0.37, 2.9):
+            assert_unitary(realize_gate(make(0.7, 5, interaction_time=t)).mat, 1e-12)
 
 
 def test_default_interaction_times():

@@ -2,19 +2,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qoverlap import (
-    annihilation,
-    beamsplitter,
-    controlled_swap_ideal,
-    cps,
-    flip_operator,
-    number_phase,
-    povm_projectors,
-    singlet_ket,
-    tensor,
-)
+from qoverlap import beamsplitter, controlled_swap_ideal, cps, singlet_ket, tensor
 from qoverlap.gates import coupler_blocks, number_sectors
-from conftest import assert_unitary, hadamard, haar_unitary, phase_shift
+from qoverlap.reference import povm_projectors
+from conftest import assert_unitary, flip_operator, hadamard, haar_unitary, phase_shift
 
 UP, DN = 0, 1
 
@@ -107,7 +98,7 @@ def test_beamsplitter_unitary():
 
 @pytest.mark.parametrize("d", range(2, 13))
 def test_sector_coupler_matches_expm_of_dense_generator(d):
-    a = annihilation(d)
+    a = np.diag(np.sqrt(np.arange(1.0, d)), 1)  # a|n> = sqrt(n)|n-1>
     ad = a.conj().T
     generator = tensor(ad, a) - tensor(a, ad)
     flat, levels = np.arange(d * d), np.arange(d)
@@ -247,50 +238,42 @@ def test_flip_operator_involutive_and_spectrum():
 
 def assert_projector_pair(pair, atol=1e-10):
     """Both elements orthogonal projectors, and they sum to the identity."""
-    for p in (pair.pi_plus, pair.pi_minus):
+    for p in pair:
         assert np.abs(p - p.conj().T).max() <= atol
         assert np.abs(p @ p - p).max() <= atol
-    assert np.abs(pair.pi_plus + pair.pi_minus - np.eye(len(pair.pi_plus))).max() <= atol
+    assert np.abs(sum(pair) - np.eye(len(pair[0]))).max() <= atol
 
 
 def test_povm_projector_ranks_qubit():
-    pair = povm_projectors(2)
+    pi_plus, pi_minus = pair = povm_projectors(2)
     assert_projector_pair(pair)
-    assert np.linalg.matrix_rank(pair.pi_plus) == 3
-    assert np.linalg.matrix_rank(pair.pi_minus) == 1
+    assert np.linalg.matrix_rank(pi_plus) == 3
+    assert np.linalg.matrix_rank(pi_minus) == 1
 
 
 def test_povm_singlet_expectation():
-    pair = povm_projectors(2)
+    pi_plus, pi_minus = povm_projectors(2)
     s = singlet_ket()
-    v_op = pair.pi_plus - pair.pi_minus
+    v_op = pi_plus - pi_minus
     assert abs((s.conj() @ v_op @ s).real + 1.0) < 1e-12
 
 
 def test_povm_completeness_and_orthogonality():
     for d in (2, 3, 5):
-        pair = povm_projectors(d)
+        pi_plus, pi_minus = pair = povm_projectors(d)
         assert_projector_pair(pair)
-        assert np.abs(pair.pi_plus + pair.pi_minus - np.eye(d * d)).max() < 1e-12
-        assert np.abs(pair.pi_plus @ pair.pi_minus).max() < 1e-12
+        assert np.abs(pi_plus + pi_minus - np.eye(d * d)).max() < 1e-12
+        assert np.abs(pi_plus @ pi_minus).max() < 1e-12
 
 
 def test_povm_difference_is_flip():
     for d in (2, 4):
-        pair = povm_projectors(d)
-        assert np.abs(pair.pi_plus - pair.pi_minus - flip_operator(d)).max() < 1e-10
-
-
-def test_number_phase_values():
-    d = 5
-    assert np.allclose(number_phase(0.0, d).mat, np.eye(d))
-    # theta = pi reproduces the active branch of the controlled phase shift
-    assert np.abs(number_phase(np.pi, d).mat - np.diag([(-1.0) ** n for n in range(d)])).max() < 1e-12
-    assert abs(number_phase(np.pi / 2, d).mat[2, 2] + 1.0) < 1e-15
+        pi_plus, pi_minus = povm_projectors(d)
+        assert np.abs(pi_plus - pi_minus - flip_operator(d)).max() < 1e-10
 
 
 def test_all_named_gates_unitary():
-    for gate in (beamsplitter(6), cps(4), controlled_swap_ideal(4), number_phase(1.1, 6)):
+    for gate in (beamsplitter(6), cps(4), controlled_swap_ideal(4)):
         assert_unitary(gate.mat)
     assert_unitary(hadamard())
     assert_unitary(phase_shift(0.7))

@@ -5,16 +5,18 @@ import scipy.linalg
 from qoverlap import (
     CompositeSpace,
     DensityMatrix,
-    exp_unitary,
+    beamsplitter,
+    controlled_swap_ideal,
+    cps,
     ginibre_mixed,
     bell_singlet,
-    partial_transpose,
     tensor,
     tensor_states,
 )
 from qoverlap import gates, states
 from qoverlap.dynamics import HamiltonianSpec
-from conftest import partial_trace
+from qoverlap.reference import exp_unitary, povm_projectors
+from conftest import flip_operator, partial_trace, partial_transpose
 
 
 def test_tensor_identity():
@@ -267,11 +269,12 @@ COUNTS = {
     "thermal": (lambda v: states.thermal(0.5, v).space.dims[0], 2),
     "ginibre_rank": (lambda v: ginibre_mixed(4, v, 0).mat, 1),
     "ginibre_dimension": (lambda v: ginibre_mixed(v, 1, 0).space.dims[0], 2),
-    "annihilation": (gates.annihilation, 2),
-    "number_op": (gates.number_op, 2),
     "number_sectors": (lambda v: gates.number_sectors(v)[1].idx.start, 2),
-    "flip_operator": (gates.flip_operator, 2),
-    "povm_projectors": (lambda v: gates.povm_projectors(v).pi_plus, 2),
+    "beamsplitter": (lambda v: beamsplitter(v).mat, 2),
+    "cps": (lambda v: cps(v).mat, 2),
+    "controlled_swap_ideal": (lambda v: controlled_swap_ideal(v).mat, 2),
+    "flip_operator": (flip_operator, 2),  # the tests' flip, the |up> block of controlled_swap_ideal
+    "povm_projectors": (lambda v: povm_projectors(v)[0], 2),
     "hamiltonian_cutoff": (lambda v: HamiltonianSpec("ion_qnd", 1.0, v, 1.0).cutoff, 2),
 }
 

@@ -26,7 +26,6 @@ from qoverlap import (
     linear_coupling,
     linear_entropy,
     overlap,
-    partial_transpose,
     povm_expectation,
     parse_scenario,
     purity,
@@ -39,14 +38,13 @@ from qoverlap import (
 from qoverlap.observables import (
     flip_expectation,
     hs_distance_direct,
-    max_entangled_vector,
     overlap_direct,
     purity_direct,
     witness_oracle,
 )
 from qoverlap import protocol
 from qoverlap.protocol import _DeviceKernel
-from conftest import embed_joint_state, embed_mode_state, random_joint_state
+from conftest import embed_joint_state, embed_mode_state, max_entangled_vector, partial_transpose, random_joint_state
 
 SHOT_SETTINGS = MeasurementSettings(shots=20_000, seed=3)
 

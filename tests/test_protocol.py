@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +18,6 @@ from qoverlap import (
     dispersive_cps,
     estimate_visibility,
     fidelity_with_pure,
-    flip_operator,
     fock,
     ginibre_mixed,
     hamiltonian_mode,
@@ -40,6 +42,7 @@ from qoverlap.observables import flip_expectation, overlap_direct, purity_direct
 from conftest import (
     embed_joint_state,
     embed_mode_state,
+    flip_operator,
     literal_branches,
     literal_device_run,
     partial_trace,
@@ -158,14 +161,14 @@ def test_compiled_branches_cached_per_mode_and_interaction_time():
 
 
 def test_device_never_compiles_through_time_evolution(monkeypatch):
-    from qoverlap import dynamics, linalg
+    from qoverlap import reference
     from qoverlap.protocol import _compile
 
     def refuse(*args, **kwargs):
         raise AssertionError("compiled a branch by evolving a dense Hamiltonian")
 
-    monkeypatch.setattr(dynamics, "realize_gate", refuse)
-    monkeypatch.setattr(linalg, "exp_unitary", refuse)
+    monkeypatch.setattr(reference, "realize_gate", refuse)
+    monkeypatch.setattr(reference, "exp_unitary", refuse)
     _compile.cache_clear()
     d = 4
     a, b, product = product_input(d, 41, 42)
@@ -624,6 +627,27 @@ def test_repeat_measurement_orthogonal_pures():
     assert v1 < 1e-12 and v2 < 1e-12
     run = sweep_visibility(tensor_states(fock(0, 2), fock(1, 2)))
     assert np.abs(run.post_state_unconditional.mat - classical_correlated().mat).max() < 1e-12
+
+
+def _imported_modules(tree):
+    """Every module an import statement of the tree names, dotted, with relative imports resolved."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["qoverlap" if node.level else "", node.module]))
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def test_no_device_module_imports_the_reference():
+    package = Path(protocol.__file__).parent
+    modules = sorted(path for path in package.glob("*.py") if path.name not in ("reference.py", "__init__.py"))
+    assert modules
+    for path in modules:
+        imported = set(_imported_modules(ast.parse(path.read_text())))
+        assert "qoverlap.reference" not in imported, path.name
+    assert "qoverlap.reference" in set(_imported_modules(ast.parse((package / "__init__.py").read_text())))
 
 
 def test_repeat_measurement_random_pair_with_insertion_oracle():

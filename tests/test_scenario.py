@@ -347,6 +347,27 @@ def test_repeat_check_task():
     assert rec.abs_error < 1e-10
 
 
+def test_repeat_check_refuses_shots():
+    pair = {"state_a": {"kind": "fock", "n": 0}, "state_b": {"kind": "fock", "n": 1}}
+    assert parse_scenario(make(task="repeat_check", shots="exact", **pair)).shots is None
+    text = make(task="repeat_check", shots=100, **pair)
+    with pytest.raises(ScenarioError, match="repeat_check") as err:
+        parse_scenario(text)
+    assert err.value.path == "shots"
+    assert '"shots"' in text.splitlines()[err.value.line - 1]
+
+
+def test_schema_lists_what_the_parser_takes():
+    schema = json.loads((Path(__file__).resolve().parents[1] / "scenarios" / "scenario.schema.json").read_text())
+    fields, kinds = schema["properties"], schema["definitions"]
+    assert set(fields) == scenario_module._TOP_KEYS
+    assert sorted(fields["task"]["enum"]) == sorted(ALL_TASKS)
+    assert fields["device_mode"]["enum"] == list(scenario_module.DEVICE_MODE_LABELS)
+    assert kinds["single_mode_state"]["properties"]["kind"]["enum"] == list(scenario_module.SINGLE_MODE_KINDS)
+    assert kinds["joint_state"]["properties"]["kind"]["enum"] == list(scenario_module.JOINT_KINDS)
+    assert "repeat_check" in schema["description"] and "shots" in schema["description"]
+
+
 def test_fidelity_task_with_coherent_reference():
     text = make(task="fidelity", cutoff=16,
                 state_a={"kind": "thermal", "nbar": 1.0},
@@ -503,9 +524,9 @@ def _shot_states(task: str, mode: str, seed: int) -> dict:
 
 
 def shot_documents() -> list[str]:
-    """Every task in ideal and physical mode, over phase counts, shot budgets and seeds."""
+    """Every task that takes shots, in ideal and physical mode, over phase counts, shot budgets and seeds."""
     docs = []
-    for task in ALL_TASKS:
+    for task in (task for task in ALL_TASKS if task != "repeat_check"):  # it always runs exact
         for mode in ("ideal", "physical"):
             for phases in (3, 8, 13):
                 for shots in (1, 1000, 10**5):
@@ -518,7 +539,7 @@ def shot_documents() -> list[str]:
 
 
 # SHA-256 of the json then csv emit of every document of shot_documents(), in order.
-SHOT_RECORDS_SHA256 = "97530529912e01c203c6b28079dbb8760a683ae160fbbee29a5bb44e3190f969"
+SHOT_RECORDS_SHA256 = "e69555fb19c3f573057e6c945a311461cb3ad645980d267ba33359a4f9b6dc56"
 
 
 @pytest.mark.filterwarnings("error")
