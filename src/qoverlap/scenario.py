@@ -36,6 +36,7 @@ TASKS_PAIR = ("overlap", "fidelity", "hs_distance", "repeat_check")
 TASKS_SINGLE = ("purity", "linear_entropy")
 TASKS_JOINT = ("witness",)
 ALL_TASKS = TASKS_PAIR + TASKS_SINGLE + TASKS_JOINT
+_REPEAT_CHECK_EXACT = "task 'repeat_check' always runs exact: shots must be \"exact\""
 
 _TOP_KEYS = {
     "name", "task", "cutoff", "device_mode", "state_a", "state_b",
@@ -262,8 +263,7 @@ def parse_scenario(text: str) -> Scenario:
     else:
         raise ScenarioError("shots must be a positive integer or \"exact\"", "shots",
                             _find_line(text, "shots"))
-    _require(shots is None or task != "repeat_check",
-             "task 'repeat_check' always runs exact: shots must be \"exact\"", "shots", text)
+    _require(shots is None or task != "repeat_check", _REPEAT_CHECK_EXACT, "shots", text)
     seed = doc.get("seed", 0)
     _require(type(seed) is int, "seed must be an integer", "seed", text)
     output = doc.get("output")
@@ -358,9 +358,13 @@ def run_scenario(scenario: Scenario, stamp: bool = False) -> ResultRecord:
 
     When the scenario names an ``output`` path, the JSON record is written
     there.  ``stamp=True`` adds a wall-clock UTC timestamp to the record
-    (off by default so records stay byte-identical across reruns).
+    (off by default so records stay byte-identical across reruns).  A
+    ``repeat_check`` scenario with ``shots`` set is refused, as the parser
+    refuses it.
     """
     s = scenario
+    if s.task == "repeat_check" and s.shots is not None:
+        raise ScenarioError(_REPEAT_CHECK_EXACT, "shots")
     if s.device_mode.kind != "ideal":
         _check_safe_support(s)
     settings = MeasurementSettings(mode=s.device_mode, phase_count=s.phase_count,

@@ -4,6 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from qoverlap import cli
+
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
 
@@ -28,6 +32,14 @@ def test_importing_the_package_needs_numpy_alone():
     # scipy, hypothesis and pytest are test extras; the library must not load them
     r = run_python("-c", "import sys, qoverlap; "
                          "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'hypothesis', 'pytest'}))")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"
+
+
+def test_importing_the_cli_loads_no_argparse():
+    # argparse and the gettext catalogues it reads cost a fresh process milliseconds
+    r = run_python("-c", "import sys, qoverlap.cli; "
+                         "print(sorted({m.split('.')[0] for m in sys.modules} & {'argparse', 'gettext'}))")
     assert r.returncode == 0, r.stderr
     assert r.stdout == "[]\n"
 
@@ -148,3 +160,55 @@ def test_run_refuses_shots_on_repeat_check():
     r = run_cli("run", str(scenario), "--shots", "exact")
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout)["shots"] is None
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "-h"], ["suite", "scenarios", "--help"]])
+def test_help_prints_usage_and_exits_zero(argv, capsys):
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == cli.USAGE + "\n" and err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["frobnicate"],
+    ["run"],
+    ["run", "x.json", "--bogus"],
+    ["run", "x.json", "--out"],
+    ["run", "x.json", "--out", "--stamp"],
+    ["run", "x.json", "--stamp=yes"],
+    ["run", "x.json", "--format", "xml"],
+    ["run", "x.json", "--seed", "abc"],
+    ["run", "x.json", "y.json"],
+    ["run", "x.json", "--form", "csv"],  # long options are spelled in full
+    ["suite", "scenarios", "--seed", "1"],
+    ["validate", "x.json", "--seed=1"],
+])
+def test_usage_errors_exit_two(argv, capsys):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(cli.USAGE + "\nqoverlap: error: ")
+    assert "Traceback" not in err
+
+
+def test_options_take_either_spelling_and_either_place(tmp_path, capsys):
+    doc = str(SCENARIOS / "overlap_sampled.json")
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert cli.main(["run", doc, "--format", "csv", "--seed", "-3", "--out", str(a)]) == 0
+    assert cli.main(["run", "--out=" + str(b), "--seed=-3", "--format=csv", doc]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert json.loads((tmp_path / "b.summary.json").read_text())["seed"] == -3
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].endswith(str(a)) and out[1].endswith(str(b))
+
+
+def test_main_reads_sys_argv_when_given_none(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["qoverlap", "validate", str(SCENARIOS / "purity_thermal.json")])
+    assert cli.main() == 0
+    assert capsys.readouterr().out.startswith("OK: ")
+
+
+def test_readme_shows_the_usage_block():
+    readme = (REPO / "README.md").read_text()
+    assert f"```text\n$ qoverlap --help\n{cli.USAGE}\n```" in readme

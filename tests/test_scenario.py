@@ -357,6 +357,16 @@ def test_repeat_check_refuses_shots():
     assert '"shots"' in text.splitlines()[err.value.line - 1]
 
 
+def test_run_scenario_refuses_shots_on_repeat_check():
+    # A Scenario built or replaced in code skips the parser, so the run checks too.
+    pair = {"state_a": {"kind": "fock", "n": 0}, "state_b": {"kind": "fock", "n": 1}}
+    scenario = parse_scenario(make(task="repeat_check", **pair))
+    with pytest.raises(ScenarioError, match="shots") as err:
+        run_scenario(replace(scenario, shots=100))
+    assert err.value.path == "shots"
+    assert run_scenario(scenario).shots is None
+
+
 def test_schema_lists_what_the_parser_takes():
     schema = json.loads((Path(__file__).resolve().parents[1] / "scenarios" / "scenario.schema.json").read_text())
     fields, kinds = schema["properties"], schema["definitions"]
