@@ -11,12 +11,20 @@ from .scenario import ScenarioError, emit, parse_scenario, run_scenario, write_r
 
 DEFAULT_SUITE_TOL = 1e-9
 
+
+def _shots(value: str) -> int | str:
+    """``exact`` or a shot count >= 1; anything else raises ``ValueError``."""
+    if value != "exact" and int(value) < 1:
+        raise ValueError(value)
+    return value if value == "exact" else int(value)
+
+
 # Each command's positional argument and options.  An option maps to the
 # converter of its value, to its choices (the first is the default) or to
 # ``bool`` for a flag.  Long options are spelled in full.
 COMMANDS = {
     "run": ("scenario", {"--format": ("json", "csv"), "--out": Path, "--seed": int,
-                         "--shots": str, "--stamp": bool}),
+                         "--shots": _shots, "--stamp": bool}),
     "validate": ("scenario", {}),
     "suite": ("directory", {}),
 }
@@ -68,15 +76,9 @@ def _apply_overrides(scenario, args):
         scenario = replace(scenario, seed=args.seed)
     if args.shots in (None, "exact"):
         return scenario if args.shots is None else replace(scenario, shots=None)
-    try:
-        shots = int(args.shots)
-    except ValueError:
-        raise ScenarioError("--shots must be an integer or 'exact'")
-    if shots < 1:
-        raise ScenarioError("--shots must be positive")
     if scenario.task == "repeat_check":
         raise ScenarioError("task 'repeat_check' always runs exact: --shots must be 'exact'")
-    return replace(scenario, shots=shots)
+    return replace(scenario, shots=args.shots)
 
 
 def _cmd_run(args) -> int:

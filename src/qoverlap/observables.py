@@ -67,7 +67,10 @@ EXACT = MeasurementSettings()
 
 @dataclass(frozen=True)
 class ObservableReport:
-    """Device value next to its direct-trace oracle."""
+    """Device value next to its direct-trace oracle.
+
+    ``unsafe_population`` is the largest ``run.unsafe_population`` over the runs behind the value.
+    """
 
     name: str
     device_value: float
@@ -76,12 +79,13 @@ class ObservableReport:
     shots_used: int | None
     std_error: float | None = None
     verdict: str | None = None
+    unsafe_population: float = 0.0
     run: ProtocolRun | None = field(default=None, repr=False, compare=False)
     counts: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
-def _report(name, device, oracle, settings, std_error=None, verdict=None, run=None,
-            counts=None) -> ObservableReport:
+def _report(name, device, oracle, settings, std_error=None, verdict=None, *, run,
+            counts=None, unsafe_population=None) -> ObservableReport:
     return ObservableReport(
         name=name,
         device_value=float(device),
@@ -90,6 +94,7 @@ def _report(name, device, oracle, settings, std_error=None, verdict=None, run=No
         shots_used=settings.shots,
         std_error=std_error,
         verdict=verdict,
+        unsafe_population=run.unsafe_population if unsafe_population is None else unsafe_population,
         run=run,
         counts=counts,
     )
@@ -235,8 +240,9 @@ def hs_distance(
         se = None
     else:
         se = math.sqrt(0.25 * pa.std_error**2 + 0.25 * pb.std_error**2 + o.std_error**2)
+    unsafe = max(pa.unsafe_population, pb.unsafe_population, o.unsafe_population)
     return _report("hs_distance", device, hs_distance_direct(rho_a, rho_b), settings, se,
-                   run=o.run, counts=o.counts)
+                   run=o.run, counts=o.counts, unsafe_population=unsafe)
 
 
 def witness(rho_joint: DensityMatrix, settings: MeasurementSettings = EXACT) -> ObservableReport:

@@ -183,6 +183,15 @@ class ProtocolRun:
         return self._kernel.reduced_post()
 
     @property
+    def unsafe_population(self) -> float:
+        """The input's population above total photon number d - 1; 0.0 on the ideal device.
+
+        At the default time the patches on those sectors are the device's
+        whole truncation error: |c - Tr(S rho)| <= 2 * unsafe_population.
+        """
+        return self._kernel.unsafe_population
+
+    @property
     def post_visibility(self) -> float:
         """|c'| of the unconditional post-state, which equals the visibility.
 
@@ -374,14 +383,13 @@ def _left(w: _Branch, mat: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def _fringe_coefficient(rho: DeviceInput, w_rel: _Branch, d: int) -> complex:
+def _fringe_coefficient(rho: DeviceInput, w_rel: _Branch, live: list[int], d: int) -> complex:
     """c = Tr(W_rel rho), without any d^2 x d^2 matrix product.
 
     Tr(S rho), the ideal device's c, plus Tr(Delta_N rho_NN) on each
-    patched sector the input reaches.
+    patched sector the input reaches, ``live``.
     """
     c = rho.flip_trace()
-    live = _live_sectors(rho, w_rel.patched, d)
     patches = _compile(w_rel, d) if live else {}
     for k in live:
         c += rho.sector_trace(patches[k], gates.number_sectors(d)[k])
@@ -428,7 +436,14 @@ class _DeviceKernel:
         self.rho = rho
         self.d = _require_mode_pair(rho.space)
         self.w_up, self.w_dn, self.w_rel = _mode_swap_operator(mode, self.d)
-        self.c = _fringe_coefficient(rho, self.w_rel, self.d)
+        live = _live_sectors(rho, self.w_rel.patched, self.d)
+        self.c = _fringe_coefficient(rho, self.w_rel, live, self.d)
+        # every non-ideal W_rel patches each sector N >= d, so the live ones hold all the unsafe population
+        unsafe = [gates.number_sectors(self.d)[k].idx for k in live if k >= self.d]
+        self.unsafe_population = 0.0
+        if unsafe:
+            populations = rho.populations().ravel()
+            self.unsafe_population = float(sum(populations[idx].sum() for idx in unsafe))
         # |Tr(W_rel rho)| <= Tr rho for every positive state; the fringes'
         # floor at 0 and the sampler's clamp into [0, 1] only absorb rounding.
         # DensityMatrix does not check positivity, so a non-positive input

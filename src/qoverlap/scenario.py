@@ -10,7 +10,6 @@ byte-identical output.
 from __future__ import annotations
 
 import datetime as _dt
-import functools
 import json
 import math
 import re
@@ -316,43 +315,6 @@ def parse_scenario(text: str) -> Scenario:
     )
 
 
-def _device_input(s: Scenario) -> DensityMatrix | ProductState:
-    """What the device sees: the joint state, or the pair kept as its factors."""
-    return s.state_joint if s.task == "witness" else ProductState(s.state_a, s.state_b or s.state_a)
-
-
-@functools.lru_cache(maxsize=32)
-def _unsafe_mask(d: int) -> np.ndarray:
-    """Where n0 + n1 > d - 1 on a d x d grid of populations p[n0, n1], read-only."""
-    mask = np.add.outer(np.arange(d), np.arange(d)) > d - 1
-    mask.flags.writeable = False
-    return mask
-
-
-def _check_safe_support(s: Scenario):
-    """Warn once when an input of a non-ideal device has support above the safe sector.
-
-    The inputs are the products the task's device runs.  ``hs_distance`` runs
-    a (x) a and b (x) b, then the product of their reduced post-states; at
-    the default time, where the parser builds every mode, the reduced
-    post-state of a safe x (x) x is x up to rounding, so the first two
-    decide.  The warning quotes the largest population above the sector.
-    """
-    if s.task == "hs_distance":
-        inputs = (ProductState(s.state_a, s.state_a), ProductState(s.state_b, s.state_b))
-    else:
-        inputs = (_device_input(s),)
-    mask = _unsafe_mask(s.cutoff)
-    unsafe = max(float(state.populations()[mask].sum()) for state in inputs)
-    if unsafe > 1e-10:
-        warnings.warn(
-            f"scenario {s.name!r}: input has population {unsafe:.2e} above total photon "
-            f"number {s.cutoff - 1}; composed-gate devices are exact only below the cutoff",
-            UserWarning,
-            stacklevel=3,
-        )
-
-
 def run_scenario(scenario: Scenario, stamp: bool = False) -> ResultRecord:
     """Execute a scenario; deterministic given (scenario, seed).
 
@@ -360,13 +322,12 @@ def run_scenario(scenario: Scenario, stamp: bool = False) -> ResultRecord:
     there.  ``stamp=True`` adds a wall-clock UTC timestamp to the record
     (off by default so records stay byte-identical across reruns).  A
     ``repeat_check`` scenario with ``shots`` set is refused, as the parser
-    refuses it.
+    refuses it.  When the report's ``unsafe_population`` (the largest over
+    the runs behind its value) exceeds 1e-10, one ``UserWarning`` quotes it.
     """
     s = scenario
     if s.task == "repeat_check" and s.shots is not None:
         raise ScenarioError(_REPEAT_CHECK_EXACT, "shots")
-    if s.device_mode.kind != "ideal":
-        _check_safe_support(s)
     settings = MeasurementSettings(mode=s.device_mode, phase_count=s.phase_count,
                                    shots=s.shots, seed=s.seed)
     if s.task == "witness":
@@ -378,14 +339,22 @@ def run_scenario(scenario: Scenario, stamp: bool = False) -> ResultRecord:
     elif s.task != "repeat_check":  # overlap, hs_distance
         report = getattr(observables, s.task)(s.state_a, s.state_b, settings)
     else:  # second-pass visibility against the first
-        run = protocol.sweep_visibility(_device_input(s), s.phase_count, s.device_mode)
+        run = protocol.sweep_visibility(ProductState(s.state_a, s.state_b), s.phase_count, s.device_mode)
         report = observables.ObservableReport(
             name="repeat_check",
             device_value=run.post_visibility,
             oracle_value=run.visibility,
             abs_error=abs(run.post_visibility - run.visibility),
             shots_used=None,
+            unsafe_population=run.unsafe_population,
             run=run,
+        )
+    if report.unsafe_population > 1e-10:
+        warnings.warn(
+            f"scenario {s.name!r}: input has population {report.unsafe_population:.2e} above total "
+            f"photon number {s.cutoff - 1}; composed-gate devices are exact only below the cutoff",
+            UserWarning,
+            stacklevel=2,
         )
 
     run, counts = report.run, report.counts
@@ -398,7 +367,7 @@ def run_scenario(scenario: Scenario, stamp: bool = False) -> ResultRecord:
         abs_error=report.abs_error,
         std_error=report.std_error,
         verdict=report.verdict,
-        seed=s.seed,
+        seed=settings.seed,
         shots=report.shots_used,
         rng=RNG_ALGORITHM,
         timestamp=timestamp,

@@ -183,6 +183,10 @@ def test_help_prints_usage_and_exits_zero(argv, capsys):
     ["run", "x.json", "--form", "csv"],  # long options are spelled in full
     ["suite", "scenarios", "--seed", "1"],
     ["validate", "x.json", "--seed=1"],
+    ["run", "x.json", "--shots", "abc"],  # --shots is exact or an integer >= 1
+    ["run", "x.json", "--shots", "0"],
+    ["run", "x.json", "--shots", "-2"],
+    ["run", "x.json", "--shots=1.5"],
 ])
 def test_usage_errors_exit_two(argv, capsys):
     assert cli.main(argv) == 2

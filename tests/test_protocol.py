@@ -34,6 +34,7 @@ from qoverlap import (
     tensor,
     tensor_states,
     werner,
+    witness,
     witness_delta,
 )
 from qoverlap import linalg, protocol
@@ -856,6 +857,66 @@ def test_unsafe_inputs_match_the_full_sandwich(label, d, seeds, as_product):
     assert np.abs(run.post_state_unconditional.mat - post).max() < 1e-12
     # the patches are the model's whole truncation error
     assert abs(run._kernel.c - sweep_visibility(rho)._kernel.c) <= 2 * unsafe_population(rho) + 1e-12
+
+
+SEEDS = st.tuples(*[st.integers(0, 2**31 - 1)] * 3)
+
+
+@pytest.mark.parametrize("label", list(DEFAULT_TIME_MODES))
+@settings(max_examples=10, deadline=None)
+@given(d=st.integers(2, 8), seeds=SEEDS)
+def test_reports_stay_within_twice_their_unsafe_population(label, d, seeds):
+    # Every value is |c| or Re c, and |c - Tr(S rho)| <= 2 p_unsafe at the default time.
+    a, b = ginibre_mixed(d, d, seeds[0]), ginibre_mixed(d, d, seeds[1])
+    joint = random_joint_state(d, seeds[2])
+    psi = [1, 1j] @ np.random.default_rng(seeds[2]).standard_normal((2, d))
+    psi /= np.linalg.norm(psi)
+    projector = DensityMatrix(CompositeSpace((d,)), np.outer(psi, psi.conj()))
+    exact = MeasurementSettings(mode=DEFAULT_TIME_MODES[label](d))
+    # each report with the input of its run
+    reports = [
+        (overlap(a, b, exact), ProductState(a, b)),
+        (purity(a, exact), ProductState(a, a)),
+        (linear_entropy(a, exact), ProductState(a, a)),
+        (fidelity_with_pure(a, psi, exact), ProductState(a, projector)),
+        (witness(joint, exact), joint),
+    ]
+    for report, rho in reports:
+        # full-support inputs reach every sector N >= d
+        assert report.unsafe_population > 0.0
+        assert abs(report.unsafe_population - unsafe_population(rho)) < 1e-12
+        assert report.abs_error <= 2 * report.unsafe_population + 1e-12
+
+
+@settings(max_examples=10, deadline=None)
+@given(d=st.integers(3, 8), seeds=SEEDS)
+def test_unsafe_population_is_zero_on_the_ideal_device_and_on_safe_inputs(d, seeds):
+    a, b = ginibre_mixed(d, d, seeds[0]), ginibre_mixed(d, d, seeds[1])
+    joint = random_joint_state(d, seeds[2])
+    for report in (overlap(a, b), purity(a), hs_distance(a, b), witness(joint)):
+        assert report.unsafe_population == 0.0
+    # levels <= (d - 1) // 2 keep every total photon number below d
+    k = (d + 1) // 2
+    safe_a = embed_mode_state(ginibre_mixed(k, k, seeds[0]), d)
+    safe_b = embed_mode_state(ginibre_mixed(k, k, seeds[1]), d)
+    safe_joint = embed_joint_state(random_joint_state(k, seeds[2]), d)
+    for make_mode in DEFAULT_TIME_MODES.values():
+        exact = MeasurementSettings(mode=make_mode(d))
+        for report in (overlap(safe_a, safe_b, exact), purity(safe_a, exact),
+                       hs_distance(safe_a, safe_b, exact), witness(safe_joint, exact)):
+            assert report.unsafe_population == 0.0
+
+
+@pytest.mark.parametrize("label", list(DEFAULT_TIME_MODES))
+@settings(max_examples=10, deadline=None)
+@given(d=st.integers(2, 8), seeds=SEEDS)
+def test_hs_distance_reports_the_largest_unsafe_population_of_its_three_runs(label, d, seeds):
+    a, b = ginibre_mixed(d, d, seeds[0]), ginibre_mixed(d, 1 + seeds[2] % d, seeds[1])
+    exact = MeasurementSettings(mode=DEFAULT_TIME_MODES[label](d))
+    pa, pb = purity(a, exact), purity(b, exact)
+    o = overlap(pa.run.reduced_post_state, pb.run.reduced_post_state, exact)
+    runs = (pa.unsafe_population, pb.unsafe_population, o.unsafe_population)
+    assert hs_distance(a, b, exact).unsafe_population == max(runs) > 0.0
 
 
 def count_eigh(monkeypatch):

@@ -207,6 +207,16 @@ def test_records_are_byte_identical_across_runs():
     assert emit(r1, "csv") == emit(r2, "csv")
 
 
+def test_numpy_seed_writes_the_record_of_its_int():
+    # A Scenario replaced in code skips the parser's integer check; the record takes the settings' int.
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "overlap_sampled.json"
+    scenario = parse_scenario(path.read_text())
+    numpy_seed, int_seed = (run_scenario(replace(scenario, seed=seed)) for seed in (np.int64(5), 5))
+    assert type(numpy_seed.seed) is int
+    for format in ("json", "csv"):
+        assert emit(numpy_seed, format) == emit(int_seed, format)
+
+
 # SHA-256 of every bundled record, json then csv, documents in sorted order.
 BUNDLED_RECORDS_SHA256 = "5476eeae3eb22f291e00da3f9085cc61a6889bd67c85d7fe5299806769d24016"
 
