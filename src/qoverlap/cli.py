@@ -7,14 +7,15 @@ from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
+from .protocol import MAX_SHOTS
 from .scenario import ScenarioError, emit, parse_scenario, run_scenario, write_record
 
 DEFAULT_SUITE_TOL = 1e-9
 
 
 def _shots(value: str) -> int | str:
-    """``exact`` or a shot count >= 1; anything else raises ``ValueError``."""
-    if value != "exact" and int(value) < 1:
+    """``exact`` or a shot count in [1, ``MAX_SHOTS``]; anything else raises ``ValueError``."""
+    if value != "exact" and not 1 <= int(value) <= MAX_SHOTS:
         raise ValueError(value)
     return value if value == "exact" else int(value)
 

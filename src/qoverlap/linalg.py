@@ -66,11 +66,13 @@ def _integer(name: str, value) -> int:
     raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
-def _count(name: str, value, least: int) -> int:
-    """``value`` as an int >= ``least``; bools and non-integers raise ``TypeError``."""
+def _count(name: str, value, least: int, most: int | None = None) -> int:
+    """``value`` as an int in [``least``, ``most``]; bools and non-integers raise ``TypeError``."""
     count = _integer(name, value)
     if count < least:
         raise ValueError(f"{name} must be at least {least}, got {count}")
+    if most is not None and count > most:
+        raise ValueError(f"{name} must be at most {most}, got {count}")
     return count
 
 

@@ -43,9 +43,9 @@ class MeasurementSettings:
     """How the device is driven: realization, phase grid, statistics.
 
     ``phase_count`` is an integer >= 3, ``shots`` ``None`` or an integer
-    >= 1 and ``seed`` any integer.  Numpy integers are stored as ``int``;
-    bools, floats and strings raise ``TypeError``, counts out of range
-    ``ValueError``.
+    in [1, ``protocol.MAX_SHOTS``] and ``seed`` any integer.  Numpy
+    integers are stored as ``int``; bools, floats and strings raise
+    ``TypeError``, counts out of range ``ValueError``.
     """
 
     mode: DeviceMode = IDEAL
@@ -57,7 +57,7 @@ class MeasurementSettings:
         # numpy would truncate a fractional shot count and run True as one shot
         object.__setattr__(self, "phase_count", _count("phase_count", self.phase_count, 3))
         if self.shots is not None:
-            object.__setattr__(self, "shots", _count("shots", self.shots, 1))
+            object.__setattr__(self, "shots", _count("shots", self.shots, 1, protocol.MAX_SHOTS))
         # a numpy seed would overflow in hs_distance's seed + i
         object.__setattr__(self, "seed", _integer("seed", self.seed))
 

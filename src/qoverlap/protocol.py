@@ -242,6 +242,9 @@ _COMPILE_CACHE_SIZE = 32
 _GRID_MAX_CACHED = 64
 _GRIDS: dict[int, _Grid] = {}
 
+# The largest shot count numpy's binomial draws: its n is a C int64.
+MAX_SHOTS = 2**63 - 1
+
 # Row tables kept per process: the two branches of one run.  A table holds
 # d^3 complex numbers (128 KB at d = 20, 268 MB at d = 256).
 _ROW_TABLE_CACHE_SIZE = 2
@@ -555,13 +558,13 @@ def sample_shots(run: ProtocolRun, shots_per_phase: int, seed: int) -> np.ndarra
     phase (:func:`qoverlap.states._streams`), so each draws what a fresh
     generator per phase would.
 
-    ``shots_per_phase`` is an integer >= 1 and ``seed`` an integer; numpy
-    integers pass, bools and floats raise ``TypeError``.
+    ``shots_per_phase`` is an integer in [1, ``MAX_SHOTS``] and ``seed`` an
+    integer; numpy integers pass, bools and floats raise ``TypeError``.
 
     Returns an integer array of shape (K, 2) with columns (count_up,
     count_down).
     """
-    shots_per_phase = _count("shots_per_phase", shots_per_phase, 1)
+    shots_per_phase = _count("shots_per_phase", shots_per_phase, 1, MAX_SHOTS)
     ups = [rng.binomial(shots_per_phase, min(max(p, 0.0), 1.0))
            for p, rng in zip(run.p_up.tolist(), _streams(seed))]
     counts = np.empty((len(ups), 2), dtype=np.int64)

@@ -28,13 +28,15 @@ from .linalg import DensityMatrix, ProductState
 # (test_every_patched_name_is_restored) patches and restores it by this name.
 from .linalg import tensor_states  # noqa: F401
 from .observables import MeasurementSettings
-from .protocol import IDEAL, PHYSICAL, DeviceMode, hamiltonian_mode
+from .protocol import IDEAL, MAX_SHOTS, PHYSICAL, DeviceMode, hamiltonian_mode
 from .states import RNG_ALGORITHM
 
-TASKS_PAIR = ("overlap", "fidelity", "hs_distance", "repeat_check")
-TASKS_SINGLE = ("purity", "linear_entropy")
-TASKS_JOINT = ("witness",)
-ALL_TASKS = TASKS_PAIR + TASKS_SINGLE + TASKS_JOINT
+# Each task's state fields, in the order its observable takes them.
+_PAIR, _SINGLE = ("state_a", "state_b"), ("state_a",)
+TASK_STATES = {"overlap": _PAIR, "fidelity": _PAIR, "hs_distance": _PAIR, "repeat_check": _PAIR,
+               "purity": _SINGLE, "linear_entropy": _SINGLE, "witness": ("state_joint",)}
+ALL_TASKS = tuple(TASK_STATES)
+_STATE_FIELDS = ("state_a", "state_b", "state_joint")
 _REPEAT_CHECK_EXACT = "task 'repeat_check' always runs exact: shots must be \"exact\""
 
 _TOP_KEYS = {
@@ -42,26 +44,28 @@ _TOP_KEYS = {
     "state_joint", "phases", "shots", "seed", "output", "expected",
 }
 
+_FIXED_MODES = {"ideal": IDEAL, "physical": PHYSICAL}
 _HAMILTONIANS = {make.__name__: make for make in (linear_coupling, dispersive_cps, ion_qnd)}
-DEVICE_MODE_LABELS = ("ideal", "physical") + tuple(f"hamiltonian:{kind}" for kind in _HAMILTONIANS)
+DEVICE_MODE_LABELS = tuple(_FIXED_MODES) + tuple(f"hamiltonian:{kind}" for kind in _HAMILTONIANS)
 
 SINGLE_MODE_KINDS = ("fock", "coherent", "thermal", "ginibre_mixed", "pure")
 JOINT_KINDS = ("bell_singlet", "classical_correlated", "werner", "ginibre_mixed", "pure")
+_QUBIT_KINDS = ("bell_singlet", "classical_correlated", "werner")
 
 
 class ScenarioError(ValueError):
-    """Validation failure, annotated with the offending field path and line."""
+    """Validation failure, annotated with the offending field path and line.
 
-    def __init__(self, message: str, path: str = "", line: int | None = None):
-        self.path = path
-        self.line = line
-        loc = ""
-        if path:
-            loc += f" (at {path}"
-            loc += f", line {line})" if line is not None else ")"
-        elif line is not None:
-            loc += f" (line {line})"
-        super().__init__(message + loc)
+    :func:`parse_scenario` reports the line of ``key``, ``path`` unless a check names another.
+    """
+
+    def __init__(self, message: str, path: str = "", line: int | None = None, key: str | None = None):
+        super().__init__(message)
+        self.path, self.line, self.key = path, line, key or path
+
+    def __str__(self) -> str:
+        loc = [f"at {self.path}"] * bool(self.path) + [f"line {self.line}"] * (self.line is not None)
+        return self.args[0] + (f" ({', '.join(loc)})" if loc else "")
 
 
 @dataclass(frozen=True)
@@ -115,197 +119,166 @@ def _find_line(text: str, path: str) -> int | None:
     return None if found is None else found + 1
 
 
-def _require(cond: bool, message: str, path: str, text: str, key: str | None = None):
-    if not cond:
-        raise ScenarioError(message, path, _find_line(text, key or path))
-
-
 def _is_number(value) -> bool:
     """A JSON number a float holds: an int or a float, not a bool, NaN or infinite."""
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-def _as_complex(value, path: str, text: str) -> complex:
+def _require(cond: bool, message: str, path: str):
+    if not cond:
+        raise ScenarioError(message, path)
+
+
+def _as_complex(value, path: str) -> complex:
     if _is_number(value):
         return complex(value)
     if isinstance(value, list) and len(value) == 2 and all(map(_is_number, value)):
         return complex(value[0], value[1])
-    raise ScenarioError("expected a finite number or a [re, im] pair", path, _find_line(text, path))
+    raise ScenarioError("expected a finite number or a [re, im] pair", path)
 
 
-def _build_state(spec, cutoff: int, slot: str, text: str):
-    """Build one state; returns (DensityMatrix, ket_or_None)."""
-    path = slot
-    if not isinstance(spec, dict):
-        raise ScenarioError("state spec must be an object", path, _find_line(text, slot))
-    kind = spec.get("kind")
+def _param(spec: dict, name: str, slot: str, kind: str, check: type | None = None, default=None):
+    """Pop a constructor parameter, required unless it has a default; ``check`` is ``int`` or ``float``."""
+    if default is None and name not in spec:
+        raise ScenarioError(f"constructor {kind!r} requires parameter {name!r}", f"{slot}.{name}",
+                            key=f"{slot}.kind")
+    value = spec.pop(name, default)
+    if check is int and type(value) is not int:
+        raise ScenarioError(f"{name} must be an integer", f"{slot}.{name}")
+    if check is float and not _is_number(value):
+        raise ScenarioError(f"{name} must be a finite number", f"{slot}.{name}")
+    return float(value) if check is float else value
+
+
+def _build_state(spec, cutoff: int, slot: str):
+    """Build one state; returns (DensityMatrix, ket_or_None).
+
+    ``spec`` is the decoded document's own object: each parameter is popped
+    as it is read, so what is left at the end is unknown.
+    """
+    _require(isinstance(spec, dict), "state spec must be an object", slot)
     joint = slot == "state_joint"
     allowed = JOINT_KINDS if joint else SINGLE_MODE_KINDS
+    kind = spec.pop("kind", None)
     if kind not in allowed:
-        known = ", ".join(allowed)
-        raise ScenarioError(
-            f"unknown state constructor {kind!r} for {slot} (known: {known})",
-            f"{path}.kind",
-            _find_line(text, f"{path}.kind"),
-        )
-    params = {k: v for k, v in spec.items() if k != "kind"}
-
-    def _take(name, default=None, required=False):
-        if required and name not in params:
-            raise ScenarioError(f"constructor {kind!r} requires parameter {name!r}", f"{path}.{name}",
-                                _find_line(text, f"{path}.kind"))
-        return params.pop(name, default)
-
-    def _take_int(name, default=None, required=False):
-        value = _take(name, default, required)
-        _require(type(value) is int, f"{name} must be an integer", f"{path}.{name}", text)
-        return value
-
-    def _take_number(name):
-        value = _take(name, required=True)
-        _require(_is_number(value), f"{name} must be a finite number", f"{path}.{name}", text)
-        return float(value)
-
-    if kind in ("bell_singlet", "classical_correlated", "werner"):
-        _require(cutoff == 2, f"{kind} needs cutoff 2", path, text, "cutoff")
+        raise ScenarioError(f"unknown state constructor {kind!r} for {slot} (known: {', '.join(allowed)})",
+                            f"{slot}.kind")
+    if kind in _QUBIT_KINDS and cutoff != 2:
+        raise ScenarioError(f"{kind} needs cutoff 2", slot, key="cutoff")
+    dims = (cutoff, cutoff) if joint else (cutoff,)
+    ket = None
     try:
         if kind == "fock":
-            ket = states.fock_ket(_take_int("n", required=True), cutoff)
-            built = states.pure(ket)
+            ket = states.fock_ket(_param(spec, "n", slot, kind, int), cutoff)
         elif kind == "coherent":
-            alpha = _as_complex(_take("alpha", required=True), f"{path}.alpha", text)
-            ket = states.coherent_ket(alpha, cutoff)
-            built = states.pure(ket)
-        elif kind == "thermal":
-            built, ket = states.thermal(_take_number("nbar"), cutoff), None
-        elif kind == "bell_singlet":
-            built, ket = states.bell_singlet(), None
-        elif kind == "classical_correlated":
-            built, ket = states.classical_correlated(), None
-        elif kind == "werner":
-            built, ket = states.werner(_take_number("p")), None
-        elif kind == "ginibre_mixed":
-            rank = _take_int("rank", required=True)
-            seed = _take_int("seed", 0)
-            if joint:
-                built = states.ginibre_mixed(cutoff * cutoff, rank, seed, dims=(cutoff, cutoff))
-            else:
-                built = states.ginibre_mixed(cutoff, rank, seed)
-            ket = None
-        else:  # pure
-            amps = _take("amplitudes", required=True)
-            if not isinstance(amps, list):
-                raise ScenarioError("amplitudes must be a list", f"{path}.amplitudes",
-                                    _find_line(text, f"{path}.amplitudes"))
-            vec = np.array([_as_complex(x, f"{path}.amplitudes", text) for x in amps])
-            want = cutoff * cutoff if joint else cutoff
-            if vec.size != want:
+            ket = states.coherent_ket(_as_complex(_param(spec, "alpha", slot, kind), f"{slot}.alpha"), cutoff)
+        elif kind == "pure":
+            path = f"{slot}.amplitudes"
+            amps = _param(spec, "amplitudes", slot, kind)
+            _require(isinstance(amps, list), "amplitudes must be a list", path)
+            ket = np.array([_as_complex(x, path) for x in amps])
+            if ket.size != math.prod(dims):
                 raise ScenarioError(
-                    f"amplitude count {vec.size} does not match cutoff (expected {want})",
-                    f"{path}.amplitudes", _find_line(text, f"{path}.amplitudes"))
-            dims = (cutoff, cutoff) if joint else None
-            built = states.pure(vec, dims=dims)
-            ket = vec / np.linalg.norm(vec)
+                    f"amplitude count {ket.size} does not match cutoff (expected {math.prod(dims)})", path)
+        elif kind == "thermal":
+            built = states.thermal(_param(spec, "nbar", slot, kind, float), cutoff)
+        elif kind in ("bell_singlet", "classical_correlated"):
+            built = getattr(states, kind)()
+        elif kind == "werner":
+            built = states.werner(_param(spec, "p", slot, kind, float))
+        else:  # ginibre_mixed
+            rank, seed = _param(spec, "rank", slot, kind, int), _param(spec, "seed", slot, kind, int, 0)
+            built = states.ginibre_mixed(math.prod(dims), rank, seed, dims=dims)
+        if ket is not None:
+            built = states.pure(ket, dims=dims)
     except ScenarioError:
         raise
     except (ValueError, TypeError) as exc:
-        raise ScenarioError(str(exc), path, _find_line(text, f"{path}.kind")) from exc
+        raise ScenarioError(str(exc), slot, key=f"{slot}.kind") from exc
 
-    if params:
-        extra = sorted(params)
-        raise ScenarioError(f"unknown parameter(s) {extra} for constructor {kind!r}",
-                            f"{path}.{extra[0]}", _find_line(text, f"{path}.{extra[0]}"))
+    if spec:
+        extra = sorted(spec)
+        raise ScenarioError(f"unknown parameter(s) {extra} for constructor {kind!r}", f"{slot}.{extra[0]}")
+    if kind == "pure":
+        ket = ket / np.linalg.norm(ket)
     return built, ket
 
 
-def _parse_device_mode(label: str, cutoff: int, text: str) -> DeviceMode:
-    if label == "ideal":
-        return IDEAL
-    if label == "physical":
-        return PHYSICAL
-    if label in DEVICE_MODE_LABELS:
-        return hamiltonian_mode(_HAMILTONIANS[label.split(":", 1)[1]](1.0, cutoff))
-    raise ScenarioError(
-        f"unknown device_mode {label!r} (use ideal, physical, or hamiltonian:<kind>)",
-        "device_mode", _find_line(text, "device_mode"))
-
-
 def parse_scenario(text: str) -> Scenario:
-    """Parse and validate one scenario document."""
+    """Parse and validate one scenario document.
+
+    A document that does not validate raises :class:`ScenarioError` naming
+    the field's dotted path and the line of its key in ``text``.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON: {exc.msg}", "", exc.lineno) from exc
+    try:
+        return _scenario(doc)
+    except ScenarioError as exc:
+        if exc.key:
+            exc.line = _find_line(text, exc.key)
+        raise
+
+
+def _scenario(doc) -> Scenario:
+    """Validate a decoded document; errors carry a path but no line."""
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a JSON object")
-
-    unknown = sorted(set(doc) - _TOP_KEYS)
-    if unknown:
-        raise ScenarioError(f"unknown field {unknown[0]!r}", unknown[0], _find_line(text, unknown[0]))
+    if not _TOP_KEYS.issuperset(doc):
+        unknown = min(set(doc) - _TOP_KEYS)
+        raise ScenarioError(f"unknown field {unknown!r}", unknown)
 
     name = doc.get("name")
-    _require(isinstance(name, str) and name != "", "scenario needs a nonempty string 'name'", "name", text)
+    _require(isinstance(name, str) and name != "", "scenario needs a nonempty string 'name'", "name")
     task = doc.get("task")
     if task not in ALL_TASKS:
-        raise ScenarioError(f"unknown task {task!r} (known: {', '.join(ALL_TASKS)})",
-                            "task", _find_line(text, "task"))
+        raise ScenarioError(f"unknown task {task!r} (known: {', '.join(ALL_TASKS)})", "task")
     cutoff = doc.get("cutoff")
-    _require(type(cutoff) is int and cutoff >= 2, "cutoff must be an integer >= 2", "cutoff", text)
+    _require(type(cutoff) is int and cutoff >= 2, "cutoff must be an integer >= 2", "cutoff")
 
     phases = doc.get("phases", 8)
-    _require(type(phases) is int and phases >= 3, "phases must be an integer >= 3", "phases", text)
-    shots_raw = doc.get("shots", "exact")
-    if shots_raw == "exact":
+    _require(type(phases) is int and phases >= 3, "phases must be an integer >= 3", "phases")
+    shots = doc.get("shots", "exact")
+    if shots == "exact":
         shots = None
-    elif type(shots_raw) is int and shots_raw >= 1:
-        shots = shots_raw
-    else:
-        raise ScenarioError("shots must be a positive integer or \"exact\"", "shots",
-                            _find_line(text, "shots"))
-    _require(shots is None or task != "repeat_check", _REPEAT_CHECK_EXACT, "shots", text)
+    elif type(shots) is not int or shots < 1:
+        raise ScenarioError("shots must be a positive integer or \"exact\"", "shots")
+    elif shots > MAX_SHOTS:
+        raise ScenarioError(f"shots must be at most {MAX_SHOTS}", "shots")
+    elif task == "repeat_check":
+        raise ScenarioError(_REPEAT_CHECK_EXACT, "shots")
     seed = doc.get("seed", 0)
-    _require(type(seed) is int, "seed must be an integer", "seed", text)
+    _require(type(seed) is int, "seed must be an integer", "seed")
     output = doc.get("output")
-    if output is not None:
-        _require(isinstance(output, str), "output must be a path string", "output", text)
+    _require(output is None or isinstance(output, str), "output must be a path string", "output")
     expected = doc.get("expected")
     if expected is not None:
-        _require(isinstance(expected, dict), "expected must be an object", "expected", text)
+        _require(isinstance(expected, dict), "expected must be an object", "expected")
         bad = sorted(set(expected) - {"device_value", "tol"})
-        _require(not bad, f"unknown expected field {bad[0] if bad else ''!r}", "expected", text)
+        if bad:
+            raise ScenarioError(f"unknown expected field {bad[0]!r}", "expected")
         value, tol = expected.get("device_value", 0.0), expected.get("tol", 1.0)
-        _require(_is_number(value), "expected.device_value must be a finite number", "expected.device_value", text)
-        _require(_is_number(tol) and tol > 0, "expected.tol must be a finite number > 0", "expected.tol", text)
+        _require(_is_number(value), "expected.device_value must be a finite number", "expected.device_value")
+        _require(_is_number(tol) and tol > 0, "expected.tol must be a finite number > 0", "expected.tol")
 
     device_label = doc.get("device_mode", "ideal")
-    mode = _parse_device_mode(device_label, cutoff, text)
+    if device_label not in DEVICE_MODE_LABELS:
+        raise ScenarioError(f"unknown device_mode {device_label!r} (use ideal, physical, or hamiltonian:<kind>)",
+                            "device_mode")
+    mode = _FIXED_MODES.get(device_label)
+    if mode is None:
+        mode = hamiltonian_mode(_HAMILTONIANS[device_label.split(":", 1)[1]](1.0, cutoff))
 
-    has_pair = "state_a" in doc or "state_b" in doc
-    has_joint = "state_joint" in doc
-    if task in TASKS_JOINT:
-        _require(has_joint and not has_pair,
-                 f"task {task!r} takes state_joint, not state_a/state_b", "state_joint", text,
-                 key="task")
-    elif task in TASKS_SINGLE:
-        _require("state_a" in doc and "state_b" not in doc and not has_joint,
-                 f"task {task!r} takes state_a only", "state_a", text, key="task")
-    else:
-        _require("state_a" in doc and "state_b" in doc and not has_joint,
-                 f"task {task!r} takes state_a and state_b", "state_a", text, key="task")
-
-    state_a = state_b = state_joint = None
-    ket_b = None
-    if "state_a" in doc:
-        state_a, _ = _build_state(doc["state_a"], cutoff, "state_a", text)
-    if "state_b" in doc:
-        state_b, ket_b = _build_state(doc["state_b"], cutoff, "state_b", text)
-    if has_joint:
-        state_joint, _ = _build_state(doc["state_joint"], cutoff, "state_joint", text)
-
+    fields = TASK_STATES[task]
+    if tuple(f for f in _STATE_FIELDS if f in doc) != fields:
+        raise ScenarioError(f"task {task!r} takes {' and '.join(fields)} only", fields[0], key="task")
+    (state_a, _), (state_b, ket_b), (state_joint, _) = [
+        _build_state(doc[f], cutoff, f) if f in doc else (None, None) for f in _STATE_FIELDS]
     if task == "fidelity" and ket_b is None:
-        raise ScenarioError(
-            "task 'fidelity' needs a pure state_b (constructors fock, coherent or pure)",
-            "state_b", _find_line(text, "state_b"))
+        raise ScenarioError("task 'fidelity' needs a pure state_b (constructors fock, coherent or pure)",
+                            "state_b")
 
     return Scenario(
         name=name, task=task, cutoff=cutoff, device_mode=mode,
@@ -330,25 +303,14 @@ def run_scenario(scenario: Scenario, stamp: bool = False) -> ResultRecord:
         raise ScenarioError(_REPEAT_CHECK_EXACT, "shots")
     settings = MeasurementSettings(mode=s.device_mode, phase_count=s.phase_count,
                                    shots=s.shots, seed=s.seed)
-    if s.task == "witness":
-        report = observables.witness(s.state_joint, settings)
-    elif s.task == "fidelity":
+    inputs = [getattr(s, f) for f in TASK_STATES[s.task]]
+    if s.task == "fidelity":
         report = observables.fidelity_with_pure(s.state_a, s.state_b_vector, settings)
-    elif s.task in TASKS_SINGLE:
-        report = getattr(observables, s.task)(s.state_a, settings)
-    elif s.task != "repeat_check":  # overlap, hs_distance
-        report = getattr(observables, s.task)(s.state_a, s.state_b, settings)
+    elif s.task != "repeat_check":
+        report = getattr(observables, s.task)(*inputs, settings)
     else:  # second-pass visibility against the first
-        run = protocol.sweep_visibility(ProductState(s.state_a, s.state_b), s.phase_count, s.device_mode)
-        report = observables.ObservableReport(
-            name="repeat_check",
-            device_value=run.post_visibility,
-            oracle_value=run.visibility,
-            abs_error=abs(run.post_visibility - run.visibility),
-            shots_used=None,
-            unsafe_population=run.unsafe_population,
-            run=run,
-        )
+        run = protocol.sweep_visibility(ProductState(*inputs), s.phase_count, s.device_mode)
+        report = observables._report("repeat_check", run.post_visibility, run.visibility, settings, run=run)
     if report.unsafe_population > 1e-10:
         warnings.warn(
             f"scenario {s.name!r}: input has population {report.unsafe_population:.2e} above total "
@@ -508,10 +470,15 @@ def emit(record: ResultRecord, format: str = "json") -> bytes:
 
 
 def write_record(record: ResultRecord, path: str | Path, format: str = "json") -> Path:
-    """Write the record; CSV output gains a JSON summary sidecar (no table)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(emit(record, format))
-    if format == "csv":
-        path.with_suffix(".summary.json").write_text(_summary(record) + "\n}\n")
+    """Write the record into an existing directory; CSV output gains a JSON summary sidecar (no table).
+
+    A path that cannot be written raises :class:`ScenarioError`; no directory is created.
+    """
+    path, data = Path(path), emit(record, format)
+    try:
+        path.write_bytes(data)
+        if format == "csv":
+            path.with_suffix(".summary.json").write_text(_summary(record) + "\n}\n")
+    except OSError as exc:
+        raise ScenarioError(f"cannot write {path}: {exc}") from exc
     return path

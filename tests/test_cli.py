@@ -152,6 +152,27 @@ def test_run_writes_only_to_out_when_the_document_names_an_output(tmp_path):
     assert not (tmp_path / "from_doc.json").exists()
 
 
+def test_validate_refuses_a_shot_count_numpy_cannot_draw(tmp_path):
+    doc = json.loads((SCENARIOS / "overlap_sampled.json").read_text())
+    doc["shots"] = 2**63
+    text = json.dumps(doc, indent=2)
+    (tmp_path / "big.json").write_text(text)
+    r = run_cli("validate", str(tmp_path / "big.json"))
+    assert r.returncode == 1
+    line = next(i for i, row in enumerate(text.splitlines(), 1) if '"shots":' in row)
+    assert r.stderr == f"validation error: shots must be at most 9223372036854775807 (at shots, line {line})\n"
+
+
+@pytest.mark.parametrize("out", ["missing/deeper/r.json", "."])
+def test_run_refuses_an_out_path_it_cannot_write(tmp_path, out, capsys):
+    assert cli.main(["run", str(SCENARIOS / "witness_werner.json"), "--out", str(tmp_path / out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"validation error: cannot write {tmp_path / out}: ")
+    assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_refuses_shots_on_repeat_check():
     scenario = SCENARIOS / "repeat_check_ginibre.json"
     r = run_cli("run", str(scenario), "--shots", "100")
@@ -187,6 +208,7 @@ def test_help_prints_usage_and_exits_zero(argv, capsys):
     ["run", "x.json", "--shots", "0"],
     ["run", "x.json", "--shots", "-2"],
     ["run", "x.json", "--shots=1.5"],
+    ["run", "x.json", "--shots", "9223372036854775808"],  # above numpy's largest binomial count
 ])
 def test_usage_errors_exit_two(argv, capsys):
     assert cli.main(argv) == 2

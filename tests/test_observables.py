@@ -351,6 +351,7 @@ def test_shot_noise_witness_error_stays_positive_when_one_detector_gets_every_sh
         ("shots", 1000.5, TypeError),  # witness would divide 1000 draws by 1000.5
         ("shots", True, TypeError),  # would run one shot per phase and report True
         ("shots", 0, ValueError),
+        ("shots", 2**63, ValueError),  # numpy's binomial draws at most 2**63 - 1
         ("phase_count", 8.0, TypeError),
         ("phase_count", True, TypeError),
         ("phase_count", 2, ValueError),

@@ -402,6 +402,8 @@ def test_sample_shots_refuses_counts_and_seeds_that_are_not_integers():
             sample_shots(run, 10, seed)
     with pytest.raises(ValueError, match="shots_per_phase must be at least 1"):
         sample_shots(run, 0, 1)
+    with pytest.raises(ValueError, match="shots_per_phase must be at most 9223372036854775807"):
+        sample_shots(run, 2**63, 1)
     counts = sample_shots(run, np.int64(10), np.uint64(3))
     assert counts.dtype == np.int64 and np.array_equal(counts, sample_shots(run, 10, 3))
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -176,6 +177,114 @@ def test_fidelity_requires_pure_partner():
         parse_scenario(make(task="fidelity", state_b={"kind": "thermal", "nbar": 1.0}))
 
 
+def test_shot_counts_numpy_cannot_draw_are_refused():
+    text = make(shots=2**63)
+    with pytest.raises(ScenarioError, match="shots must be at most 9223372036854775807") as err:
+        parse_scenario(text)
+    assert err.value.path == "shots"
+    assert '"shots"' in text.splitlines()[err.value.line - 1]
+    assert parse_scenario(make(shots=2**63 - 1)).shots == 2**63 - 1
+
+
+SLOT_SPECS = {"state_a": {"kind": "fock", "n": 0}, "state_b": {"kind": "fock", "n": 1},
+              "state_joint": {"kind": "werner", "p": 0.5}}
+
+
+@pytest.mark.parametrize("task", ALL_TASKS)
+def test_each_wrong_set_of_state_fields_is_refused_on_the_task_line(task):
+    fields = scenario_module.TASK_STATES[task]
+    wrong = [present for present in itertools.product((False, True), repeat=3)
+             if tuple(slot for slot, on in zip(SLOT_SPECS, present) if on) != fields]
+    assert len(wrong) == 7
+    for present in wrong:
+        text = make(task=task, cutoff=2, **{slot: spec if on else None
+                                            for (slot, spec), on in zip(SLOT_SPECS.items(), present)})
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text)
+        assert str(err.value).startswith(f"task {task!r} takes {' and '.join(fields)} only (")
+        assert err.value.path == fields[0]
+        assert '"task"' in text.splitlines()[err.value.line - 1]
+
+
+BUNDLED = sorted(p for p in (Path(__file__).resolve().parents[1] / "scenarios").glob("*.json")
+                 if "schema" not in p.name)
+
+
+def _params(doc, optional=True):
+    """(slot, parameter) for every constructor parameter in the document's states."""
+    return [(slot, name) for slot in ("state_a", "state_b", "state_joint") if slot in doc
+            for name in doc[slot] if name != "kind" and (optional or name != "seed")]
+
+
+def _unknown_field(doc, data):
+    doc["cutof"] = doc["cutoff"]
+    return "cutof", "cutof", None
+
+
+def _wrong_type(doc, data):
+    top = [("name", 3), ("task", 3), ("cutoff", 4.0), ("phases", 8.0), ("shots", True), ("seed", 1.5),
+           ("output", 3), ("expected", []), ("device_mode", 3)]
+    field, value = data.draw(st.sampled_from(top + [(p, "x") for p in _params(doc)]))
+    if isinstance(field, tuple):
+        slot, name = field
+        doc[slot][name] = value
+        return f"{slot}.{name}", name, slot
+    doc[field] = value
+    return field, field, None
+
+
+def _missing_parameter(doc, data):
+    params = _params(doc, optional=False)
+    if not params:  # a constructor without parameters: give the slot one that takes one
+        doc["state_joint"] = {"kind": "werner", "p": 0.5}
+        params = [("state_joint", "p")]
+    slot, name = data.draw(st.sampled_from(params))
+    del doc[slot][name]
+    return f"{slot}.{name}", "kind", slot
+
+
+def _unknown_parameter(doc, data):
+    slot = data.draw(st.sampled_from([s for s in ("state_a", "state_b", "state_joint") if s in doc]))
+    doc[slot]["extra"] = 1
+    return f"{slot}.extra", "extra", slot
+
+
+def _qubit_kind_at_another_cutoff(doc, data):
+    doc.pop("state_a", None)
+    doc.pop("state_b", None)
+    kind = data.draw(st.sampled_from(["bell_singlet", "classical_correlated", "werner"]))
+    doc.update(task="witness", cutoff=data.draw(st.integers(3, 6)), state_joint={"kind": kind, "p": 0.5})
+    return "state_joint", "cutoff", None
+
+
+def _constructor_value_error(doc, data):
+    slot = data.draw(st.sampled_from([s for s in ("state_a", "state_b", "state_joint") if s in doc]))
+    d = doc["cutoff"]
+    bad = ([{"kind": "pure", "amplitudes": [0.0] * d * d}] if slot == "state_joint" else
+           [{"kind": "fock", "n": d}, {"kind": "thermal", "nbar": -1.0}])
+    doc[slot] = data.draw(st.sampled_from(bad + [{"kind": "ginibre_mixed", "rank": 0}]))
+    return slot, "kind", slot
+
+
+MUTATIONS = [_unknown_field, _wrong_type, _missing_parameter, _unknown_parameter,
+             _qubit_kind_at_another_cutoff, _constructor_value_error]
+
+
+@given(path=st.sampled_from(BUNDLED), indent=st.integers(0, 4), mutate=st.sampled_from(MUTATIONS),
+       data=st.data())
+def test_every_raise_site_reports_its_path_on_the_line_of_its_key(path, indent, mutate, data):
+    doc = json.loads(path.read_text())
+    want_path, key, slot = mutate(doc, data)
+    text = json.dumps(doc, indent=indent)
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    lines = text.splitlines()
+    assert err.value.path == want_path
+    assert f'"{key}":' in lines[err.value.line - 1]
+    if slot is not None:  # the line inside that state, not in another one
+        assert err.value.line > next(i for i, line in enumerate(lines, 1) if f'"{slot}":' in line)
+
+
 def test_run_overlap_orthogonal():
     rec = run_scenario(parse_scenario(make()))
     assert abs(rec.device_value) < 1e-12
@@ -269,6 +378,7 @@ def test_stamp_adds_timestamp():
 
 def test_scenario_output_path(tmp_path):
     out = tmp_path / "nested" / "result.json"
+    out.parent.mkdir()
     rec = run_scenario(parse_scenario(make(output=str(out))))
     assert out.exists()
     assert json.loads(out.read_text())["device_value"] == rec.device_value
@@ -283,6 +393,24 @@ def test_write_csv_sidecar(tmp_path):
     summary = json.loads(sidecar.read_text())
     assert "phases" not in summary
     assert summary["device_value"] == rec.device_value
+
+
+def test_write_record_creates_no_directory(tmp_path):
+    rec = run_scenario(parse_scenario(make()))
+    for format in ("json", "csv"):
+        with pytest.raises(ScenarioError, match="^cannot write .*r[.]"):
+            write_record(rec, tmp_path / "missing" / "deeper" / f"r.{format}", format)
+    with pytest.raises(ScenarioError, match="^cannot write"):
+        run_scenario(parse_scenario(make(output=str(tmp_path / "missing" / "r.json"))))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_record_refuses_a_directory(tmp_path):
+    rec = run_scenario(parse_scenario(make()))
+    for format in ("json", "csv"):
+        with pytest.raises(ScenarioError, match="^cannot write"):
+            write_record(rec, tmp_path, format)
+    assert list(tmp_path.iterdir()) == []
 
 
 def unsafe_doc(task, device_mode):
