@@ -103,7 +103,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    paths = sorted(p for p in args.directory.glob("*.json") if "schema" not in p.name)
+    paths = sorted(p for p in args.directory.glob("*.json") if not p.name.endswith(".schema.json"))
     if not paths:
         print(f"no scenario files in {args.directory}", file=sys.stderr)
         return 1

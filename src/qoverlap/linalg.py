@@ -110,7 +110,7 @@ class DensityMatrix:
     Every matrix from outside, the ``states`` constructors and the parser's
     included, keeps every check.
 
-    A state on two modes of one cutoff d answers the device kernel's reads
+    A state on two modes of one cutoff d answers a device run's reads
     (:class:`ProductState` answers the same ones), each through views of
     ``mat`` with no copy of it: :meth:`flip_trace`, :meth:`live_sectors`,
     :meth:`sector_trace`, :meth:`sector_rows`, :meth:`base_partial_trace`,
@@ -218,7 +218,7 @@ class ProductState:
     The factors are its two modes: ``space`` is ``(a.dim, b.dim)``, whatever
     subsystems each factor has, so two Werner states are two modes of
     dimension 4 (``tensor_states`` keeps every subsystem).  It answers the
-    device kernel's reads of :class:`DensityMatrix` from the factors, with
+    device run's reads of :class:`DensityMatrix` from the factors, with
     the same validity: the flip trace, the live sectors, the populations
     and the base partial trace in O(d^2), a sector's trace from two factor
     blocks, a sector's rows in O(d^2) per row.  Only :meth:`dense` forms

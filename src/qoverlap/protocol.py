@@ -41,7 +41,7 @@ with c = Tr(W_dn^dag W_up rho) = Tr(W_rel rho):
 
 Cost model.  The device input is a dense joint ``DensityMatrix`` or a
 :class:`~qoverlap.linalg.ProductState` ``a (x) b`` kept as its factors.
-The kernel makes the same reads of either: the flip trace Tr(S rho), the
+The run makes the same reads of either: the flip trace Tr(S rho), the
 sectors whose diagonal block or rows are not all 0, Tr(patch rho_NN) on a
 sector, a sector's rows, the base partial trace and, for the unconditional
 post-state only, the dense matrix.  A dense joint answers through views; a
@@ -99,7 +99,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -149,59 +149,6 @@ PHYSICAL = DeviceMode("physical")
 
 def hamiltonian_mode(spec: HamiltonianSpec) -> DeviceMode:
     return DeviceMode("hamiltonian", spec)
-
-
-@dataclass(frozen=True)
-class ProtocolRun:
-    """Phase sweep summary: fringes, extracted visibility, calibrated delta.
-
-    The run keeps its device kernel (the input, the branch unitaries and c),
-    and the quantities derived from the post-measurement state are built on
-    first read; later reads return the same object.
-    ``post_state_unconditional`` is the full d^2 x d^2 state;
-    ``reduced_post_state`` is its mode-0 reduced state, computed without the
-    d^2 x d^2 matrix, and ``post_visibility`` the visibility a second sweep
-    on it would extract.  Both post-states are derived from the checked
-    input and not checked again (:class:`DensityMatrix`): Hermitian in
-    every bit, their trace is the input's up to rounding, or Tr(a) Tr(b)
-    for a product a (x) b, up to about 2e-10 from 1.
-    """
-
-    phases: np.ndarray
-    p_up: np.ndarray
-    p_down: np.ndarray
-    visibility: float
-    delta: float
-    _kernel: _DeviceKernel = field(repr=False, compare=False)
-
-    @functools.cached_property
-    def post_state_unconditional(self) -> DensityMatrix:
-        return self._kernel.post_unconditional()
-
-    @functools.cached_property
-    def reduced_post_state(self) -> DensityMatrix:
-        return self._kernel.reduced_post()
-
-    @property
-    def unsafe_population(self) -> float:
-        """The input's population above total photon number d - 1; 0.0 on the ideal device.
-
-        At the default time the patches on those sectors are the device's
-        whole truncation error: |c - Tr(S rho)| <= 2 * unsafe_population.
-        """
-        return self._kernel.unsafe_population
-
-    @property
-    def post_visibility(self) -> float:
-        """|c'| of the unconditional post-state, which equals the visibility.
-
-        A second sweep on (W_up rho W_up^dag + W_dn rho W_dn^dag)/2 reads
-        c' = Tr(Pi rho), Pi = (W_up^dag W_rel W_up + W_dn^dag W_rel W_dn)/2.
-        In every mode the three branches commute: W_dn is the identity, or
-        (the ion) all three are functions of B n_0 B^dag.  So Pi = W_rel and
-        c' = c: the measurement is nondemolition for the overlap.
-        """
-        return self.visibility
 
 
 @dataclass(frozen=True)
@@ -432,17 +379,36 @@ def _reduced_branch(rho: DeviceInput, w: _Branch, d: int) -> np.ndarray:
     return out
 
 
-class _DeviceKernel:
-    """Factored evaluation of one device run around fixed branches (see module doc)."""
+class ProtocolRun:
+    """One device run: the input ``rho``, the branch unitaries of ``mode`` and c.
 
-    def __init__(self, rho: DeviceInput, mode: DeviceMode):
+    The constructor reads c = Tr(W_rel rho) (module docstring), refuses an
+    input that is not positive and sweeps ``grid``: ``phases``, the closed-form
+    fringes ``p_up`` and ``p_down``, the ``visibility`` |c| and the calibrated
+    ``delta`` Re c.  ``unsafe_population`` is the input's population above
+    total photon number d - 1, 0.0 on the ideal device; at the default time
+    the patches on those sectors are the device's whole truncation error,
+    |c - Tr(S rho)| <= 2 * unsafe_population.
+
+    The quantities derived from the post-measurement state are built on
+    first read; later reads return the same object.
+    ``post_state_unconditional`` is the full d^2 x d^2 state;
+    ``reduced_post_state`` is its mode-0 reduced state, computed without the
+    d^2 x d^2 matrix, and ``post_visibility`` the visibility a second sweep
+    on it would extract.  Both post-states are derived from the checked
+    input and not checked again (:class:`DensityMatrix`): Hermitian in
+    every bit, their trace is the input's up to rounding, or Tr(a) Tr(b)
+    for a product a (x) b, up to about 2e-10 from 1.
+    """
+
+    def __init__(self, rho: DeviceInput, mode: DeviceMode, grid: _Grid):
         self.rho = rho
-        self.d = _require_mode_pair(rho.space)
-        self.w_up, self.w_dn, self.w_rel = _mode_swap_operator(mode, self.d)
-        live = _live_sectors(rho, self.w_rel.patched, self.d)
-        self.c = _fringe_coefficient(rho, self.w_rel, live, self.d)
+        self._d = d = _require_mode_pair(rho.space)
+        self._w_up, self._w_dn, w_rel = _mode_swap_operator(mode, d)
+        live = _live_sectors(rho, w_rel.patched, d)
+        self.c = c = _fringe_coefficient(rho, w_rel, live, d)
         # every non-ideal W_rel patches each sector N >= d, so the live ones hold all the unsafe population
-        unsafe = [gates.number_sectors(self.d)[k].idx for k in live if k >= self.d]
+        unsafe = [gates.number_sectors(d)[k].idx for k in live if k >= d]
         self.unsafe_population = 0.0
         if unsafe:
             populations = rho.populations().ravel()
@@ -452,35 +418,54 @@ class _DeviceKernel:
         # DensityMatrix does not check positivity, so a non-positive input
         # stops here.  Tr rho is 1 up to the trace tolerance and is read only
         # when |c| exceeds 1, so the bound applied is max(1, Tr rho) + 1e-12.
-        if abs(self.c) > 1.0 + 1e-12:
+        if abs(c) > 1.0 + 1e-12:
             trace = float(rho.populations().sum())
-            if abs(self.c) > trace + 1e-12:
+            if abs(c) > trace + 1e-12:
                 raise ValueError(
-                    f"input is not positive: |Tr(W_rel rho)| = {abs(self.c)!r} exceeds its trace {trace!r}"
+                    f"input is not positive: |Tr(W_rel rho)| = {abs(c)!r} exceeds its trace {trace!r}"
                 )
+        cross = (grid.forward * c).real
+        self.phases = grid.phases
+        self.p_up = np.maximum(0.5 * (1.0 - cross), 0.0)
+        self.p_down = np.maximum(0.5 * (1.0 + cross), 0.0)
+        self.visibility = abs(c)
+        self.delta = c.real
 
-    def reduced_post(self) -> DensityMatrix:
+    @functools.cached_property
+    def reduced_post_state(self) -> DensityMatrix:
         """Mode-0 state of the unconditional post-state (W_up rho W_up^dag + W_dn rho W_dn^dag)/2.
 
-        Built unchecked from the checked input (:func:`_derived_state`): the
-        sum of the branches' partial traces plus its conjugate transpose is
-        Hermitian in every bit.
+        The sum of the branches' partial traces plus its conjugate transpose
+        is Hermitian in every bit.
         """
-        mixed = _reduced_branch(self.rho, self.w_up, self.d)
-        mixed += _reduced_branch(self.rho, self.w_dn, self.d)
+        mixed = _reduced_branch(self.rho, self._w_up, self._d)
+        mixed += _reduced_branch(self.rho, self._w_dn, self._d)
         mixed += dag(mixed)
         mixed *= 0.25
-        return _derived_state(CompositeSpace((self.d,)), mixed)
+        return _derived_state(CompositeSpace((self._d,)), mixed)
 
-    def post_unconditional(self) -> DensityMatrix:
+    @functools.cached_property
+    def post_state_unconditional(self) -> DensityMatrix:
         """The unconditional post-state (W_up rho W_up^dag + W_dn rho W_dn^dag)/2.
 
         By rows only: W rho W^dag = W (W rho)^dag, as rho is Hermitian.
         """
-        mat, d = self.rho.dense(), self.d
-        up = _left(self.w_up, dag(_left(self.w_up, mat, d)), d)
-        both = up + _left(self.w_dn, dag(_left(self.w_dn, mat, d)), d)
+        mat, d = self.rho.dense(), self._d
+        up = _left(self._w_up, dag(_left(self._w_up, mat, d)), d)
+        both = up + _left(self._w_dn, dag(_left(self._w_dn, mat, d)), d)
         return _derived_state(self.rho.space, 0.25 * (both + dag(both)))
+
+    @property
+    def post_visibility(self) -> float:
+        """|c'| of the unconditional post-state, which equals the visibility.
+
+        A second sweep on (W_up rho W_up^dag + W_dn rho W_dn^dag)/2 reads
+        c' = Tr(Pi rho), Pi = (W_up^dag W_rel W_up + W_dn^dag W_rel W_dn)/2.
+        In every mode the three branches commute: W_dn is the identity, or
+        (the ion) all three are functions of B n_0 B^dag.  So Pi = W_rel and
+        c' = c: the measurement is nondemolition for the overlap.
+        """
+        return self.visibility
 
 
 class _Grid(NamedTuple):
@@ -529,12 +514,7 @@ def sweep_visibility(
     phases it is the one grid shared by every sweep of ``phase_count``
     phases.
     """
-    grid = _grid(phase_count)
-    kernel = _DeviceKernel(rho_joint, mode)
-    cross = (grid.forward * kernel.c).real
-    p_up = np.maximum(0.5 * (1.0 - cross), 0.0)
-    p_dn = np.maximum(0.5 * (1.0 + cross), 0.0)
-    return ProtocolRun(grid.phases, p_up, p_dn, abs(kernel.c), kernel.c.real, kernel)
+    return ProtocolRun(rho_joint, mode, _grid(phase_count))
 
 
 def witness_delta(rho_joint: DeviceInput, mode: DeviceMode = IDEAL) -> float:
@@ -544,7 +524,7 @@ def witness_delta(rho_joint: DeviceInput, mode: DeviceMode = IDEAL) -> float:
     product input this equals the overlap of the factors and is never
     negative.
     """
-    return _DeviceKernel(rho_joint, mode).c.real
+    return sweep_visibility(rho_joint, mode=mode).delta
 
 
 def sample_shots(run: ProtocolRun, shots_per_phase: int, seed: int) -> np.ndarray:

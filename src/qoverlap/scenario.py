@@ -107,16 +107,28 @@ class ResultRecord:
 
 
 def _find_line(text: str, path: str) -> int | None:
-    """Line of a dotted path: each key is searched from the line of the one before it.
+    """Line of a dotted path: each key is searched inside the object of the one before it.
 
-    A key matches only as a key, ``"key"`` followed by ``:``, so a string
-    value equal to a key name is passed over.
+    A key matches only as a key, ``"key"`` followed by ``:``, and only at its
+    own brace depth, so a string value equal to a key name and a nested key
+    of the same name are passed over.  A key that is not found ends the
+    search at the line of the one before it.
     """
-    lines, found = text.splitlines(), None
-    for key in path.split("."):  # a key that is not found is skipped
-        pattern = re.compile(rf'"{re.escape(key)}"\s*:')
-        found = next((i for i in range(found or 0, len(lines)) if pattern.search(lines[i])), found)
-    return None if found is None else found + 1
+    keys, found, depth, line = path.split("."), 0, 0, None
+    for token in re.finditer(r'("(?:[^"\\]|\\.)*")(\s*:)?|[{}]', text):
+        string, colon = token.groups()
+        if string is None:  # a brace
+            depth += 1 if token[0] == "{" else -1
+            if depth < found:  # the object holding the last key found closed
+                break
+        elif colon:
+            if depth <= found:  # a key beside or above the last one found: its value ended
+                break
+            if depth == found + 1 and string == f'"{keys[found]}"':
+                found, line = found + 1, text.count("\n", 0, token.start()) + 1
+                if found == len(keys):
+                    break
+    return line
 
 
 def _is_number(value) -> bool:

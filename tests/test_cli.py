@@ -104,6 +104,12 @@ def test_suite_passes_on_bundled_scenarios():
     assert all("PASS" in l for l in lines)
 
 
+def test_suite_skips_only_schema_files(tmp_path, capsys):
+    (tmp_path / "schema_probe.json").write_text((SCENARIOS / "purity_thermal.json").read_text())
+    assert cli.main(["suite", str(tmp_path)]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
 def test_suite_tolerance_failure_exits_two(tmp_path):
     doc = json.loads((SCENARIOS / "witness_werner.json").read_text())
     doc["expected"]["device_value"] = 0.5

@@ -43,7 +43,6 @@ from qoverlap.observables import (
     witness_oracle,
 )
 from qoverlap import protocol
-from qoverlap.protocol import _DeviceKernel
 from conftest import embed_joint_state, embed_mode_state, max_entangled_vector, partial_transpose, random_joint_state
 
 SHOT_SETTINGS = MeasurementSettings(shots=20_000, seed=3)
@@ -374,6 +373,13 @@ def test_settings_take_numpy_integer_counts_as_ints():
     assert report == witness(werner(0.5), MeasurementSettings(phase_count=6, shots=500, seed=2))
 
 
+def test_settings_take_the_largest_shot_count_numpy_draws():
+    settings = MeasurementSettings(shots=2**63 - 1, seed=4)
+    assert settings.shots == 2**63 - 1
+    report = overlap(thermal(0.5, 3), coherent(0.4, 3), settings)
+    assert report.counts.tolist() == [[up, 2**63 - 1 - up] for up in report.counts[:, 0].tolist()]
+
+
 def test_settings_take_numpy_integer_seeds_as_ints():
     # hs_distance's sub-seeds seed + 1 and seed + 2 would overflow an int64
     top = 2**63 - 1
@@ -481,7 +487,7 @@ def test_no_pipeline_builds_the_dense_post_state(monkeypatch, label):
     def refuse(self):
         raise AssertionError("built the d^2 x d^2 post-state")
 
-    monkeypatch.setattr(_DeviceKernel, "post_unconditional", refuse)
+    monkeypatch.setattr(protocol.ProtocolRun, "post_state_unconditional", property(refuse))
     d = 6
     mode = GUARD_MODES[label](d)
     settings = MeasurementSettings(mode=mode)

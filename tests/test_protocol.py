@@ -406,6 +406,8 @@ def test_sample_shots_refuses_counts_and_seeds_that_are_not_integers():
         sample_shots(run, 2**63, 1)
     counts = sample_shots(run, np.int64(10), np.uint64(3))
     assert counts.dtype == np.int64 and np.array_equal(counts, sample_shots(run, 10, 3))
+    counts = sample_shots(run, 2**63 - 1, 1)  # the largest count numpy's binomial draws
+    assert counts.tolist() == [[up, 2**63 - 1 - up] for up in counts[:, 0].tolist()]
 
 
 @pytest.mark.filterwarnings("error")
@@ -727,7 +729,7 @@ def test_product_input_matches_dense_joint(label, d, seeds, ranks, phase_count, 
     assert np.abs(post_diff).max() < 1e-12
     # the fringe off the grid, at psi, read off the literal circuit
     lit = literal_device_run(ProductState(a, b), psi, mode)
-    assert abs(0.5 * (1 - (np.exp(1j * psi) * by_factors._kernel.c).real) - lit.p_up) < 1e-12
+    assert abs(0.5 * (1 - (np.exp(1j * psi) * by_factors.c).real) - lit.p_up) < 1e-12
 
 
 def band_state(d: int, size: int, shift: int, seed: int) -> DensityMatrix:
@@ -769,6 +771,27 @@ def test_product_and_dense_inputs_answer_every_read_alike(d, sizes, shifts, seed
         assert np.abs(product.base_partial_trace(flip) - dense.base_partial_trace(flip)).max() < 1e-12
     assert np.abs(product.populations() - dense.populations()).max() < 1e-12
     assert np.array_equal(product.dense(), dense.dense())
+
+
+@pytest.mark.parametrize("mode, counts", [
+    (IDEAL, (0, 0)),
+    (PHYSICAL, (1, 2)),
+    (hamiltonian_mode(linear_coupling(1.0, 5, 0.3)), (0, 0)),
+], ids=["ideal", "physical", "linear_coupling_off_default"])
+def test_only_partly_patched_branches_ask_for_live_sectors(monkeypatch, mode, counts):
+    # With no patch, or a patch on every sector, the device skips the read.
+    calls = []
+    live_sectors = ProductState.live_sectors
+
+    def spy(self, *args):
+        calls.append(args)
+        return live_sectors(self, *args)
+
+    monkeypatch.setattr(ProductState, "live_sectors", spy)
+    run = sweep_visibility(ProductState(ginibre_mixed(5, 3, 140), ginibre_mixed(5, 2, 141)), mode=mode)
+    after_sweep = len(calls)
+    run.reduced_post_state
+    assert (after_sweep, len(calls)) == counts
 
 
 POST_STATE_MODES = {
@@ -853,12 +876,12 @@ def test_unsafe_inputs_match_the_full_sandwich(label, d, seeds, as_product):
     mode = DEFAULT_TIME_MODES[label](d)
     run = sweep_visibility(rho, mode=mode)
     c, post_visibility, reduced, post = sandwich_oracle(rho, mode)
-    assert abs(run._kernel.c - c) < 1e-12
+    assert abs(run.c - c) < 1e-12
     assert abs(run.post_visibility - post_visibility) < 1e-12
     assert np.abs(run.reduced_post_state.mat - reduced).max() < 1e-12
     assert np.abs(run.post_state_unconditional.mat - post).max() < 1e-12
     # the patches are the model's whole truncation error
-    assert abs(run._kernel.c - sweep_visibility(rho)._kernel.c) <= 2 * unsafe_population(rho) + 1e-12
+    assert abs(run.c - sweep_visibility(rho).c) <= 2 * unsafe_population(rho) + 1e-12
 
 
 SEEDS = st.tuples(*[st.integers(0, 2**31 - 1)] * 3)
@@ -945,7 +968,7 @@ def test_safe_inputs_compile_nothing_at_the_default_time(monkeypatch, label):
     for rho in (ProductState(a, b), joint):
         run, ideal = sweep_visibility(rho, mode=mode), sweep_visibility(rho)
         # the ideal device's numbers, not merely close to them
-        assert run._kernel.c == ideal._kernel.c
+        assert run.c == ideal.c
         assert run.post_visibility == ideal.post_visibility
         assert np.array_equal(run.reduced_post_state.mat, ideal.reduced_post_state.mat)
     assert hs_distance(a, b, MeasurementSettings(mode=mode)).abs_error < 1e-12
@@ -1006,7 +1029,7 @@ def test_default_time_tolerance_from_both_sides(make, default):
         assert _mode_swap_operator(mode, d)[0].patched == patched
         run = sweep_visibility(rho, mode=mode)
         c, post_visibility, reduced, post = sandwich_oracle(rho, mode)
-        assert abs(run._kernel.c - c) < 1e-12
+        assert abs(run.c - c) < 1e-12
         assert abs(run.post_visibility - post_visibility) < 1e-12
         assert np.abs(run.reduced_post_state.mat - reduced).max() < 1e-12
         assert np.abs(run.post_state_unconditional.mat - post).max() < 1e-12
@@ -1027,7 +1050,7 @@ def test_rows_outside_the_diagonal_blocks_still_reach_the_patches():
         mode = make(d)
         run = sweep_visibility(rho, mode=mode)
         c, post_visibility, reduced, post = sandwich_oracle(rho, mode)
-        assert abs(run._kernel.c - c) < 1e-12, label
+        assert abs(run.c - c) < 1e-12, label
         assert abs(run.post_visibility - post_visibility) < 1e-12, label
         assert np.abs(run.reduced_post_state.mat - reduced).max() < 1e-12, label
         assert np.abs(run.post_state_unconditional.mat - post).max() < 1e-12, label
@@ -1078,7 +1101,7 @@ def test_derived_states_are_not_checked_again(monkeypatch):
     for mode in (IDEAL, PHYSICAL):
         assert hs_distance(a, b, MeasurementSettings(mode=mode)).abs_error < 1e-12
     for run in runs:
-        assert np.abs(run.post_state_unconditional.mat - sandwich_oracle(run._kernel.rho, PHYSICAL)[3]).max() < 1e-12
+        assert np.abs(run.post_state_unconditional.mat - sandwich_oracle(run.rho, PHYSICAL)[3]).max() < 1e-12
     assert checked == []
     # a matrix from outside is still checked
     DensityMatrix(a.space, a.mat)

@@ -80,6 +80,14 @@ def test_error_line_passes_over_a_value_equal_to_a_key():
     assert '"kind": "squeezed"' in text.splitlines()[err.value.line - 1]
 
 
+def test_error_line_of_a_top_level_key_passes_over_a_state_key_of_that_name():
+    text = make(task="purity", state_a={"kind": "ginibre_mixed", "rank": 2, "seed": 5}, state_b=None, seed=1.5)
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert str(err.value) == "seed must be an integer (at seed, line 10)"
+    assert text.splitlines()[7:10] == ['  "seed": 5', " },", ' "seed": 1.5']
+
+
 @pytest.mark.parametrize("fields, path", [
     ({"cutoff": 4.0}, "cutoff"),
     ({"phases": 8.0}, "phases"),
