@@ -49,26 +49,32 @@ class HamiltonianSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown Hamiltonian kind {self.kind!r}")
-        if not 0 < self.coupling < math.inf:  # NaN fails it too
-            raise ValueError(f"coupling constant must be finite and positive, got {self.coupling!r}")
+        _coupling(self.coupling)
         if not 0 < self.interaction_time < math.inf:
             raise ValueError(f"interaction time must be finite and positive, got {self.interaction_time!r}")
         object.__setattr__(self, "cutoff", _count("cutoff", self.cutoff, 2))
 
 
+def _coupling(value: float) -> float:
+    """``value``, refused unless finite and positive; the builders check it before dividing by it."""
+    if not 0 < value < math.inf:  # NaN fails it too
+        raise ValueError(f"coupling constant must be finite and positive, got {value!r}")
+    return value
+
+
 def linear_coupling(xi: float, cutoff: int, interaction_time: float | None = None) -> HamiltonianSpec:
     """Mode-mixing interaction; default time pi/(4 xi) gives the 50:50 coupler."""
-    t = math.pi / (4.0 * xi) if interaction_time is None else interaction_time
+    t = math.pi / (4.0 * _coupling(xi)) if interaction_time is None else interaction_time
     return HamiltonianSpec("linear_coupling", xi, cutoff, t)
 
 
 def dispersive_cps(kappa: float, cutoff: int, interaction_time: float | None = None) -> HamiltonianSpec:
     """Dispersive ancilla-mode interaction; default time pi/kappa gives the CPS."""
-    t = math.pi / kappa if interaction_time is None else interaction_time
+    t = math.pi / _coupling(kappa) if interaction_time is None else interaction_time
     return HamiltonianSpec("dispersive_cps", kappa, cutoff, t)
 
 
 def ion_qnd(omega: float, cutoff: int, interaction_time: float | None = None) -> HamiltonianSpec:
     """Ion QND-type interaction; default time pi/(2 omega)."""
-    t = math.pi / (2.0 * omega) if interaction_time is None else interaction_time
+    t = math.pi / (2.0 * _coupling(omega)) if interaction_time is None else interaction_time
     return HamiltonianSpec("ion_qnd", omega, cutoff, t)

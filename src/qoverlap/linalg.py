@@ -56,6 +56,12 @@ class CompositeSpace:
         return len(self.dims)
 
 
+@functools.lru_cache(maxsize=32)  # checked spaces kept per process, one per dims
+def _checked_space(dims: tuple[int, ...]) -> CompositeSpace:
+    """``CompositeSpace(dims)``, checked once per process for dims of int."""
+    return CompositeSpace(dims)
+
+
 def _integer(name: str, value) -> int:
     """``value`` as an int: numpy integers pass, bools and non-integers raise ``TypeError``."""
     if not isinstance(value, bool):
@@ -230,7 +236,7 @@ class ProductState:
 
     @functools.cached_property
     def space(self) -> CompositeSpace:
-        return CompositeSpace((self.a.dim, self.b.dim))
+        return _checked_space((self.a.dim, self.b.dim))
 
     def flip_trace(self) -> complex:
         return (self.a.mat * self.b.mat.T).sum()  # Tr(S (a x b)) = Tr(a b)

@@ -18,8 +18,9 @@ Every report keeps the sweep behind it: ``report.run`` is the
 :class:`~qoverlap.protocol.ProtocolRun` (phases and exact fringes) and
 ``report.counts`` the sampled (K, 2) up/down counts, ``None`` in exact mode
 and for ``witness``, whose one counting run is at the calibrated phase.
-``hs_distance`` carries its overlap sub-run and ``linear_entropy`` its purity
-run.  Neither field takes part in equality.
+``hs_distance`` carries its overlap sub-run (a bare sweep: no oracle or
+report of its own) and ``linear_entropy`` its purity run.  Neither field
+takes part in equality.
 """
 
 from __future__ import annotations
@@ -100,15 +101,21 @@ def _report(name, device, oracle, settings, std_error=None, verdict=None, *, run
     )
 
 
+def _sweep(rho_joint: DeviceInput, settings: MeasurementSettings, shots: int | None,
+           seed: int) -> tuple[float, float | None, ProtocolRun, np.ndarray | None]:
+    """One sweep on ``settings``' device: (visibility, std_error, run, counts); exact if ``shots`` is None."""
+    run = protocol.sweep_visibility(rho_joint, settings.phase_count, settings.mode)
+    if shots is None:
+        return run.visibility, None, run, None
+    counts = protocol.sample_shots(run, shots, seed)
+    return *protocol.estimate_visibility(counts, run.phases), run, counts
+
+
 def _measure_visibility(name: str, rho_joint: DeviceInput, oracle: float,
                         settings: MeasurementSettings) -> ObservableReport:
     """Run one sweep and report its visibility against ``oracle``."""
-    run = protocol.sweep_visibility(rho_joint, settings.phase_count, settings.mode)
-    if settings.shots is None:
-        return _report(name, run.visibility, oracle, settings, run=run)
-    counts = protocol.sample_shots(run, settings.shots, settings.seed)
-    v_hat, se = protocol.estimate_visibility(counts, run.phases)
-    return _report(name, v_hat, oracle, settings, se, run=run, counts=counts)
+    value, se, run, counts = _sweep(rho_joint, settings, settings.shots, settings.seed)
+    return _report(name, value, oracle, settings, se, run=run, counts=counts)
 
 
 # ---------------------------------------------------------------------------
@@ -218,31 +225,24 @@ def hs_distance(
     unconditional post-state as the ensemble for the overlap measurement, and
     assembles (P_A + P_B)/2 - O_AB.  The overlap run reads only mode 0 of
     each post-state, :attr:`~qoverlap.protocol.ProtocolRun.reduced_post_state`,
-    which is streamed sector by sector without the d^2 x d^2 state.  In
-    shot-noise mode the per-phase budget is split equally across the three
-    sub-measurements (sub-seeds seed, seed+1, seed+2) and errors combine in
-    quadrature.
+    which is streamed sector by sector without the d^2 x d^2 state, and is
+    a bare sweep: no oracle, no report of its own.  In shot-noise mode the
+    per-phase budget is split equally across the three sub-measurements
+    (sub-seeds seed, seed+1, seed+2) and errors combine in quadrature.
     """
     if rho_a.space.dim != rho_b.space.dim:
         raise ValueError("hs_distance requires states of equal dimension")
-    if settings.shots is None:
-        subs = [settings] * 3
-    else:
-        per = max(1, settings.shots // 3)
-        subs = [replace(settings, shots=per, seed=settings.seed + i) for i in range(3)]
+    per = None if settings.shots is None else max(1, settings.shots // 3)
+    subs = [settings if per is None else replace(settings, shots=per, seed=settings.seed + i) for i in range(2)]
+    pa, pb = purity(rho_a, subs[0]), purity(rho_b, subs[1])
+    pair = ProductState(pa.run.reduced_post_state, pb.run.reduced_post_state)
+    o, o_se, run, counts = _sweep(pair, settings, per, settings.seed + 2)
 
-    pa = purity(rho_a, subs[0])
-    pb = purity(rho_b, subs[1])
-    o = overlap(pa.run.reduced_post_state, pb.run.reduced_post_state, subs[2])
-
-    device = 0.5 * (pa.device_value + pb.device_value) - o.device_value
-    if settings.shots is None:
-        se = None
-    else:
-        se = math.sqrt(0.25 * pa.std_error**2 + 0.25 * pb.std_error**2 + o.std_error**2)
-    unsafe = max(pa.unsafe_population, pb.unsafe_population, o.unsafe_population)
+    device = 0.5 * (pa.device_value + pb.device_value) - o
+    se = None if per is None else math.sqrt(0.25 * pa.std_error**2 + 0.25 * pb.std_error**2 + o_se**2)
+    unsafe = max(pa.unsafe_population, pb.unsafe_population, run.unsafe_population)
     return _report("hs_distance", device, hs_distance_direct(rho_a, rho_b), settings, se,
-                   run=o.run, counts=o.counts, unsafe_population=unsafe)
+                   run=run, counts=counts, unsafe_population=unsafe)
 
 
 def witness(rho_joint: DensityMatrix, settings: MeasurementSettings = EXACT) -> ObservableReport:

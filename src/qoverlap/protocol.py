@@ -68,8 +68,10 @@ photon number d - 1) in a default-time mode therefore compiles nothing and
 costs what the ideal device costs, at every cutoff; any other input pays
 O(d^3) for c.
 
-What a sweep derives from its post-measurement state is built on first
-read, each from only the part it needs.
+A sweep computes c; all else is built on first read.  The fringes p_up and
+p_down, closed forms of c read by the sampler and the record, are never
+built by an exact pipeline.  What a sweep derives from its post-measurement
+state is built from only the part it needs.
 :attr:`ProtocolRun.post_visibility`, the visibility of a second sweep on
 the unconditional post-state, is |c| and costs nothing (see there).
 :attr:`ProtocolRun.reduced_post_state`, the post-state's mode-0 reduced
@@ -110,6 +112,7 @@ from .linalg import (
     CompositeSpace,
     DensityMatrix,
     ProductState,
+    _checked_space,
     _count,
     _derived_state,
     dag,
@@ -383,9 +386,10 @@ class ProtocolRun:
     """One device run: the input ``rho``, the branch unitaries of ``mode`` and c.
 
     The constructor reads c = Tr(W_rel rho) (module docstring), refuses an
-    input that is not positive and sweeps ``grid``: ``phases``, the closed-form
-    fringes ``p_up`` and ``p_down``, the ``visibility`` |c| and the calibrated
-    ``delta`` Re c.  ``unsafe_population`` is the input's population above
+    input that is not positive and sweeps ``grid``: ``phases``, the
+    ``visibility`` |c| and the calibrated ``delta`` Re c; the closed-form
+    fringes ``p_up`` and ``p_down`` are built on first read.
+    ``unsafe_population`` is the input's population above
     total photon number d - 1, 0.0 on the ideal device; at the default time
     the patches on those sectors are the device's whole truncation error,
     |c - Tr(S rho)| <= 2 * unsafe_population.
@@ -424,12 +428,22 @@ class ProtocolRun:
                 raise ValueError(
                     f"input is not positive: |Tr(W_rel rho)| = {abs(c)!r} exceeds its trace {trace!r}"
                 )
-        cross = (grid.forward * c).real
+        self._grid = grid
         self.phases = grid.phases
-        self.p_up = np.maximum(0.5 * (1.0 - cross), 0.0)
-        self.p_down = np.maximum(0.5 * (1.0 + cross), 0.0)
         self.visibility = abs(c)
         self.delta = c.real
+
+    @functools.cached_property
+    def _cross(self) -> np.ndarray:  # Re[exp(i psi) c], shared by both fringes
+        return (self._grid.forward * self.c).real
+
+    @functools.cached_property
+    def p_up(self) -> np.ndarray:
+        return np.maximum(0.5 * (1.0 - self._cross), 0.0)
+
+    @functools.cached_property
+    def p_down(self) -> np.ndarray:
+        return np.maximum(0.5 * (1.0 + self._cross), 0.0)
 
     @functools.cached_property
     def reduced_post_state(self) -> DensityMatrix:
@@ -442,7 +456,7 @@ class ProtocolRun:
         mixed += _reduced_branch(self.rho, self._w_dn, self._d)
         mixed += dag(mixed)
         mixed *= 0.25
-        return _derived_state(CompositeSpace((self._d,)), mixed)
+        return _derived_state(_checked_space((self._d,)), mixed)
 
     @functools.cached_property
     def post_state_unconditional(self) -> DensityMatrix:
@@ -504,12 +518,12 @@ def sweep_visibility(
 
     ``rho_joint`` is a dense two-mode state or a :class:`ProductState`, and
     ``phase_count`` an integer >= 3 (a numpy one passes; a bool or a float,
-    even 8.0, raises ``TypeError``).  The fringes are the closed form
-    (1 -/+ Re[exp(i psi) c])/2 on the grid.  The visibility is |c|, the
+    even 8.0, raises ``TypeError``).  The visibility is |c|, the
     first-harmonic Fourier coefficient of the p_down fringe, which equals
     the contrast (p_max - p_min)/(p_max + p_min) on any uniform grid of at
     least 3 phases.  ``delta`` is p_up - p_down at the calibrated phase pi,
-    i.e. Re c.  The unconditional post-state is phase independent and built
+    i.e. Re c.  The fringes, the closed form (1 -/+ Re[exp(i psi) c])/2 on
+    the grid, and the phase-independent unconditional post-state are built
     on first read.  ``run.phases`` is read-only; up to ``_GRID_MAX_CACHED``
     phases it is the one grid shared by every sweep of ``phase_count``
     phases.

@@ -211,7 +211,7 @@ def _build_state(spec, cutoff: int, slot: str):
     if spec:
         extra = sorted(spec)
         raise ScenarioError(f"unknown parameter(s) {extra} for constructor {kind!r}", f"{slot}.{extra[0]}")
-    if kind == "pure":
+    if kind == "pure" and slot == "state_b":  # the one ket kept, as Scenario.state_b_vector
         ket = ket / np.linalg.norm(ket)
     return built, ket
 

@@ -129,7 +129,8 @@ def test_spec_validation():
 
 @pytest.mark.parametrize("builder", [linear_coupling, dispersive_cps, ion_qnd])
 def test_spec_refuses_non_finite_coupling_and_time(builder):
-    for bad in (np.nan, np.inf, -np.inf):
+    for bad in (np.nan, np.inf, -np.inf, 0, 0.0, -0.0):
+        # a zero coupling is refused before the default time divides by it
         with pytest.raises(ValueError, match="coupling constant must be finite and positive"):
             builder(bad, 4)
         with pytest.raises(ValueError, match="interaction time must be finite and positive"):

@@ -10,6 +10,7 @@ from qoverlap import (
     IDEAL,
     PHYSICAL,
     CompositeSpace,
+    ProductState,
     DensityMatrix,
     MeasurementSettings,
     bell_singlet,
@@ -42,7 +43,7 @@ from qoverlap.observables import (
     purity_direct,
     witness_oracle,
 )
-from qoverlap import protocol
+from qoverlap import observables, protocol
 from conftest import embed_joint_state, embed_mode_state, max_entangled_vector, partial_transpose, random_joint_state
 
 SHOT_SETTINGS = MeasurementSettings(shots=20_000, seed=3)
@@ -73,6 +74,24 @@ def test_overlap_truncated_coherent_states():
 def test_overlap_dimension_mismatch():
     with pytest.raises(ValueError):
         overlap(fock(0, 4), fock(0, 5))
+
+
+@pytest.mark.parametrize("settings", [EXACT, SHOT_SETTINGS], ids=["exact", "shots"])
+@pytest.mark.parametrize("pipeline", [overlap, hs_distance])
+def test_unequal_dimensions_are_refused_before_any_sweep(monkeypatch, pipeline, settings):
+    sweeps = []
+
+    def spy(*args, **kwargs):
+        sweeps.append(args)
+        return sweep(*args, **kwargs)
+
+    sweep = protocol.sweep_visibility
+    monkeypatch.setattr(protocol, "sweep_visibility", spy)
+    with pytest.raises(ValueError, match="equal dimension"):
+        pipeline(fock(0, 3), fock(0, 4), settings)
+    assert sweeps == []
+    pipeline(fock(0, 3), fock(0, 3), settings)  # the spy sees the sweeps of a valid pair
+    assert len(sweeps) == (3 if pipeline is hs_distance else 1)
 
 
 def test_fidelity_projector_cases():
@@ -541,6 +560,47 @@ def test_large_cutoff_hs_distance_and_repeat_check_stay_small_in_memory(mode, cu
     assert abs(second - first) < 1e-12
     # the dense post-state is 16 MiB at d = 32 and 256 MiB at d = 64
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("mode", [IDEAL, PHYSICAL], ids=["ideal", "physical"])
+def test_exact_runs_build_no_fringe(mode):
+    d = 4
+    settings = MeasurementSettings(mode=mode)
+    a, b = embed_mode_state(ginibre_mixed(2, 2, 92), d), ginibre_mixed(d, 3, 93)
+    joint = DensityMatrix(CompositeSpace((d, d)), np.kron(a.mat, b.mat))
+    runs = {
+        "sweep": protocol.sweep_visibility(ProductState(a, b), mode=mode),
+        "purity": purity(a, settings).run,
+        "overlap": overlap(a, b, settings).run,
+        "witness": witness(joint, settings).run,
+        "hs_distance": hs_distance(a, b, settings).run,
+    }
+    for name, run in runs.items():
+        assert "p_up" not in vars(run) and "p_down" not in vars(run), name
+
+
+@pytest.mark.parametrize("settings", [EXACT, SHOT_SETTINGS], ids=["exact", "shots"])
+def test_hs_distance_computes_no_oracle_for_its_overlap_sub_run(monkeypatch, settings):
+    calls, open_calls = [], []
+
+    def spy(name, fn):
+        def wrapper(*args):
+            calls.append((name, open_calls[-1] if open_calls else None))
+            open_calls.append(name)
+            try:
+                return fn(*args)
+            finally:
+                open_calls.pop()
+        return wrapper
+
+    oracles = ("overlap_direct", "purity_direct", "hs_distance_direct")
+    for name in oracles:
+        monkeypatch.setattr(observables, name, spy(name, getattr(observables, name)))
+    report = hs_distance(ginibre_mixed(3, 2, 94), ginibre_mixed(3, 3, 95), settings)
+    assert report.abs_error < (1e-12 if settings.shots is None else 0.1)
+    names = [name for name, _ in calls]
+    assert [names.count(name) for name in oracles] == [2, 2, 1]
+    assert [caller for name, caller in calls if name == "overlap_direct"] == ["purity_direct"] * 2
 
 
 @pytest.mark.parametrize("shots", [None, 900], ids=["exact", "shots"])

@@ -546,6 +546,27 @@ def test_grids_beyond_the_kept_phase_counts_are_built_per_sweep():
     assert estimate_visibility(counts, first.phases) == estimate_visibility(counts, np.array(first.phases.tolist()))
 
 
+@pytest.mark.parametrize("phase_count", [3, 8, 13, 65])
+def test_fringes_read_later_are_the_closed_form_in_every_bit(phase_count):
+    # 65 phases is past _GRID_MAX_CACHED: that grid is built per sweep
+    d = 4
+    phases = 2.0 * np.pi * np.arange(phase_count) / phase_count
+    inputs = [
+        (ProductState(fock(1, d), fock(1, d)), IDEAL),  # c = 1: p_up floors at 0
+        (random_joint_state(d, 700 + phase_count), PHYSICAL),
+        (ProductState(ginibre_mixed(d, 2, 701), ginibre_mixed(d, 3, 702)), hamiltonian_mode(ion_qnd(1.0, d, 0.3))),
+    ]
+    for first_read in ("p_up", "p_down"):
+        for rho, mode in inputs:
+            run = sweep_visibility(rho, phase_count, mode)
+            assert "p_up" not in vars(run) and "p_down" not in vars(run)
+            getattr(run, first_read)
+            cross = (np.exp(1j * phases) * run.c).real
+            assert np.array_equal(run.p_up, np.maximum(0.5 * (1.0 - cross), 0.0))
+            assert np.array_equal(run.p_down, np.maximum(0.5 * (1.0 + cross), 0.0))
+            assert run.p_up is run.p_up and run.p_down is run.p_down
+
+
 @pytest.mark.parametrize("phase_count", [3, 8, 13])
 def test_estimate_visibility_on_a_copy_of_the_grid_is_bit_identical(phase_count):
     run = sweep_visibility(random_joint_state(2, 80 + phase_count), phase_count)

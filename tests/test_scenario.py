@@ -185,6 +185,26 @@ def test_fidelity_requires_pure_partner():
         parse_scenario(make(task="fidelity", state_b={"kind": "thermal", "nbar": 1.0}))
 
 
+@pytest.mark.parametrize("slot, norms", [("state_a", 1), ("state_joint", 1), ("state_b", 2)])
+def test_a_pure_ket_is_normalized_again_only_where_it_is_kept(monkeypatch, slot, norms):
+    # states.pure normalizes the density matrix; only state_b's ket is kept, as state_b_vector
+    amps = [0.6, [0.0, 0.8], 0.0, 0.0]
+    calls = []
+
+    def norm(x, *args, **kwargs):
+        calls.append(x)
+        return real_norm(x, *args, **kwargs)
+
+    real_norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", norm)
+    cutoff = 2 if slot == "state_joint" else 4
+    built, ket = scenario_module._build_state({"kind": "pure", "amplitudes": amps}, cutoff, slot)
+    assert len(calls) == norms
+    raw = np.array([0.6, 0.8j, 0.0, 0.0])
+    assert np.array_equal(ket, raw / real_norm(raw) if slot == "state_b" else raw)
+    assert np.array_equal(built.mat, scenario_module.states.pure(raw, dims=built.space.dims).mat)
+
+
 def test_shot_counts_numpy_cannot_draw_are_refused():
     text = make(shots=2**63)
     with pytest.raises(ScenarioError, match="shots must be at most 9223372036854775807") as err:
