@@ -1,8 +1,10 @@
 """Interaction Hamiltonians that realize the device's gates by time evolution.
 
-Three effective interactions are supported, each with its prescribed
-interaction time (couplings are angular frequencies, hbar absorbed, so only
-the dimensionless coupling*time product matters):
+Three effective interactions are supported.  ``_DEFAULT_ANGLE`` is their one
+table: each kind's default coupling*time (couplings are angular frequencies,
+hbar absorbed, so only that product matters), which over the coupling is the
+time a builder sets when given none.  A spec within ``_DEFAULT_ULPS`` = 4
+ulps of it is :attr:`HamiltonianSpec.at_default`:
 
 * ``linear_coupling``: H = i*xi*(a0^dag a1 - a1^dag a0) on two modes; at
   t = pi/(4 xi) this compiles the 50:50 coupler.
@@ -30,7 +32,9 @@ from dataclasses import dataclass
 
 from .linalg import _count
 
-_KINDS = ("linear_coupling", "dispersive_cps", "ion_qnd")
+# xi * ((pi / 4) / xi) is pi / 4 only to within an ulp, hence the tolerance.
+_DEFAULT_ANGLE = {"linear_coupling": math.pi / 4, "dispersive_cps": math.pi, "ion_qnd": math.pi / 2}
+_DEFAULT_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -47,34 +51,46 @@ class HamiltonianSpec:
     interaction_time: float
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _DEFAULT_ANGLE:
             raise ValueError(f"unknown Hamiltonian kind {self.kind!r}")
         _coupling(self.coupling)
         if not 0 < self.interaction_time < math.inf:
             raise ValueError(f"interaction time must be finite and positive, got {self.interaction_time!r}")
         object.__setattr__(self, "cutoff", _count("cutoff", self.cutoff, 2))
 
+    @property
+    def at_default(self) -> bool:
+        """Whether coupling * time is the kind's default angle, within ``_DEFAULT_ULPS`` ulps."""
+        target = _DEFAULT_ANGLE[self.kind]
+        return abs(self.coupling * self.interaction_time - target) <= _DEFAULT_ULPS * math.ulp(target)
+
 
 def _coupling(value: float) -> float:
-    """``value``, refused unless finite and positive; the builders check it before dividing by it."""
+    """``value``, refused unless finite and positive; :func:`_spec` checks it before dividing by it."""
     if not 0 < value < math.inf:  # NaN fails it too
         raise ValueError(f"coupling constant must be finite and positive, got {value!r}")
     return value
 
 
+def _spec(kind: str, coupling: float, cutoff: int, interaction_time: float | None) -> HamiltonianSpec:
+    """The spec of ``kind``; without a time, the default angle over the coupling."""
+    if interaction_time is None:
+        interaction_time = _DEFAULT_ANGLE[kind] / _coupling(coupling)
+        if interaction_time == math.inf:
+            raise ValueError(f"coupling constant {coupling!r} is too small: its default time overflows")
+    return HamiltonianSpec(kind, coupling, cutoff, interaction_time)
+
+
 def linear_coupling(xi: float, cutoff: int, interaction_time: float | None = None) -> HamiltonianSpec:
     """Mode-mixing interaction; default time pi/(4 xi) gives the 50:50 coupler."""
-    t = math.pi / (4.0 * _coupling(xi)) if interaction_time is None else interaction_time
-    return HamiltonianSpec("linear_coupling", xi, cutoff, t)
+    return _spec("linear_coupling", xi, cutoff, interaction_time)
 
 
 def dispersive_cps(kappa: float, cutoff: int, interaction_time: float | None = None) -> HamiltonianSpec:
     """Dispersive ancilla-mode interaction; default time pi/kappa gives the CPS."""
-    t = math.pi / _coupling(kappa) if interaction_time is None else interaction_time
-    return HamiltonianSpec("dispersive_cps", kappa, cutoff, t)
+    return _spec("dispersive_cps", kappa, cutoff, interaction_time)
 
 
 def ion_qnd(omega: float, cutoff: int, interaction_time: float | None = None) -> HamiltonianSpec:
     """Ion QND-type interaction; default time pi/(2 omega)."""
-    t = math.pi / (2.0 * _coupling(omega)) if interaction_time is None else interaction_time
-    return HamiltonianSpec("ion_qnd", omega, cutoff, t)
+    return _spec("ion_qnd", omega, cutoff, interaction_time)

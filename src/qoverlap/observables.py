@@ -189,11 +189,11 @@ def fidelity_with_pure(
     as given, not renormalized.
     """
     psi = np.asarray(pure_psi, dtype=complex).reshape(-1)
+    if psi.size != rho.space.dim:
+        raise ValueError("pure state dimension does not match the density matrix")
     projector = psi[:, None] * psi.conj()  # |psi><psi|
     if abs(projector.trace().real - 1.0) > ATOL_ALGEBRA:
         raise ValueError("pure state must be normalized: |<psi|psi> - 1| exceeds 1e-10")
-    if psi.size != rho.space.dim:
-        raise ValueError("pure state dimension does not match the density matrix")
     rho_b = DensityMatrix(CompositeSpace((psi.size,)), projector)
     oracle = float((psi.conj() @ rho.mat @ psi).real)
     return _measure_visibility("fidelity", ProductState(rho, rho_b), oracle, settings)
@@ -221,14 +221,14 @@ def hs_distance(
 ) -> ObservableReport:
     """Squared Hilbert-Schmidt distance assembled from three device runs.
 
-    Measures the two purities first, reuses each run's (nondemolition)
-    unconditional post-state as the ensemble for the overlap measurement, and
-    assembles (P_A + P_B)/2 - O_AB.  The overlap run reads only mode 0 of
-    each post-state, :attr:`~qoverlap.protocol.ProtocolRun.reduced_post_state`,
-    which is streamed sector by sector without the d^2 x d^2 state, and is
-    a bare sweep: no oracle, no report of its own.  In shot-noise mode the
-    per-phase budget is split equally across the three sub-measurements
-    (sub-seeds seed, seed+1, seed+2) and errors combine in quadrature.
+    (P_A + P_B)/2 - O_AB: the two purity runs first, then a bare overlap
+    sweep (no oracle, no report) on their (nondemolition) unconditional
+    post-states, reading only mode 0 of each,
+    :attr:`~qoverlap.protocol.ProtocolRun.reduced_post_state`, streamed by
+    sector.  With shots, each run (sub-seeds seed, seed+1, seed+2) draws
+    max(1, shots // 3) per phase: 999 of a 1000-shot budget, 3 for shots < 3.
+    ``shots_used`` and the record's ``shots`` report the request.  Errors
+    combine in quadrature.
     """
     if rho_a.space.dim != rho_b.space.dim:
         raise ValueError("hs_distance requires states of equal dimension")

@@ -46,16 +46,16 @@ sectors whose diagonal block or rows are not all 0, Tr(patch rho_NN) on a
 sector, a sector's rows, the base partial trace and, for the unconditional
 post-state only, the dense matrix.  A dense joint answers through views; a
 product from its factors, in O(d^2) for all but a sector's rows and the
-dense matrix.  Every branch conserves the total photon number
-N = n0 + n1 and has one form (:class:`_Branch`): a base B, the flip S for
-W_up and W_rel and the identity for W_dn, plus patches
-Delta_N = W_N - B_N on a set P of sectors, the slices of
-:func:`qoverlap.gates.number_sectors`; no d^2 x d^2 W is ever formed.  So
-every mode is the ideal device plus patches, and the ideal device has
-none.  At its default time a coupler, per-photon phase and inverse coupler
-is the exact swap on every complete sector N <= d - 1, so ``physical`` and
-each Hamiltonian mode at its default time patch only the d - 1 incomplete
-sectors N >= d; any other interaction time patches all 2d - 1.
+dense matrix.  Every branch conserves the total photon number N = n0 + n1
+and has one form (:class:`_Branch`): a base B, the flip S for W_up and W_rel
+and the identity for W_dn, plus patches Delta_N = W_N - B_N on a set P of
+sectors, the slices of :func:`qoverlap.gates.number_sectors`; no d^2 x d^2 W
+is ever formed.  So every mode is the ideal device plus patches, and the
+ideal device has none.  At its default time, which :mod:`qoverlap.dynamics`
+decides, a coupler, per-photon phase and inverse coupler is the exact swap
+on every complete sector N <= d - 1, so ``physical`` and each Hamiltonian
+mode at its default time resolve on one branch, patched on the d - 1
+incomplete sectors N >= d only; any other interaction time patches all 2d - 1.
 
 Every quantity is the ideal closed form plus a sum over P.  The fringe
 number is c = Tr(S rho) + sum_{N in P} Tr(Delta_N rho_NN).  A patched
@@ -173,12 +173,6 @@ class _Branch:
 _FLIP = _Branch(True)
 _IDENTITY = _Branch(False)
 
-# Each Hamiltonian kind's default coupling * time.  A product within
-# _DEFAULT_ULPS ulps of it counts as the default: xi * (pi / (4 xi)) is pi / 4
-# only to within an ulp.
-_DEFAULT_ANGLE = {"linear_coupling": math.pi / 4, "dispersive_cps": math.pi, "ion_qnd": math.pi / 2}
-_DEFAULT_ULPS = 4
-
 # Compiled branches kept per process, keyed by (branch, cutoff), and as many
 # resolved modes.  A default-time branch holds its d - 1 incomplete-sector
 # patches, (d - 1) d (2 d - 1) / 6 real numbers (~20 KB at d = 20, 45 MB at
@@ -213,41 +207,34 @@ def _require_mode_pair(space: CompositeSpace) -> int:
 def _mode_swap_operator(mode: DeviceMode, d: int) -> tuple[_Branch, _Branch, _Branch]:
     """Resolve the branch unitaries (W_up, W_dn, W_rel) of the controlled step.
 
-    Every mode is the ideal device, W_up = S and W_dn = 1, plus patches, and
-    W_rel = W_dn^dag W_up, the one unitary c reads, has the base S.  At its
-    default interaction time a sandwich is the exact swap on every complete
-    sector (N <= d - 1), so ``physical`` and each Hamiltonian mode at its
-    default time patch only the incomplete sectors N >= d; there W_dn is the
-    identity and W_rel is W_up.  Any other time patches every sector.  The
-    controlled phase targets mode 1 (module docstring of
-    :mod:`qoverlap.gates`), the ion interaction mode 0.  Nothing is compiled
-    here; a Hamiltonian spec must match the cutoff d.
+    Every mode is the ideal device, W_up = S and W_dn = 1, plus patches; c
+    reads W_rel = W_dn^dag W_up, whose base is S.  At its default time
+    (:attr:`HamiltonianSpec.at_default`) a sandwich is the exact swap on every
+    complete sector N <= d - 1, so ``physical`` and every Hamiltonian mode at
+    its default time take one branch: W_up = W_rel patched on the incomplete
+    sectors N >= d only, W_dn = 1.  Any other time patches every sector.  The
+    controlled phase targets mode 1 (:mod:`qoverlap.gates`), the ion mode 0.
+    Nothing is compiled here; a Hamiltonian spec must match the cutoff d.
     """
     if mode.kind == "ideal":
         return _FLIP, _IDENTITY, _FLIP
-    incomplete, every = range(d, 2 * d - 1), range(2 * d - 1)
-    default = _Branch(True, incomplete, (math.pi / 4, math.pi, 1))
-    if mode.kind == "physical":
-        return default, _IDENTITY, default
     spec = mode.hamiltonian
-    if spec.cutoff != d:
+    if spec is not None and spec.cutoff != d:
         raise ValueError(f"Hamiltonian cutoff {spec.cutoff} does not match mode cutoff {d}")
+    incomplete, every = range(d, 2 * d - 1), range(2 * d - 1)
+    ion = spec is not None and spec.kind == "ion_qnd"
+    if spec is None or spec.at_default:
+        # the physical sandwich on mode 1, or the ion's on mode 0 (the coupler at -pi/4 is B^dag)
+        w_up = _Branch(True, incomplete, (-math.pi / 4, math.pi, 0) if ion else (math.pi / 4, math.pi, 1))
+        return w_up, _IDENTITY, w_up
     angle = spec.coupling * spec.interaction_time
-    target = _DEFAULT_ANGLE[spec.kind]
-    at_default = abs(angle - target) <= _DEFAULT_ULPS * math.ulp(target)
-    if spec.kind == "ion_qnd":
-        # W_up, W_dn and W_rel of the module docstring; the coupler at -pi/4 is B^dag
-        if at_default:
-            w_up = _Branch(True, incomplete, (-math.pi / 4, math.pi, 0))
-            return w_up, _IDENTITY, w_up
+    if ion:
+        # W_up, W_dn and W_rel of the module docstring
         return (
             _Branch(True, every, (-math.pi / 4, math.pi / 2 + angle, 0)),
             _Branch(False, every, (-math.pi / 4, math.pi / 2 - angle, 0)),
             _Branch(True, every, (-math.pi / 4, 2 * angle, 0)),
         )
-    if at_default:
-        # the coupler and the controlled phase of the physical sandwich
-        return default, _IDENTITY, default
     if spec.kind == "linear_coupling":
         # evolving under i xi (a0^dag a1 - a1^dag a0) for t is the coupler at xi t
         w_up = _Branch(True, every, (angle, math.pi, 1))

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import observables, protocol, states
-from .dynamics import dispersive_cps, ion_qnd, linear_coupling
+from .dynamics import _DEFAULT_ANGLE, _spec
 from .linalg import DensityMatrix, ProductState
 # Bound here although unused: perfbench/tests/test_bench.py
 # (test_every_patched_name_is_restored) patches and restores it by this name.
@@ -45,8 +45,7 @@ _TOP_KEYS = {
 }
 
 _FIXED_MODES = {"ideal": IDEAL, "physical": PHYSICAL}
-_HAMILTONIANS = {make.__name__: make for make in (linear_coupling, dispersive_cps, ion_qnd)}
-DEVICE_MODE_LABELS = tuple(_FIXED_MODES) + tuple(f"hamiltonian:{kind}" for kind in _HAMILTONIANS)
+DEVICE_MODE_LABELS = tuple(_FIXED_MODES) + tuple(f"hamiltonian:{kind}" for kind in _DEFAULT_ANGLE)
 
 SINGLE_MODE_KINDS = ("fock", "coherent", "thermal", "ginibre_mixed", "pure")
 JOINT_KINDS = ("bell_singlet", "classical_correlated", "werner", "ginibre_mixed", "pure")
@@ -281,7 +280,7 @@ def _scenario(doc) -> Scenario:
                             "device_mode")
     mode = _FIXED_MODES.get(device_label)
     if mode is None:
-        mode = hamiltonian_mode(_HAMILTONIANS[device_label.split(":", 1)[1]](1.0, cutoff))
+        mode = hamiltonian_mode(_spec(device_label.split(":", 1)[1], 1.0, cutoff, None))
 
     fields = TASK_STATES[task]
     if tuple(f for f in _STATE_FIELDS if f in doc) != fields:

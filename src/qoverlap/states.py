@@ -177,10 +177,10 @@ def ginibre_mixed(dim: int, rank: int, seed: int, dims: tuple[int, ...] | None =
     rank = _count("rank", rank, 1)
     dim = _count("dimension", dim, 2)
     rng = _keyed(seed)
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    m = g @ g.conj().T
-    m /= m.trace().real
     space = CompositeSpace(dims if dims is not None else (dim,))
     if space.dim != dim:
         raise ValueError(f"dims {space.dims} do not multiply to {dim}")
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    m = g @ g.conj().T
+    m /= m.trace().real
     return DensityMatrix(space, m)

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qoverlap import (
     IDEAL,
     HamiltonianSpec,
+    ProductState,
     beamsplitter,
     cps,
     dispersive_cps,
@@ -139,6 +144,46 @@ def test_spec_refuses_non_finite_coupling_and_time(builder):
         builder(1.0, 4.0)
     spec = builder(1.0, np.int64(4))
     assert type(spec.cutoff) is int and spec == builder(1.0, 4)
+
+
+# Each builder's default time in closed form, pi/(4 xi), pi/kappa and pi/(2 omega):
+# the table's (pi/4)/xi is the same correctly rounded quotient wherever 4 xi is finite.
+OLD_DEFAULT_TIME = {
+    linear_coupling: lambda xi: math.pi / (4.0 * xi),
+    dispersive_cps: lambda kappa: math.pi / kappa,
+    ion_qnd: lambda omega: math.pi / (2.0 * omega),
+}
+
+
+@pytest.mark.parametrize("builder", list(OLD_DEFAULT_TIME))
+@given(coupling=st.floats(min_value=5e-324, max_value=1.7976931348623157e308))
+@example(coupling=1.7963705819809777e308)  # a subnormal default time 4 ulps from pi/4, the tolerance's edge
+@example(coupling=1e-320)
+def test_default_time_keeps_its_bits(builder, coupling):
+    old = OLD_DEFAULT_TIME[builder](coupling)
+    if old == math.inf:  # refused by the coupling, not by a time the caller never gave
+        with pytest.raises(ValueError, match=f"coupling constant {coupling!r} is too small") as refused:
+            builder(coupling, 4)
+        assert "interaction time" not in str(refused.value)
+        return
+    spec = builder(coupling, 4)
+    if old > 0.0:
+        assert spec.interaction_time.hex() == old.hex()
+        assert spec == HamiltonianSpec(spec.kind, coupling, 4, old)
+    else:  # 4 xi or 2 omega overflows and the closed form reads 0.0; the quotient stays finite
+        assert 0.0 < spec.interaction_time < math.inf
+    assert spec.at_default
+
+
+@pytest.mark.parametrize("builder, coupling", [(linear_coupling, 9e307), (ion_qnd, 1.7e308)])
+def test_coupling_whose_old_default_time_underflowed_runs_at_the_default(builder, coupling):
+    from qoverlap.protocol import _mode_swap_operator
+
+    mode = hamiltonian_mode(builder(coupling, 4))
+    assert _mode_swap_operator(mode, 4)[0].patched == range(4, 7)
+    a, b, _ = safe_pair(2, 4, 830, 831)
+    pair = ProductState(a, b)
+    assert sweep_visibility(pair, mode=mode).c == sweep_visibility(pair, mode=IDEAL).c
 
 
 def test_ion_identical_pure_inputs_give_unit_visibility():

@@ -168,6 +168,8 @@ def test_cps_target_mode_zero():
     gate = cps(d, target_mode=0).mat
     full = np.concatenate([fock2(1, 0, d), np.zeros(d * d)])
     assert np.abs(gate @ full + full).max() < 1e-12
+    with pytest.raises(ValueError, match="target_mode must be 0 or 1"):
+        cps(d, target_mode=2)
 
 
 def test_cps_involutive():

@@ -15,12 +15,14 @@ from qoverlap import (
 )
 from qoverlap import gates, states
 from qoverlap.dynamics import HamiltonianSpec
-from qoverlap.reference import exp_unitary, povm_projectors
+from qoverlap.reference import UnitaryGate, exp_unitary, povm_projectors
 from conftest import flip_operator, partial_trace, partial_transpose
 
 
 def test_tensor_identity():
     assert np.allclose(tensor(np.eye(2), np.eye(2)), np.eye(4))
+    with pytest.raises(ValueError, match="at least two factors"):
+        tensor(np.eye(2))
 
 
 def test_tensor_rank_one_projector():
@@ -251,11 +253,16 @@ def test_density_matrix_check_order_on_finite_matrices():
         DensityMatrix(CompositeSpace((2,)), np.zeros((0, 0)))
     with pytest.raises(ValueError, match="square"):
         DensityMatrix(CompositeSpace((3,)), np.ones((3, 2)))
+    # a gate's matrix is checked against its space the same way
+    with pytest.raises(ValueError, match="does not match space"):
+        UnitaryGate(CompositeSpace((2,)), np.eye(3))
 
 
 def test_composite_space_validation():
     with pytest.raises(ValueError):
         CompositeSpace((1, 2))
+    with pytest.raises(ValueError, match="needs at least one subsystem"):
+        CompositeSpace(())
     assert CompositeSpace((2, 3)).dim == 6
 
 

@@ -108,6 +108,25 @@ def test_fidelity_thermal_ground_level():
 def test_fidelity_rejects_unnormalized_state():
     with pytest.raises(ValueError):
         fidelity_with_pure(fock(0, 4), 1.2 * fock_ket(0, 4))
+    with pytest.raises(ValueError, match="dimension does not match"):
+        fidelity_with_pure(fock(0, 3), [1, 0])
+
+
+def test_wrong_sizes_are_refused_before_the_d_squared_work():
+    # 400 x 400 complex entries are 2.5 MB: the projector |psi><psi| and G G^dag
+    # are not formed for a ket or dims that do not fit.  The ket below is also
+    # not normalized; its size is checked first.
+    ginibre_mixed(2, 1, 0)  # the thread's generator is built once, on the first draw
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="dimension does not match"):
+            fidelity_with_pure(fock(0, 3), np.ones(400))
+        with pytest.raises(ValueError, match="do not multiply to 400"):
+            ginibre_mixed(400, 400, 0, dims=(2, 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * 400 * 16 // 4
 
 
 def test_fidelity_normalization_tolerance_is_the_one_enforced():

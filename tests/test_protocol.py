@@ -284,6 +284,18 @@ def test_device_rejects_mismatched_cutoffs():
     bad = ginibre_mixed(6, 3, 1, dims=(2, 3))
     with pytest.raises(ValueError):
         sweep_visibility(bad)
+    three_modes = ginibre_mixed(8, 2, 0, dims=(2, 2, 2))
+    for run in (sweep_visibility, witness):
+        with pytest.raises(ValueError, match="device input must live on two modes"):
+            run(three_modes)
+
+
+def test_device_mode_refuses_unknown_kinds_and_misplaced_specs():
+    with pytest.raises(ValueError, match="unknown device mode kind"):
+        protocol.DeviceMode("quantum")
+    for kind, spec in (("hamiltonian", None), ("physical", linear_coupling(1.0, 4))):
+        with pytest.raises(ValueError, match="requires a HamiltonianSpec"):
+            protocol.DeviceMode(kind, spec)
 
 
 # The calibrated phase is pi: there the gate-free interferometer closes.
@@ -612,6 +624,8 @@ def test_estimate_visibility_rejects_bad_grids():
         estimate_visibility(counts, np.array([0.0, 0.1, 0.2, 0.3]))
     with pytest.raises(ValueError):
         estimate_visibility(np.ones((2, 2)), np.array([0.0, np.pi]))
+    with pytest.raises(ValueError, match="positive total count"):
+        estimate_visibility([[0, 0], [1, 1], [1, 1]], 2 * np.pi * np.arange(3) / 3)
 
 
 def test_estimate_visibility_grid_tolerance():

@@ -41,6 +41,8 @@ def test_parse_invalid_json_reports_line():
     with pytest.raises(ScenarioError) as err:
         parse_scenario('{\n "name": "x",\n}')
     assert err.value.line is not None
+    with pytest.raises(ScenarioError, match="must be a JSON object"):
+        parse_scenario("[]")
 
 
 def test_arity_validation():
@@ -55,6 +57,14 @@ def test_arity_validation():
 def test_unknown_constructor_named_in_error():
     with pytest.raises(ScenarioError, match="squeezed"):
         parse_scenario(make(state_a={"kind": "squeezed", "r": 1.0}))
+
+
+def test_missing_key_is_reported_on_the_line_of_the_object_that_lacks_it():
+    text = make(state_a={"n": 0})
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert (err.value.path, err.value.line) == ("state_a.kind", 5)
+    assert text.splitlines()[4] == ' "state_a": {'
 
 
 @pytest.mark.parametrize("spec, marker", [
@@ -178,6 +188,8 @@ def test_unknown_fields_rejected():
         parse_scenario(make(cutof=3))
     with pytest.raises(ScenarioError, match="unknown parameter"):
         parse_scenario(make(state_a={"kind": "fock", "n": 0, "m": 1}))
+    with pytest.raises(ScenarioError, match="unknown expected field 'value'"):
+        parse_scenario(make(expected={"value": 1.0}))
 
 
 def test_fidelity_requires_pure_partner():
@@ -396,6 +408,8 @@ def test_csv_counts_in_shot_mode():
 def test_exact_mode_std_error_serializes_null():
     rec = run_scenario(parse_scenario(make()))
     assert json.loads(emit(rec).decode())["std_error"] is None
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        emit(rec, "xml")
 
 
 def test_stamp_adds_timestamp():

@@ -109,3 +109,7 @@ def test_parameter_validation():
         ginibre_mixed(4, 0, 0)
     with pytest.raises(ValueError):
         pure([0.0, 0.0])
+    with pytest.raises(ValueError, match="does not match dims"):
+        pure([1, 0, 0], dims=(2, 2))
+    with pytest.raises(ValueError, match="do not multiply to 6"):
+        ginibre_mixed(6, 2, 0, dims=(2, 2))
