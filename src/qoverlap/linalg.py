@@ -116,10 +116,9 @@ class DensityMatrix:
     Every matrix from outside, the ``states`` constructors and the parser's
     included, keeps every check.
 
-    A state on two modes of one cutoff d answers a device run's reads
-    (:class:`ProductState` answers the same ones), each through views of
-    ``mat`` with no copy of it: :meth:`flip_trace`, :meth:`live_sectors`,
-    :meth:`sector_trace`, :meth:`sector_rows`, :meth:`base_partial_trace`,
+    A state on two modes of one cutoff d answers a device run's five reads
+    (:class:`ProductState` answers them too) through views of ``mat``, with
+    no copy: :meth:`flip_trace`, :meth:`live_sectors`, :meth:`sector_trace`,
     :meth:`populations` and :meth:`dense`.  They are valid only on such a
     pair, which ``protocol._require_mode_pair`` checks before any of them;
     ``sectors`` is ``gates.number_sectors(d)``, ``sector`` one of its entries.
@@ -165,21 +164,13 @@ class DensityMatrix:
         """Tr(S rho), S the swap of the two modes."""
         return np.einsum("ijji", self.mat.reshape(self.space.dims * 2))
 
-    def live_sectors(self, patched: range, sectors, rows: bool = False) -> list[int]:
-        """The sectors k in ``patched`` whose diagonal block (with ``rows``, whose rows) is not all 0."""
-        return [k for k in patched if self.mat[sectors[k].idx, slice(None) if rows else sectors[k].idx].any()]
+    def live_sectors(self, patched: range, sectors) -> list[int]:
+        """The sectors k in ``patched`` whose diagonal block is not all 0."""
+        return [k for k in patched if self.mat[sectors[k].idx, sectors[k].idx].any()]
 
     def sector_trace(self, patch: np.ndarray, sector) -> complex:
         """Tr(patch rho_NN) on one sector."""
         return np.dot(patch.T.ravel(), self.mat[sector.idx, sector.idx].ravel())
-
-    def sector_rows(self, sector) -> np.ndarray:
-        """The rows of one sector's states, one per state."""
-        return self.mat[sector.idx]
-
-    def base_partial_trace(self, flip: bool) -> np.ndarray:
-        """Tr_1(B rho B^dag) as a fresh d x d array: mode 1 of rho for the flip B, mode 0 for the identity."""
-        return np.einsum("jijk->ik" if flip else "ijkj->ik", self.mat.reshape(self.space.dims * 2))
 
     def populations(self) -> np.ndarray:
         """The diagonal as an array of the space's shape, p[n0, n1]."""
@@ -224,11 +215,11 @@ class ProductState:
     The factors are its two modes: ``space`` is ``(a.dim, b.dim)``, whatever
     subsystems each factor has, so two Werner states are two modes of
     dimension 4 (``tensor_states`` keeps every subsystem).  It answers the
-    device run's reads of :class:`DensityMatrix` from the factors, with
-    the same validity: the flip trace, the live sectors, the populations
-    and the base partial trace in O(d^2), a sector's trace from two factor
-    blocks, a sector's rows in O(d^2) per row.  Only :meth:`dense` forms
-    the d^2 x d^2 matrix.
+    device run's five reads of :class:`DensityMatrix` from the factors, with
+    the same validity: a sector's trace from two factor blocks, the others
+    in O(d^2) but :meth:`dense`, the only one to form the d^2 x d^2 matrix.
+    Only a product answers the reduced post-state's two reads: a sector's
+    rows, O(d^2) per row, and the base partial trace, O(d^2).
     """
 
     a: DensityMatrix
@@ -244,13 +235,13 @@ class ProductState:
     @functools.cached_property
     def _live_pairs(self) -> list[bool]:
         # Row |n0, n1> is a[n0] (x) b[n1], not all 0 only if both factor rows
-        # are not; so the zero rows decide both cases.  Populations would not
-        # tell it: DensityMatrix does not check positivity.  Entry N says
-        # whether sector N has such a row; the sweep and the reduced
-        # post-state read the same list.
+        # are not.  Entry N says whether sector N has such a row; a nonzero
+        # diagonal block needs one, so the sweep and the reduced post-state
+        # read the same list.  Populations would not tell it: DensityMatrix
+        # does not check positivity.
         return np.convolve(self.a.mat.any(axis=1), self.b.mat.any(axis=1)).tolist()
 
-    def live_sectors(self, patched: range, sectors, rows: bool = False) -> list[int]:
+    def live_sectors(self, patched: range, sectors) -> list[int]:
         pairs = self._live_pairs
         return [k for k in patched if pairs[k]]
 

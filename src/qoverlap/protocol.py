@@ -41,21 +41,22 @@ with c = Tr(W_dn^dag W_up rho) = Tr(W_rel rho):
 
 Cost model.  The device input is a dense joint ``DensityMatrix`` or a
 :class:`~qoverlap.linalg.ProductState` ``a (x) b`` kept as its factors.
-The run makes the same reads of either: the flip trace Tr(S rho), the
-sectors whose diagonal block or rows are not all 0, Tr(patch rho_NN) on a
-sector, a sector's rows, the base partial trace and, for the unconditional
-post-state only, the dense matrix.  A dense joint answers through views; a
-product from its factors, in O(d^2) for all but a sector's rows and the
-dense matrix.  Every branch conserves the total photon number N = n0 + n1
-and has one form (:class:`_Branch`): a base B, the flip S for W_up and W_rel
-and the identity for W_dn, plus patches Delta_N = W_N - B_N on a set P of
-sectors, the slices of :func:`qoverlap.gates.number_sectors`; no d^2 x d^2 W
-is ever formed.  So every mode is the ideal device plus patches, and the
-ideal device has none.  At its default time, which :mod:`qoverlap.dynamics`
-decides, a coupler, per-photon phase and inverse coupler is the exact swap
-on every complete sector N <= d - 1, so ``physical`` and each Hamiltonian
-mode at its default time resolve on one branch, patched on the d - 1
-incomplete sectors N >= d only; any other interaction time patches all 2d - 1.
+The run makes the same five reads of either: the flip trace Tr(S rho), the
+patched sectors the input reaches, Tr(patch rho_NN) on a sector, the
+populations and, for the unconditional post-state only, the dense matrix.
+A dense joint answers through views; a product from its factors, in O(d^2)
+for all but the dense matrix, and only it answers the reduced post-state's
+two: a sector's rows and the base partial trace.  Every branch conserves
+the total photon number N = n0 + n1 and has one form (:class:`_Branch`): a
+base B, the flip S for W_up and W_rel and the identity for W_dn, plus
+patches Delta_N = W_N - B_N on a set P of sectors, the slices of
+:func:`qoverlap.gates.number_sectors`; no d^2 x d^2 W is ever formed.  So
+every mode is the ideal device plus patches, and the ideal device has none.
+At its default time, which :mod:`qoverlap.dynamics` decides, a coupler,
+per-photon phase and inverse coupler is the exact swap on every complete
+sector N <= d - 1, so ``physical`` and each Hamiltonian mode at its default
+time resolve on one branch, patched on the d - 1 incomplete sectors N >= d
+only; any other interaction time patches all 2d - 1.
 
 Every quantity is the ideal closed form plus a sum over P.  The fringe
 number is c = Tr(S rho) + sum_{N in P} Tr(Delta_N rho_NN).  A patched
@@ -75,12 +76,12 @@ state is built from only the part it needs.
 :attr:`ProtocolRun.post_visibility`, the visibility of a second sweep on
 the unconditional post-state, is |c| and costs nothing (see there).
 :attr:`ProtocolRun.reduced_post_state`, the post-state's mode-0 reduced
-state, is a partial trace of the input plus, per branch, a correction
-streamed over the patched sectors' nonzero input rows: O(d^3) memory, and
-O(d^5) time when every sector is reached.  When no patched sector has a
-nonzero input row (the ideal device, and every safe input at the default
-time) there is no correction, and it costs O(d^2): for the product
-a (x) a that ``hs_distance`` passes, the base partial traces are Tr(a) a.
+state, reads a product only (a dense input raises ``TypeError``), such as
+the a (x) a that ``hs_distance`` passes: Tr(a) a plus, per branch, a
+correction streamed over the patched sectors' nonzero input rows: O(d^3)
+memory, and O(d^5) time when every sector is reached.  When no patched
+sector has a nonzero input row (the ideal device, and every safe input at
+the default time) there is no correction, and it costs O(d^2).
 Neither post-state re-runs the ``DensityMatrix`` checks: both are derived
 from the checked input as a real multiple of M + M^dag, Hermitian in every
 bit.  Only
@@ -290,8 +291,8 @@ def _row_table(w: _Branch, d: int) -> np.ndarray:
     return rows
 
 
-def _live_sectors(rho: DeviceInput, patched: range, d: int, rows: bool = False) -> list[int]:
-    """The sectors in ``patched`` where the input's diagonal block (or rows) is not all 0.
+def _live_sectors(rho: DeviceInput, patched: range, d: int) -> list[int]:
+    """The sectors in ``patched`` the input reaches (either input's ``live_sectors``).
 
     On every other sector a patch meets exact zeros, so it is skipped.
     When every sector is patched the input reaches some, so all are
@@ -299,7 +300,7 @@ def _live_sectors(rho: DeviceInput, patched: range, d: int, rows: bool = False) 
     """
     if len(patched) in (0, 2 * d - 1):
         return list(patched)
-    return rho.live_sectors(patched, gates.number_sectors(d), rows)
+    return rho.live_sectors(patched, gates.number_sectors(d))
 
 
 def _left(w: _Branch, mat: np.ndarray, d: int) -> np.ndarray:
@@ -336,7 +337,7 @@ def _fringe_coefficient(rho: DeviceInput, w_rel: _Branch, live: list[int], d: in
     return complex(c)
 
 
-def _reduced_branch(rho: DeviceInput, w: _Branch, d: int) -> np.ndarray:
+def _reduced_branch(rho: ProductState, w: _Branch, d: int) -> np.ndarray:
     """Tr_1(W rho W^dag) up to an anti-Hermitian part, as a fresh d x d array.
 
     With Delta = W - B, Tr_1(W rho W^dag) = Tr_1(B rho B^dag) +
@@ -350,7 +351,7 @@ def _reduced_branch(rho: DeviceInput, w: _Branch, d: int) -> np.ndarray:
     (:func:`_row_table`).  O(d^3) memory, and O(d^3) time per row.
     """
     out = rho.base_partial_trace(w.flip)
-    live = _live_sectors(rho, w.patched, d, rows=True)
+    live = _live_sectors(rho, w.patched, d)
     if not live:
         return out
     patches, w_rows = _compile(w, d), _row_table(w, d)
@@ -385,11 +386,11 @@ class ProtocolRun:
     first read; later reads return the same object.
     ``post_state_unconditional`` is the full d^2 x d^2 state;
     ``reduced_post_state`` is its mode-0 reduced state, computed without the
-    d^2 x d^2 matrix, and ``post_visibility`` the visibility a second sweep
-    on it would extract.  Both post-states are derived from the checked
-    input and not checked again (:class:`DensityMatrix`): Hermitian in
-    every bit, their trace is the input's up to rounding, or Tr(a) Tr(b)
-    for a product a (x) b, up to about 2e-10 from 1.
+    d^2 x d^2 matrix from a product input only, and ``post_visibility`` the
+    visibility a second sweep on it would extract.  Both post-states are
+    derived from the checked input and not checked again (:class:`DensityMatrix`):
+    Hermitian in every bit, their trace is the input's up to rounding, or
+    Tr(a) Tr(b) for a product a (x) b, up to about 2e-10 from 1.
     """
 
     def __init__(self, rho: DeviceInput, mode: DeviceMode, grid: _Grid):
@@ -437,8 +438,10 @@ class ProtocolRun:
         """Mode-0 state of the unconditional post-state (W_up rho W_up^dag + W_dn rho W_dn^dag)/2.
 
         The sum of the branches' partial traces plus its conjugate transpose
-        is Hermitian in every bit.
+        is Hermitian in every bit.  Read from a :class:`ProductState` only.
         """
+        if not isinstance(self.rho, ProductState):  # a dense input: Tr_1 of post_state_unconditional
+            raise TypeError(f"reduced_post_state reads a ProductState input, not {type(self.rho).__name__}")
         mixed = _reduced_branch(self.rho, self._w_up, self._d)
         mixed += _reduced_branch(self.rho, self._w_dn, self._d)
         mixed += dag(mixed)

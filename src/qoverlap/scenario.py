@@ -16,7 +16,7 @@ import re
 import struct
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -445,14 +445,6 @@ def _summary(record: ResultRecord) -> str:
     return _SUMMARY_LAYOUT % tuple(map(_scalar, (
         r.scenario, r.task, r.device_value, r.oracle_value, r.abs_error, r.std_error,
         r.verdict, r.seed, r.shots, r.rng, r.timestamp)))
-
-
-def record_to_dict(record: ResultRecord) -> dict:
-    return asdict(record)
-
-
-def record_from_dict(doc: dict) -> ResultRecord:
-    return ResultRecord(**doc)
 
 
 def emit(record: ResultRecord, format: str = "json") -> bytes:

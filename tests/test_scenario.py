@@ -2,7 +2,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from qoverlap import ScenarioError, emit, parse_scenario, run_scenario
 from qoverlap import scenario as scenario_module
-from qoverlap.scenario import ALL_TASKS, ResultRecord, format_float, record_from_dict, record_to_dict, write_record
+from qoverlap.scenario import ALL_TASKS, ResultRecord, format_float, write_record
 
 
 def make(**fields):
@@ -385,8 +385,8 @@ def test_bundled_records_are_pinned():
 def test_json_round_trip():
     rec = run_scenario(parse_scenario(make(shots=100)))
     doc = json.loads(emit(rec).decode())
-    assert record_from_dict(doc) == rec
-    assert list(doc) == list(record_to_dict(rec))
+    assert ResultRecord(**doc) == rec
+    assert list(doc) == list(asdict(rec))
 
 
 def test_csv_shape_and_exact_mode_cells():
@@ -653,6 +653,21 @@ def test_phase_lists_longer_than_the_kept_grids_are_written_but_not_kept():
     assert scenario_module._PHASE_TEXTS == kept
 
 
+def test_the_phase_text_memo_is_emptied_when_full(monkeypatch):
+    # One list more than the memo holds: the last one empties it first.
+    monkeypatch.setattr(scenario_module, "_PHASE_TEXTS", {})
+    limit = scenario_module._PHASE_TEXTS_MAX
+    sizes = []
+    for j in range(limit + 1):
+        phases = [0.5 * j + 0.1 * i for i in range(8)]
+        record = replace(PINNED, phases=phases, p_up=[0.5] * 8, p_down=[0.5] * 8,
+                         count_up=None, count_down=None)
+        assert emit(record) == (_reference_dumps(vars(record)) + "\n").encode()
+        sizes.append(len(scenario_module._PHASE_TEXTS))
+    assert max(sizes) == limit
+    assert sizes[-1] == 1
+
+
 def _reference_dumps(doc: dict) -> str:
     """The plain record writer: every key and every non-float value through json.dumps."""
 
@@ -690,7 +705,7 @@ def _records(draw):
 @given(_records())
 def test_record_writer_round_trips_and_matches_the_reference_writer(record):
     text = emit(record)
-    assert json.loads(text) == record_to_dict(record)
+    assert json.loads(text) == asdict(record)
     assert text == (_reference_dumps(vars(record)) + "\n").encode()
 
 
