@@ -79,7 +79,8 @@ the unconditional post-state, is |c| and costs nothing (see there).
 state, reads a product only (a dense input raises ``TypeError``), such as
 the a (x) a that ``hs_distance`` passes: Tr(a) a plus, per branch, a
 correction streamed over the patched sectors' nonzero input rows: O(d^3)
-memory, and O(d^5) time when every sector is reached.  When no patched
+memory, a table of the branch's rows built per read and not kept, and
+O(d^5) time when every sector is reached.  When no patched
 sector has a nonzero input row (the ideal device, and every safe input at
 the default time) there is no correction, and it costs O(d^2).
 Neither post-state re-runs the ``DensityMatrix`` checks: both are derived
@@ -190,10 +191,6 @@ _GRIDS: dict[int, _Grid] = {}
 # The largest shot count numpy's binomial draws: its n is a C int64.
 MAX_SHOTS = 2**63 - 1
 
-# Row tables kept per process: the two branches of one run.  A table holds
-# d^3 complex numbers (128 KB at d = 20, 268 MB at d = 256).
-_ROW_TABLE_CACHE_SIZE = 2
-
 
 def _require_mode_pair(space: CompositeSpace) -> int:
     if space.n_subsystems != 2:
@@ -268,14 +265,12 @@ def _compile(w: _Branch, d: int) -> dict[int, np.ndarray]:
     return patches
 
 
-@functools.lru_cache(maxsize=_ROW_TABLE_CACHE_SIZE)
 def _row_table(w: _Branch, d: int) -> np.ndarray:
     """rows[k, j, p]: conjugate of row |k, j> of W + B at column |p, k + j - p>.
 
     W + B is 2 B plus the patches, and row |k, j> of the base B is 1 at
     p = j (the flip) or p = k (the identity).  Entries off the row's sector
-    are 0.  Built once per compiled branch and kept for the last
-    ``_ROW_TABLE_CACHE_SIZE`` branches, read-only.
+    are 0.  Built per call and not kept: d^3 complex numbers, 268 MB at d = 256.
     """
     rows = np.zeros((d, d, d), dtype=complex)
     diag = np.arange(d)
@@ -287,7 +282,6 @@ def _row_table(w: _Branch, d: int) -> np.ndarray:
     for k, patch in _compile(w, d).items():
         sector = gates.number_sectors(d)[k]
         flat[sector.idx, sector.n0] += patch.conj()
-    rows.flags.writeable = False
     return rows
 
 

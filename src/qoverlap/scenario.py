@@ -394,7 +394,8 @@ def _scalar(value) -> str:
 
     Floats go through :func:`format_float`; None and exact ints (not bools)
     are written directly, strings escaped as ``json.dumps`` escapes them;
-    anything else (bools) goes through ``json.dumps``.
+    numpy numbers as the Python numbers they hold, anything else (bools)
+    through ``json.dumps``.
     """
     if isinstance(value, float):
         return format_float(value)
@@ -404,6 +405,10 @@ def _scalar(value) -> str:
         return str(value)
     if isinstance(value, str):
         return _quote(value)
+    if isinstance(value, np.integer):
+        return str(int(value))
+    if isinstance(value, np.floating):
+        return format_float(value)
     return json.dumps(value)
 
 

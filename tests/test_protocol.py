@@ -1,4 +1,6 @@
 import ast
+import gc
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -618,6 +620,25 @@ def test_estimate_visibility_error_scaling():
     assert abs(ratio - np.sqrt(2)) < 0.2 * np.sqrt(2)
 
 
+def test_estimate_visibility_standard_error_at_and_near_a_fringe_null():
+    # With unequal totals the per-phase variances differ, so the gradient's
+    # error and the isotropic scale of the null differ too.
+    k = 8
+    phases = 2 * np.pi * np.arange(k) / k
+    totals = 100.0 + 37.5 * np.arange(k)
+    for c in (0.0, 1e-4):
+        p_dn = 0.5 * (1.0 + c * np.cos(phases))
+        counts = np.column_stack([totals * (1.0 - p_dn), totals * p_dn])
+        var_p = p_dn * (1.0 - p_dn) / totals
+        v_hat, std_error = estimate_visibility(counts, phases)
+        if c == 0.0:  # an exact null: p_dn = 1/2 at every phase
+            expected = np.sqrt((8.0 / k**2) * var_p.sum())
+        else:  # the gradient (4/K) cos psi_k of |c_hat| at a real c_hat
+            expected = np.sqrt((((4.0 / k) * np.cos(phases)) ** 2 * var_p).sum())
+        assert abs(v_hat - c) < 1e-15
+        assert abs(std_error - expected) < 1e-12 * expected
+
+
 def test_estimate_visibility_rejects_bad_grids():
     counts = np.ones((4, 2))
     with pytest.raises(ValueError):
@@ -904,6 +925,8 @@ def unsafe_population(rho):
     seeds=st.tuples(st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1)),
     as_product=st.booleans(),
 )
+@example(d=5, seeds=(140, 150), as_product=True)
+@example(d=5, seeds=(141, 151), as_product=True)
 def test_unsafe_inputs_match_the_full_sandwich(label, d, seeds, as_product):
     # Full-support Ginibre states reach every incomplete sector N >= d.
     if as_product:
@@ -1032,19 +1055,26 @@ def test_unsafe_input_solves_exactly_the_incomplete_sectors(monkeypatch):
     assert [shape[0] for shape in solved] == list(range(d - 1, 0, -1))
 
 
-def test_reduced_reads_build_the_row_table_once():
-    from qoverlap.protocol import _row_table
+def test_reduced_reads_keep_no_row_table():
+    # Each read builds the d^3 table of its branch's rows and drops it.
+    # What the read leaves behind, the compiled patches and the cutoff's
+    # sector tables and eigensystems, is below one table.
+    from qoverlap import gates
+    from qoverlap.protocol import _compile
 
-    d = 5
-    _row_table.cache_clear()
-    for seed in (140, 141):
-        rho = ProductState(ginibre_mixed(d, d, seed), ginibre_mixed(d, d, seed + 10))
-        run = sweep_visibility(rho, mode=PHYSICAL)
-        _, _, reduced, _ = sandwich_oracle(rho, PHYSICAL)
-        assert np.abs(run.reduced_post_state.mat - reduced).max() < 1e-12
-    # one compiled branch (W_up; W_dn is the identity), one table
-    info = _row_table.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    for d in (18, 36):
+        factor = ginibre_mixed(d, d, 2)
+        rho = ProductState(factor, factor)
+        _compile.cache_clear()
+        gates._coupler_eigensystems.cache_clear()
+        tracemalloc.start()
+        try:
+            sweep_visibility(rho, mode=PHYSICAL).reduced_post_state
+            gc.collect()
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 16 * d**3, d
 
 
 @pytest.mark.parametrize(

@@ -613,6 +613,20 @@ def test_serialized_bytes_are_pinned(tmp_path):
     )
 
 
+def test_numpy_scalars_write_the_bytes_of_python_numbers(tmp_path):
+    single = np.float32(0.1)
+    numbers = {"device_value": single, "std_error": np.float32(0.25), "seed": np.int64(5), "shots": np.uint16(12)}
+    records = {
+        "numpy": replace(PINNED, **numbers),
+        "python": replace(PINNED, device_value=float(single), std_error=0.25, seed=5, shots=12),
+    }
+    for format in ("json", "csv"):
+        assert emit(records["numpy"], format) == emit(records["python"], format)
+        written = [write_record(r, tmp_path / f"{name}.{format}", format).read_bytes() for name, r in records.items()]
+        assert written[0] == written[1]
+    assert (tmp_path / "numpy.summary.json").read_bytes() == (tmp_path / "python.summary.json").read_bytes()
+
+
 _TABLE_FLOATS = ("phases", "p_up", "p_down")
 _SCALAR_FLOATS = ("device_value", "oracle_value", "abs_error", "std_error")
 
