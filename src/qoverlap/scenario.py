@@ -4,7 +4,7 @@ A scenario names one task (overlap, fidelity, purity, linear_entropy,
 hs_distance, witness, repeat_check), the input states by constructor, the
 device realization, the phase-grid size and the shot budget.  Records
 serialize deterministically: identical (scenario, seed) pairs give
-byte-identical output.
+byte-identical output on one numpy version and one BLAS kernel.
 """
 
 from __future__ import annotations
@@ -13,10 +13,9 @@ import datetime as _dt
 import json
 import math
 import re
-import struct
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -360,25 +359,14 @@ def run_scenario(scenario: Scenario, stamp: bool = False) -> ResultRecord:
 
 _quote = json.encoder.encode_basestring_ascii  # what json.dumps writes for a str
 
-# A record is written as one JSON object, one field per line, each list on
-# one line.  Its scalar fields alone make a CSV record's summary sidecar.
-_SUMMARY_LAYOUT = (
-    '{\n  "scenario": %s,\n  "task": %s,\n  "device_value": %s,\n  "oracle_value": %s,\n'
-    '  "abs_error": %s,\n  "std_error": %s,\n  "verdict": %s,\n  "seed": %s,\n'
-    '  "shots": %s,\n  "rng": %s,\n  "timestamp": %s'
-)
-_TABLE_LAYOUT = (
-    ',\n  "phases": [%s],\n  "p_up": [%s],\n  "p_down": [%s],\n'
-    '  "count_up": %s,\n  "count_down": %s\n}\n'
-)
-_CSV_HEADER = "phase,p_up,p_down,count_up,count_down\n"
-_CSV_ROW = "%s,%.17g,%.17g,%s,%s\n"
-
-# Phase texts kept per process, by the phases' bits, for lists of up to
-# protocol._GRID_MAX_CACHED phases (as the grids are kept); the memo is
-# emptied when it holds this many lists.
-_PHASE_TEXTS_MAX = 64
-_PHASE_TEXTS: dict[bytes, tuple[str, ...]] = {}
+# A record is written as one JSON object, one field per line in ResultRecord's
+# order, each list on one line.  The per-phase table's fields are the CSV
+# columns; the record's other fields make a CSV record's summary sidecar.
+_FIELDS = tuple(f.name for f in fields(ResultRecord))
+_TABLE = ("phases", "p_up", "p_down", "count_up", "count_down")
+_SUMMARY = tuple(name for name in _FIELDS if name not in _TABLE)
+_CSV_HEADER = ",".join(("phase",) + _TABLE[1:]) + "\n"
+_CSV_ROW = "%.17g,%.17g,%.17g,%s,%s\n"
 
 
 def format_float(x: float) -> str:
@@ -422,34 +410,19 @@ def _floats(values) -> str:
     return text
 
 
-def _phase_texts(phases: list) -> tuple[str, ...]:
-    """Each phase's text; the phases of one grid are formatted once per process.
-
-    The texts are kept by the phases' bits, so 0.0 and -0.0 are told apart,
-    and only for finite phases.
-    """
-    if len(phases) > protocol._GRID_MAX_CACHED:
-        return tuple(map(format_float, phases))
-    key = struct.pack("%dd" % len(phases), *phases)
-    texts = _PHASE_TEXTS.get(key)
-    if texts is None:
-        texts = tuple(map(format_float, phases))
-        if len(_PHASE_TEXTS) >= _PHASE_TEXTS_MAX:
-            _PHASE_TEXTS.clear()
-        _PHASE_TEXTS[key] = texts
-    return texts
-
-
 def _counts(counts: list | None) -> str:
     return "null" if counts is None else "[" + ", ".join(map(str, counts)) + "]"
 
 
-def _summary(record: ResultRecord) -> str:
-    """The JSON of the record's scalar fields, without the closing brace."""
-    r = record
-    return _SUMMARY_LAYOUT % tuple(map(_scalar, (
-        r.scenario, r.task, r.device_value, r.oracle_value, r.abs_error, r.std_error,
-        r.verdict, r.seed, r.shots, r.rng, r.timestamp)))
+# Each field's value writer: the table's float lists, its count lists, and scalars for the rest.
+_WRITERS = dict.fromkeys(_SUMMARY, _scalar) | dict.fromkeys(_TABLE[:3], lambda values: f"[{_floats(values)}]")
+_WRITERS |= dict.fromkeys(_TABLE[3:], _counts)
+
+
+def _json(record: ResultRecord, names) -> str:
+    """The JSON object of the record's named fields, one per line."""
+    return "{\n" + ",\n".join(
+        [f'  "{name}": {_WRITERS[name](getattr(record, name))}' for name in names]) + "\n}\n"
 
 
 def emit(record: ResultRecord, format: str = "json") -> bytes:
@@ -461,16 +434,13 @@ def emit(record: ResultRecord, format: str = "json") -> bytes:
     """
     r = record
     if format == "json":
-        table = (", ".join(_phase_texts(r.phases)), _floats(r.p_up), _floats(r.p_down),
-                 _counts(r.count_up), _counts(r.count_down))
-        return (_summary(r) + _TABLE_LAYOUT % table).encode()
+        return _json(r, _FIELDS).encode()
     if format == "csv":
         n = len(r.phases)
         up = [""] * n if r.count_up is None else r.count_up
         down = [""] * n if r.count_down is None else r.count_down
-        rows = "".join(map(_CSV_ROW.__mod__, zip(_phase_texts(r.phases), r.p_up, r.p_down, up, down,
-                                                 strict=True)))
-        # the phases are finite and the counts integers: an "n" is a non-finite p
+        rows = "".join(map(_CSV_ROW.__mod__, zip(r.phases, r.p_up, r.p_down, up, down, strict=True)))
+        # the counts are integers: an "n" is a non-finite float
         if "n" in rows:
             raise ValueError("cannot serialize non-finite float")
         return (_CSV_HEADER + rows).encode()
@@ -480,13 +450,15 @@ def emit(record: ResultRecord, format: str = "json") -> bytes:
 def write_record(record: ResultRecord, path: str | Path, format: str = "json") -> Path:
     """Write the record into an existing directory; CSV output gains a JSON summary sidecar (no table).
 
+    Both files are built before either is written, so a refused record leaves no file.
     A path that cannot be written raises :class:`ScenarioError`; no directory is created.
     """
     path, data = Path(path), emit(record, format)
+    sidecar = _json(record, _SUMMARY) if format == "csv" else None
     try:
         path.write_bytes(data)
-        if format == "csv":
-            path.with_suffix(".summary.json").write_text(_summary(record) + "\n}\n")
+        if sidecar is not None:
+            path.with_suffix(".summary.json").write_text(sidecar)
     except OSError as exc:
         raise ScenarioError(f"cannot write {path}: {exc}") from exc
     return path

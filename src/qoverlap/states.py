@@ -24,12 +24,14 @@ _PHILOX = threading.local()
 def _keyed(seed: int, k: int = 0) -> np.random.Generator:
     """The Philox stream keyed by (seed mod 2**64, k), at counter 0.
 
-    Counter-based Philox keyed directly by the user seed is reproducible
-    across platforms and numpy versions, and independent streams are just
-    different keys.  A stream is fixed by its key, so one generator per
-    thread is re-keyed on every call: it draws what a fresh
-    ``Philox(key=[seed mod 2**64, k])`` would, without building one (most
-    of that cost is a ``SeedSequence`` that a keyed generator never reads).
+    Counter-based Philox keyed directly by the user seed gives the same bits
+    on every platform and numpy version (NEP 19), but ``Generator`` methods
+    such as ``binomial`` and ``standard_normal`` may change what they make of
+    them between numpy releases.  Independent streams are just different
+    keys.  A stream is fixed by its key, so one generator per thread is
+    re-keyed on every call: it draws what a fresh ``Philox(key=[seed mod
+    2**64, k])`` would, without building one (most of that cost is a
+    ``SeedSequence`` that a keyed generator never reads).
     The generator is valid until the next call in the same thread.
     """
     return next(_streams(seed, k))
